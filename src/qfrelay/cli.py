@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -668,8 +669,20 @@ def _add_solver_flags(p):
     p.add_argument("--max-iter", type=int, dest="max_iter")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes '-6.6e-05' as a negative number, not an option string.
+
+    argparse's own matcher accepts only plain decimals such as '-0.5'.
+    Subparsers inherit this class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfrelay",
         description="Quantizer design and sum-rate evaluation for "
                     "Quantize-and-Forward two-way relaying",

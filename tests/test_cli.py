@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qfrelay import fixture_channel
+from qfrelay import downlink_rate, fixture_channel
 from qfrelay.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -220,6 +220,19 @@ def test_sumrate_downlink_snr_form(inline_cfg, tmp_path, capsys):
     assert code == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["i1_bits"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_sumrate_accepts_negative_scientific_notation(inline_cfg, tmp_path, capsys):
+    surface = tmp_path / "surface.csv"
+    main(["sweep", "--config", inline_cfg, "--lambda-min", "0.1",
+          "--lambda-max", "1.0", "--lambda-count", "2", "--restarts", "2",
+          "--out", str(surface)])
+    code = main(["sumrate", "--surface", str(surface),
+                 "--dl-snr1-db", "-6.6e-05", "--dl-snr2-db", "-1E-3"])
+    assert code == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["i1_bits"] == downlink_rate(-6.6e-05)
+    assert payload["i2_bits"] == downlink_rate(-1e-3)
 
 
 def test_sumrate_rejects_mixed_capacity_sources(inline_cfg, tmp_path, capsys):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from qfrelay import (
     QuantizerPmf,
     brute_force_lagrangian,
     delta_matrix,
+    from_pmfs,
     induced_posteriors,
     initial_quantizer,
     lagrangian,
@@ -14,6 +16,7 @@ from qfrelay import (
     optimize_restarts,
     update_q,
 )
+from qfrelay.optimizer import _FusedStep
 
 FIXED_Q = np.array([[0.9, 0.3, 0.25], [0.1, 0.7, 0.75]])
 
@@ -278,3 +281,57 @@ def test_restarts_picks_best_final_lagrangian(fx):
         child = int(np.random.SeedSequence((11, r)).generate_state(1)[0])
         finals.append(optimize(fx, 0.2, 0.2, 2, seed=child).lagrangian_trace[-1])
     assert best.lagrangian_trace[-1] == max(finals)
+
+
+# A channel whose last output bin has zero mass under every input pair.
+DEAD_BIN_W = [[[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]],
+              [[0.7, 0.3, 0.0], [0.1, 0.9, 0.0]]]
+
+
+def _kernel_case(name, fx, bpsk):
+    """(channel, quantizer matrix, lam1, lam2) for one fused-step comparison."""
+    if name == "fixture":
+        return fx, FIXED_Q, 0.3, 0.8
+    if name == "bpsk":
+        q = np.random.default_rng(5).dirichlet(np.ones(32), size=bpsk.num_bins).T
+        return bpsk, q, 0.1, 0.4
+    if name == "zero-level":
+        q = np.array([[0.6, 0.3, 0.5], [0.4, 0.7, 0.5], [0.0, 0.0, 0.0]])
+        return fx, q, 0.5, 0.2
+    p_x1 = [0.0, 1.0] if name == "zero-prior" else [0.4, 0.6]
+    ch = from_pmfs(p_x1, [0.5, 0.5], DEAD_BIN_W)
+    q = np.array([[0.2, 0.7, 0.1], [0.5, 0.1, 0.3], [0.3, 0.2, 0.6]])
+    return ch, q, 0.6, 1.5
+
+
+@pytest.mark.parametrize("case", ["fixture", "bpsk", "zero-level", "dead-bin", "zero-prior"])
+def test_fused_step_matches_reference(case, fx, bpsk):
+    ch, qm, lam1, lam2 = _kernel_case(case, fx, bpsk)
+    q = QuantizerPmf(qm)
+    post = induced_posteriors(ch, q)
+    if case == "zero-level":
+        assert post.t1_placeholder.any() and post.t2_placeholder.any()
+    if case == "dead-bin":
+        assert ch.p_yr[-1] == 0.0
+    want_delta = delta_matrix(ch, post, lam1, lam2)
+    want_q = update_q(want_delta)
+
+    step = _FusedStep(ch, lam1, lam2)
+    coef, value = step.evaluate(q.q, float(ch.p_yr @ -xlogy(q.q, q.q).sum(axis=0)))
+    got_q, h_next = step.update(coef)
+    _, value_next = step.evaluate(got_q, h_next)
+
+    # Dead levels sit near exp(-690) in q, so the exponents are compared too.
+    got_delta = coef.T @ step.p_scaled
+    assert np.max(np.abs(got_delta - want_delta)) < 1e-12 * max(1.0, np.max(np.abs(want_delta)))
+    assert abs(value - lagrangian(ch, q, lam1, lam2)) < 1e-12
+    assert np.max(np.abs(got_q - want_q.q)) < 1e-12
+    assert abs(value_next - lagrangian(ch, want_q, lam1, lam2)) < 1e-12
+
+
+def test_fused_step_reports_nonfinite_delta(fx):
+    step = _FusedStep(fx, 0.5, 0.5)
+    coef = np.zeros((4, 2))
+    coef[1, 1] = np.nan
+    with pytest.raises(FloatingPointError, match=r"\(1, 0\)"):
+        step.update(coef)

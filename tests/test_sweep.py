@@ -97,6 +97,15 @@ def test_sweep_deterministic_per_seed(fx):
         )
 
 
+def test_sweep_serial_and_parallel_write_identical_csv(fx, tmp_path):
+    g = LambdaGrid.log_spaced(1e-2, 5.0, 4)
+    serial = sweep_grid(fx, 2, grid=g, restarts=2, seed=3, workers=None)
+    parallel = sweep_grid(fx, 2, grid=g, restarts=2, seed=3, workers=2)
+    surface_to_csv(serial, tmp_path / "serial.csv")
+    surface_to_csv(parallel, tmp_path / "parallel.csv")
+    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+
+
 def test_sweep_nonconvergence_warning(fx):
     g = LambdaGrid.log_spaced(0.1, 1.0, 2)
     s = sweep_grid(fx, 2, grid=g, restarts=1, seed=0, eps=1e-15, max_iter=1)
