@@ -4,8 +4,10 @@ A fraction alpha of the frame is the multiple-access (uplink) phase; the
 remaining 1 - alpha carries the quantization index over downlinks of
 capacity I1 and I2 per use.  The index must fit, so the description rates
 are budgeted at (1-alpha)/alpha * I, and the end-to-end sum rate is
-alpha * I_RD((1-alpha)/alpha * I1, (1-alpha)/alpha * I2).  Golden-section
-search over alpha finds the best split.
+alpha * I_RD((1-alpha)/alpha * I1, (1-alpha)/alpha * I2).  A swept point p
+fits the budgets exactly when alpha <= alpha_p = min(I1/(c1_p+I1),
+I2/(c2_p+I2)), so the best split is the alpha_p of the point with the
+largest alpha_p * i_rd_p: one pass over the surface, no search.
 """
 import numpy as np
 
@@ -32,8 +34,7 @@ print("\ndownlink capacities I1 = %.2f, I2 = %.2f bits/use" % (I1, I2))
 print("alpha* = %.6f" % res.alpha_star)
 print("sum rate = %.6f bits/frame-use" % res.sum_rate)
 print("budgets at alpha*: C1 <= %.6f, C2 <= %.6f" % (res.c1_at_star, res.c2_at_star))
-print("I_RD at alpha* = %.6f  (objective evaluations: %d)"
-      % (res.i_rd_at_star, res.evaluations))
+print("I_RD at alpha* = %.6f" % res.i_rd_at_star)
 
 # the curve is a product of a growing linear factor and a shrinking envelope
 curve = alpha_objective_curve(surface, I1, I2, num=11)

@@ -45,7 +45,6 @@ DEFAULTS = {
     "lambda_min": 1e-3,
     "lambda_max": 10.0,
     "lambda_count": 12,
-    "tol_alpha": 1e-4,
 }
 
 EXIT_OK = 0
@@ -90,7 +89,6 @@ class RunConfig:
     i2_bits: float | None
     dl_snr1_db: float | None
     dl_snr2_db: float | None
-    tol_alpha: float
     # output
     out: str | None
     json_out: str | None
@@ -137,7 +135,6 @@ _SCHEMA = {
         "i2_bits": "number",
         "dl_snr1_db": "number",
         "dl_snr2_db": "number",
-        "tol_alpha": "number",
     },
     "output": {
         "out": "string",
@@ -283,7 +280,6 @@ def _resolve(cfg: dict, overrides: dict) -> RunConfig:
         i2_bits=pick("sumrate", "i2_bits"),
         dl_snr1_db=pick("sumrate", "dl_snr1_db"),
         dl_snr2_db=pick("sumrate", "dl_snr2_db"),
-        tol_alpha=float(pick("sumrate", "tol_alpha", DEFAULTS["tol_alpha"])),
         out=pick("output", "out"),
         json_out=pick("output", "json_out"),
         trace=pick("output", "trace"),
@@ -320,7 +316,6 @@ def _config_from_args(args) -> RunConfig:
         "sumrate.i2_bits": getattr(args, "i2_bits", None),
         "sumrate.dl_snr1_db": getattr(args, "dl_snr1_db", None),
         "sumrate.dl_snr2_db": getattr(args, "dl_snr2_db", None),
-        "sumrate.tol_alpha": getattr(args, "tol_alpha", None),
         "output.out": getattr(args, "out", None),
         "output.json_out": getattr(args, "json_out", None),
         "output.trace": getattr(args, "trace", None),
@@ -464,7 +459,7 @@ def _cmd_sumrate(args) -> int:
                           "(--i1-bits/--i2-bits or --dl-snr1-db/--dl-snr2-db)")
 
     surface = _load_surface(args.surface)
-    res = optimize_alpha(surface, i1, i2, tol_alpha=cfg.tol_alpha)
+    res = optimize_alpha(surface, i1, i2)
     payload = {
         "i1_bits": i1,
         "i2_bits": i2,
@@ -473,7 +468,6 @@ def _cmd_sumrate(args) -> int:
         "c1_at_star_bits": res.c1_at_star,
         "c2_at_star_bits": res.c2_at_star,
         "i_rd_at_star_bits": res.i_rd_at_star,
-        "evaluations": res.evaluations,
         "unimodality": unimodality_report(surface, i1, i2),
     }
     if args.alpha_curve:
@@ -722,7 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i2-bits", type=float, dest="i2_bits")
     p.add_argument("--dl-snr1-db", type=float, dest="dl_snr1_db")
     p.add_argument("--dl-snr2-db", type=float, dest="dl_snr2_db")
-    p.add_argument("--tol-alpha", type=float, dest="tol_alpha")
     p.add_argument("--alpha-curve", dest="alpha_curve",
                    help="write the alpha-grid objective CSV here")
     p.add_argument("--out")

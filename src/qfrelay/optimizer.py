@@ -256,9 +256,8 @@ def _safe_inverse(p: np.ndarray) -> np.ndarray:
 
 def _stopped(l_now: float, l_prev: float, eps: float) -> bool:
     diff = l_now - l_prev
-    if l_now > 0 and diff / l_now < eps:
-        return True
-    return abs(diff) < eps * (1.0 + abs(l_now))
+    tol = eps * (1.0 + abs(l_now))
+    return diff < tol if l_now > 0 else abs(diff) < tol
 
 
 def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
@@ -268,9 +267,10 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
 
     Both multipliers must be strictly positive; the unpenalized objective is
     approached with small multipliers instead of zero ones because the update
-    divides by lam1 + lam2.  Convergence uses the relative-change rule with an
-    absolute fallback when the Lagrangian sits near zero; hitting max_iter
-    returns converged=False rather than raising.
+    divides by lam1 + lam2.  A run converges once its Lagrangian L rises by
+    less than eps * (1 + |L|) in one step; while L > 0 any fall counts as
+    converged too, while L <= 0 the step's magnitude is compared instead.
+    Hitting max_iter returns converged=False rather than raising.
     """
     if not (lam1 > 0 and lam2 > 0):
         raise ValueError(f"multipliers must be strictly positive, got ({lam1}, {lam2})")

@@ -204,9 +204,11 @@ class RateTable:
 
     def best_constrained(self, c1_max: float, c2_max: float):
         """(max j, argmax index) over candidates meeting both rate targets."""
+        if not (c1_max >= 0 and c2_max >= 0):
+            raise ValueError("rate targets must be nonnegative")
         feas = (self.c1_bits <= c1_max + 1e-12) & (self.c2_bits <= c2_max + 1e-12)
         if not feas.any():
-            raise RuntimeError("no feasible candidate; targets below zero?")
+            raise RuntimeError("no feasible candidate")
         masked = np.where(feas, self.j_bits, -np.inf)
         k = int(np.argmax(masked))
         return float(self.j_bits[k]), k
@@ -229,8 +231,6 @@ def brute_force_ird(ch: ChannelModel, L: int, grid_step: float,
     Returns (bits, QuantizerPmf).  Pass a prebuilt RateTable to amortize the
     enumeration across many target pairs.
     """
-    if c1_max < 0 or c2_max < 0:
-        raise ValueError("rate targets must be nonnegative")
     if table is None:
         table = RateTable(ch, L, grid_step, max_cells=max_cells)
     best, k = table.best_constrained(c1_max, c2_max)

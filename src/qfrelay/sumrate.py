@@ -5,6 +5,12 @@ the rest carries the downlink broadcast, so the exchanged sum rate is
 alpha * I_RD((1-alpha)/alpha * I1, (1-alpha)/alpha * I2) with I1, I2 the
 downlink capacities.  I_RD is evaluated by the achievable lower-envelope
 query over a precomputed multiplier sweep.
+
+Over a swept surface the best split has a closed form.  Point p fits both
+downlink budgets exactly when alpha <= alpha_p = min(I1/(c1_p+I1),
+I2/(c2_p+I2)), and alpha * i_rd_p grows with alpha, so the maximum over alpha
+of alpha * I_RD is the maximum over points of alpha_p * i_rd_p, with alpha
+kept inside the open interval (0, 1).
 """
 
 from __future__ import annotations
@@ -16,10 +22,15 @@ import numpy as np
 
 from qfrelay.sweep import Surface, query_lower_envelope
 
-# Open interval for the time-sharing search; endpoints are degenerate
-# (no uplink time or no downlink time).
+# Time shares are kept in [ALPHA_MARGIN, 1 - ALPHA_MARGIN]; the endpoints are
+# degenerate (no uplink time or no downlink time).
 ALPHA_MARGIN = 1e-6
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The split returned when no swept point beats the single-level quantizer:
+# every split then has sum rate 0.
+DEGENERATE_ALPHA = 0.5
+# Rounding puts alpha_p a few ulps off the last float at which the envelope
+# query admits point p; this bounds the ulp steps that find that float.
+MAX_ULP_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -29,7 +40,6 @@ class SumRateResult:
     c1_at_star: float
     c2_at_star: float
     i_rd_at_star: float
-    evaluations: int
 
 
 def downlink_rate(snr_db: float) -> float:
@@ -42,7 +52,7 @@ def downlink_rate(snr_db: float) -> float:
     return 0.5 * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
 
 
-def _targets(i1: float, i2: float, alpha: float):
+def _targets(i1: float, i2: float, alpha):
     ratio = (1.0 - alpha) / alpha
     return ratio * i1, ratio * i2
 
@@ -51,65 +61,69 @@ def sum_rate_at(s: Surface, i1: float, i2: float, alpha: float) -> float:
     """Exchanged sum rate for one time-sharing split, in bits per channel use."""
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if i1 < 0 or i2 < 0:
-        raise ValueError("downlink capacities must be nonnegative")
+    if not (0 <= i1 < math.inf and 0 <= i2 < math.inf):
+        raise ValueError("downlink capacities must be finite and nonnegative")
     c1_t, c2_t = _targets(i1, i2, alpha)
     return alpha * query_lower_envelope(s, c1_t, c2_t)
 
 
-def optimize_alpha(s: Surface, i1: float, i2: float,
-                   tol_alpha: float = 1e-4) -> SumRateResult:
-    """Maximize the sum rate over the time-sharing coefficient.
+def _fitting_alphas(c1, c2, i1: float, i2: float):
+    """(alpha, fits): per point, the last float alpha in [ALPHA_MARGIN,
+    1 - ALPHA_MARGIN] whose targets admit it, and whether it is admitted.
 
-    The idealized objective is concave in alpha, so golden-section search
-    applies; the envelope query makes the actual objective step-like, so the
-    search is cross-checked against a 1000-point uniform grid and the better
-    value wins.  The result is always achievable: it is alpha times an
-    envelope value backed by a stored quantizer.
+    Admission only loosens as alpha falls, so alpha_p moves down by ulps
+    while the point does not fit and up while the next float still fits.
+    """
+    def admits(alpha):
+        c1_t, c2_t = _targets(i1, i2, alpha)
+        return (c1 <= c1_t) & (c2 <= c2_t)
+
+    lo, hi = ALPHA_MARGIN, 1.0 - ALPHA_MARGIN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a1 = np.where(c1 + i1 > 0, i1 / (c1 + i1), 1.0)
+        a2 = np.where(c2 + i2 > 0, i2 / (c2 + i2), 1.0)
+    alpha = np.clip(np.minimum(a1, a2), lo, hi)
+    for _ in range(MAX_ULP_STEPS):
+        fits = admits(alpha)
+        up = np.minimum(np.nextafter(alpha, 1.0), hi)
+        down = np.maximum(np.nextafter(alpha, 0.0), lo)
+        moved = np.where(fits, np.where(admits(up), up, alpha), down)
+        if np.array_equal(moved, alpha):
+            break
+        alpha = moved
+    return alpha, admits(alpha)
+
+
+def optimize_alpha(s: Surface, i1: float, i2: float) -> SumRateResult:
+    """Best time-sharing split over the swept surface, in closed form.
+
+    Each point's alpha_p = min(i1/(c1_p+i1), i2/(c2_p+i2)) (1 where c+i = 0)
+    is clipped to the open interval and put on the last float the envelope
+    query admits the point at; alpha* is the alpha_p with the largest
+    alpha_p * i_rd_p, or DEGENERATE_ALPHA when none is positive.  The result
+    is the envelope query at alpha*: sum_rate == sum_rate_at(s, i1, i2,
+    alpha*), achieved by a stored quantizer, and no alpha in the interval
+    gives more.
     """
     if not s.points:
         raise ValueError("surface has no points")
-    if tol_alpha <= 0:
-        raise ValueError(f"tol_alpha must be positive, got {tol_alpha!r}")
-    if i1 < 0 or i2 < 0:
-        raise ValueError("downlink capacities must be nonnegative")
+    if not (0 <= i1 < math.inf and 0 <= i2 < math.inf):
+        raise ValueError("downlink capacities must be finite and nonnegative")
 
-    evals = 0
+    c1, c2, i_rd = np.array([(p.c1, p.c2, p.i_rd) for p in s.points], dtype=float).T
+    alpha, fits = _fitting_alphas(c1, c2, i1, i2)
+    value = np.where(fits, alpha * i_rd, 0.0)
+    k = int(np.argmax(value))
+    alpha_star = float(alpha[k]) if value[k] > 0 else DEGENERATE_ALPHA
 
-    def f(alpha):
-        nonlocal evals
-        evals += 1
-        return sum_rate_at(s, i1, i2, alpha)
-
-    lo, hi = ALPHA_MARGIN, 1.0 - ALPHA_MARGIN
-    c = hi - GOLDEN * (hi - lo)
-    d = lo + GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > tol_alpha:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + GOLDEN * (hi - lo)
-            fd = f(d)
-    best_alpha, best_val = (c, fc) if fc >= fd else (d, fd)
-
-    for alpha in np.linspace(ALPHA_MARGIN, 1.0 - ALPHA_MARGIN, 1000):
-        v = f(alpha)
-        if v > best_val:
-            best_alpha, best_val = float(alpha), v
-
-    c1_t, c2_t = _targets(i1, i2, best_alpha)
+    c1_t, c2_t = _targets(i1, i2, alpha_star)
     ird = query_lower_envelope(s, c1_t, c2_t)
     return SumRateResult(
-        alpha_star=float(best_alpha),
-        sum_rate=best_alpha * ird,
+        alpha_star=alpha_star,
+        sum_rate=alpha_star * ird,
         c1_at_star=c1_t,
         c2_at_star=c2_t,
         i_rd_at_star=ird,
-        evaluations=evals,
     )
 
 
@@ -132,20 +146,11 @@ def unimodality_report(s: Surface, i1: float, i2: float, num_alphas: int = 100,
     diagnostic report, never a fatal check.  Moves smaller than tol are
     treated as flat.
     """
-    alphas = np.linspace(ALPHA_MARGIN, 1.0 - ALPHA_MARGIN, num_alphas)
-    vals = np.array([sum_rate_at(s, i1, i2, float(a)) for a in alphas])
-
-    dirs = []
-    idx = []
-    for k in range(len(vals) - 1):
-        step = vals[k + 1] - vals[k]
-        if abs(step) > tol:
-            dirs.append(1 if step > 0 else -1)
-            idx.append(k + 1)
-    maxima = []
-    for k in range(len(dirs) - 1):
-        if dirs[k] == 1 and dirs[k + 1] == -1:
-            maxima.append(float(alphas[idx[k]]))
+    alphas, vals = np.array(alpha_objective_curve(s, i1, i2, num_alphas)).T
+    steps = np.diff(vals)
+    moves = np.flatnonzero(np.abs(steps) > tol)
+    rises = steps[moves] > 0
+    maxima = alphas[moves[:-1][rises[:-1] & ~rises[1:]] + 1].tolist()
     return {
         "num_alphas": int(num_alphas),
         "tol": float(tol),

@@ -151,18 +151,13 @@ def query_lower_envelope(s: Surface, c1_target: float, c2_target: float) -> floa
     it tightens as the sweep grid densifies.  With no qualifying point the
     answer is 0, which the single-level quantizer always achieves.
     """
-    if c1_target < 0 or c2_target < 0:
-        raise ValueError("rate targets must be nonnegative")
-    best = 0.0
-    for p in s.points:
-        if p.c1 <= c1_target and p.c2 <= c2_target and p.i_rd > best:
-            best = p.i_rd
-    return best
+    p = envelope_point(s, c1_target, c2_target)
+    return 0.0 if p is None else max(0.0, p.i_rd)
 
 
 def envelope_point(s: Surface, c1_target: float, c2_target: float) -> SurfacePoint | None:
-    """The surface point realizing query_lower_envelope, or None if only the
-    degenerate quantizer qualifies."""
+    """The best swept point dominated by the target rates (the first of equal
+    maxima), or None when no point fits under them."""
     if c1_target < 0 or c2_target < 0:
         raise ValueError("rate targets must be nonnegative")
     best = None
@@ -294,8 +289,14 @@ def surface_to_json(s: Surface, path, include_q: bool = False) -> None:
 def surface_from_json(path) -> Surface:
     with open(path) as f:
         d = json.load(f)
+    if not isinstance(d, dict) or not isinstance(d.get("points"), list):
+        raise ValueError(f"{path}: expected a JSON object with a 'points' list")
+    columns = CSV_HEADER.split(",")
     points = []
-    for row in d["points"]:
+    for k, row in enumerate(d["points"]):
+        missing = [c for c in columns if c not in row] if isinstance(row, dict) else columns
+        if missing:
+            raise ValueError(f"{path}: point {k} lacks the columns {missing}")
         q = QuantizerPmf(np.asarray(row["q"], dtype=float)) if "q" in row else None
         points.append(SurfacePoint(
             lam1=row["lambda1"], lam2=row["lambda2"], c1=row["c1_bits"],

@@ -247,6 +247,32 @@ def test_sumrate_rejects_mixed_capacity_sources(inline_cfg, tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    {"channel_fingerprint": "x"},
+    [1, 2],
+    {"points": [{"lambda1": 0.1, "lambda2": 0.1, "c2_bits": 0.2}]},
+])
+def test_sumrate_malformed_json_surface_is_config_error(tmp_path, capsys, content):
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps(content))
+    code = main(["sumrate", "--surface", str(surface), "--i1-bits", "0.5",
+                 "--i2-bits", "0.5"])
+    assert code == EXIT_CONFIG
+    assert str(surface) in capsys.readouterr().err
+
+
+def test_sumrate_nan_capacity_is_config_error(tmp_path, capsys):
+    surface = tmp_path / "surface.json"
+    surface.write_text(json.dumps({"points": [{
+        "lambda1": 0.1, "lambda2": 0.1, "c1_bits": 0.1, "c2_bits": 0.1,
+        "i_rd_bits": 0.3, "h_scalar_bits": 0.0, "iterations": 1,
+        "converged": True, "seed": 0}]}))
+    code = main(["sumrate", "--surface", str(surface), "--i1-bits", "nan",
+                 "--i2-bits", "0.5"])
+    assert code == EXIT_CONFIG
+    assert "finite and nonnegative" in capsys.readouterr().err
+
+
 def test_oracle_subcommand_fixture(tmp_path):
     out = tmp_path / "oracle.json"
     code = main(["oracle", "--fixture", "--step", "0.1", "--c1-max", "0.5",
@@ -274,6 +300,13 @@ def test_oracle_rejects_half_constrained(capsys):
     code = main(["oracle", "--fixture", "--step", "0.5", "--c1-max", "0.5"])
     assert code == EXIT_CONFIG
     assert "--c2-max" in capsys.readouterr().err
+
+
+def test_oracle_rejects_negative_target(capsys):
+    code = main(["oracle", "--fixture", "--step", "0.5", "--c1-max", "-0.5",
+                 "--c2-max", "0.5"])
+    assert code == EXIT_CONFIG
+    assert "nonnegative" in capsys.readouterr().err
 
 
 def test_oracle_budget_exit_code(capsys):

@@ -16,7 +16,7 @@ from qfrelay import (
     optimize_restarts,
     update_q,
 )
-from qfrelay.optimizer import _FusedStep
+from qfrelay.optimizer import _FusedStep, _stopped
 
 FIXED_Q = np.array([[0.9, 0.3, 0.25], [0.1, 0.7, 0.75]])
 
@@ -265,6 +265,14 @@ def test_optimize_max_iter_flagged_not_fatal(fx):
     res = optimize(fx, 0.3, 0.3, 2, eps=1e-14, max_iter=1, seed=0)
     assert not res.converged
     assert res.iterations == 1
+
+
+def test_stopped_rule_decisions():
+    # a rising step under eps * (1 + |L|) stops, even where it exceeds eps * L
+    assert _stopped(1.4, 1.4 - 2.28e-8, 1e-8)
+    assert not _stopped(1.4, 1.4 - 3e-8, 1e-8)
+    # at L <= 0 a large fall is compared by magnitude and does not stop
+    assert not _stopped(-0.5, 0.5, 1e-8)
 
 
 def test_restarts_winner_is_replayable(fx):

@@ -83,6 +83,15 @@ def test_brute_force_zero_targets(fx, fx_table_l2_coarse):
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
+def test_constrained_query_rejects_negative_targets(fx, fx_table_l2_coarse):
+    with pytest.raises(ValueError, match="nonnegative"):
+        fx_table_l2_coarse.best_constrained(-0.5, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fx_table_l2_coarse.best_constrained(0.5, float("nan"))
+    with pytest.raises(ValueError, match="nonnegative"):
+        brute_force_ird(fx, 2, 0.05, 0.5, -0.5, table=fx_table_l2_coarse)
+
+
 def test_brute_force_mid_targets_frozen_value(fx, fx_table_l2_coarse):
     val, q = brute_force_ird(fx, 2, 0.05, 0.5, 0.5, table=fx_table_l2_coarse)
     assert val == pytest.approx(REF_CONSTRAINED_MID, abs=1e-12)

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfrelay import (
+    Surface,
+    SurfacePoint,
     downlink_rate,
     optimize_alpha,
     query_lower_envelope,
@@ -11,7 +15,13 @@ from qfrelay import (
     unimodality_report,
     yr_conditional_entropies,
 )
-from qfrelay.sumrate import alpha_objective_curve
+from qfrelay.sumrate import DEGENERATE_ALPHA, alpha_objective_curve
+
+# Rates drawn from a few round values as well as from a range, so that zero
+# description rates, zero downlinks and tied objectives all come up.
+RATES = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                  st.floats(0.0, 2.0, allow_subnormal=False))
+POINTS = st.lists(st.tuples(RATES, RATES, RATES), min_size=1, max_size=6)
 
 
 def test_downlink_rate_zero_db():
@@ -62,7 +72,15 @@ def test_sum_rate_at_rejects_bad_arguments(fx_surface_dense):
 def test_optimize_alpha_zero_downlink(fx_surface_dense):
     res = optimize_alpha(fx_surface_dense, 0.0, 0.0)
     assert res.sum_rate == 0.0
-    assert 0 < res.alpha_star < 1
+    assert res.alpha_star == DEGENERATE_ALPHA
+
+
+@pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf])
+def test_optimize_alpha_rejects_bad_capacities(fx_surface_dense, bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        optimize_alpha(fx_surface_dense, bad, 0.5)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        optimize_alpha(fx_surface_dense, 0.5, bad)
 
 
 def test_optimize_alpha_result_invariants(fx_surface_dense):
@@ -72,7 +90,6 @@ def test_optimize_alpha_result_invariants(fx_surface_dense):
     t = (1 - res.alpha_star) / res.alpha_star
     assert res.c1_at_star == pytest.approx(t * 0.35, abs=1e-12)
     assert res.c2_at_star == pytest.approx(t * 0.6, abs=1e-12)
-    assert res.evaluations > 0
 
 
 def test_optimize_alpha_beats_dense_grid(fx_surface_dense):
@@ -103,9 +120,29 @@ def test_optimize_alpha_saturated_downlinks(fx, fx_surface_dense):
     assert res.sum_rate >= floor - 1e-12
 
 
-def test_optimize_alpha_rejects_bad_tol(fx_surface_dense):
-    with pytest.raises(ValueError):
-        optimize_alpha(fx_surface_dense, 0.5, 0.5, tol_alpha=0.0)
+def synthetic_surface(rows):
+    return Surface(
+        points=tuple(SurfacePoint(lam1=1.0, lam2=1.0, c1=c1, c2=c2, i_rd=i_rd,
+                                  h_scalar=0.0, iterations=1, converged=True, seed=0)
+                     for c1, c2, i_rd in rows),
+        channel_fingerprint="", num_levels=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=POINTS, i1=RATES, i2=RATES)
+# 1.083/(1.726+1.083) rounds one ulp below the last float the point fits at
+@example(rows=[(1.726, 0.0, 1.0)], i1=1.083, i2=0.5)
+def test_optimize_alpha_closed_form_is_exact(rows, i1, i2):
+    s = synthetic_surface(rows)
+    res = optimize_alpha(s, i1, i2)
+    assert 0 < res.alpha_star < 1
+    assert res.sum_rate == sum_rate_at(s, i1, i2, res.alpha_star)
+    assert res.sum_rate == res.alpha_star * res.i_rd_at_star
+    grid = np.linspace(1e-6, 1 - 1e-6, 2001)
+    assert res.sum_rate >= max(sum_rate_at(s, i1, i2, float(a)) for a in grid)
+    # alpha* sits on the last float its point fits at, not an ulp short of it
+    above = min(math.nextafter(res.alpha_star, 1.0), 1 - 1e-6)
+    assert res.sum_rate >= sum_rate_at(s, i1, i2, above)
 
 
 def test_alpha_objective_curve_consistency(fx_surface_dense):
@@ -126,3 +163,18 @@ def test_unimodality_report_structure(fx_surface_dense):
     # ok is diagnostic only; at a tol above the step size the curve reads as
     # unimodal again
     assert unimodality_report(fx_surface_dense, 0.5, 0.5, tol=5e-3)["ok"]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-4, 1e-3])
+def test_unimodality_report_matches_loop_reference(fx_surface_dense, tol):
+    curve = alpha_objective_curve(fx_surface_dense, 0.5, 0.5, 300)
+    moves = []  # (index after the move, direction) of each move above tol
+    for k in range(len(curve) - 1):
+        step = curve[k + 1][1] - curve[k][1]
+        if abs(step) > tol:
+            moves.append((k + 1, 1 if step > 0 else -1))
+    want = [curve[moves[k][0]][0] for k in range(len(moves) - 1)
+            if moves[k][1] == 1 and moves[k + 1][1] == -1]
+    rep = unimodality_report(fx_surface_dense, 0.5, 0.5, num_alphas=300, tol=tol)
+    assert rep["maxima_alphas"] == want
+    assert rep["num_strict_maxima"] == len(want)
