@@ -1,10 +1,12 @@
 """Brute-force reference implementations at tiny scale.
 
-Everything here is computed straight from the explicit four-way joint table
-p(x1, x2, y_r, yhat_r) = p(x1, x2, y_r) * q(yhat_r | y_r) with no Markov-chain
-shortcuts, so it certifies the factored formulas used by the fast path.  The
-enumeration walks every column-stochastic Q whose columns live on a uniform
-simplex grid; instances beyond the cell budget are refused, not attempted.
+Everything here is computed from entries of the explicit four-way joint table
+p(x1, x2, y_r, yhat_r) = p(x1, x2, y_r) * q(yhat_r | y_r), with no Markov-chain
+shortcuts such as H(Yhat|Yr), so it certifies the factored formulas used by
+the fast path.  The enumeration walks every column-stochastic Q whose columns
+live on a uniform simplex grid; instances beyond the cell budget are refused,
+not attempted.  RateTable forms each relay bin's slice of the joint once per
+grid column rather than once per candidate (see its docstring).
 """
 
 from __future__ import annotations
@@ -20,10 +22,37 @@ from qfrelay.channel import ChannelModel, from_pmfs
 from qfrelay.infotheory import LN2, QuantizerPmf
 
 DEFAULT_MAX_CELLS = 2_000_000
+# Most candidates per vectorized run of the table build; a run is never
+# shorter than one relay bin's grid columns, however many those are.
+RUN_CELLS = 1 << 14
 
 
 class OracleBudgetError(Exception):
     """Raised when an enumeration would exceed the configured cell budget."""
+
+
+def _grid_size(grid_step: float, num_levels: int = 1, n_cols: int = 0,
+               max_cells: float = math.inf) -> tuple:
+    """(n, candidates) for num_levels x n_cols matrices on the step-1/n grid.
+
+    The step must be 1/n for a whole n; anything else is refused rather than
+    rounded.  More candidates than max_cells raises OracleBudgetError.
+    """
+    if num_levels < 1:
+        raise ValueError("num_levels must be at least 1")
+    if not (0 < grid_step <= 1):
+        raise ValueError(f"grid_step must be in (0, 1], got {grid_step!r}")
+    n = round(1.0 / grid_step)
+    if abs(n * grid_step - 1.0) > 1e-9:
+        raise ValueError(f"grid_step must be 1/n for a whole n, got {grid_step!r}")
+    total = math.comb(n + num_levels - 1, num_levels - 1) ** n_cols
+    if total > max_cells:
+        raise OracleBudgetError(
+            f"enumeration needs {total} candidate matrices "
+            f"(columns on the step-{grid_step} simplex grid, {n_cols} columns), "
+            f"budget is {max_cells}"
+        )
+    return n, total
 
 
 @dataclass(frozen=True)
@@ -34,24 +63,15 @@ class OracleConfig:
     max_cells: int = DEFAULT_MAX_CELLS
 
     def __post_init__(self):
-        if not (0 < self.grid_step <= 1):
-            raise ValueError(f"grid_step must be in (0, 1], got {self.grid_step!r}")
+        _grid_size(self.grid_step)
         if self.max_cells < 1:
             raise ValueError("max_cells must be positive")
 
     def num_candidates(self, num_levels: int, n_cols: int) -> int:
-        m = _num_columns(num_levels, self.grid_step)
-        return m ** n_cols
+        return _grid_size(self.grid_step, num_levels, n_cols)[1]
 
     def check_budget(self, num_levels: int, n_cols: int) -> int:
-        n = self.num_candidates(num_levels, n_cols)
-        if n > self.max_cells:
-            raise OracleBudgetError(
-                f"enumeration needs {n} candidate matrices "
-                f"(columns on the step-{self.grid_step} simplex grid, {n_cols} columns), "
-                f"budget is {self.max_cells}"
-            )
-        return n
+        return _grid_size(self.grid_step, num_levels, n_cols, self.max_cells)[1]
 
 
 def fixture_channel() -> ChannelModel:
@@ -67,33 +87,15 @@ def fixture_channel() -> ChannelModel:
     return from_pmfs(p_x1=[0.5, 0.5], p_x2=[0.65, 0.35], p_yr_given_x1x2=w)
 
 
-def _num_columns(num_levels: int, grid_step: float) -> int:
-    """Number of grid points on the (num_levels-1)-simplex at this step."""
-    if num_levels < 1:
-        raise ValueError("num_levels must be at least 1")
-    if not (0 < grid_step <= 1):
-        raise ValueError(f"grid_step must be in (0, 1], got {grid_step!r}")
-    n = int(round(1.0 / grid_step))
-    return math.comb(n + num_levels - 1, num_levels - 1)
-
-
-def _simplex_columns(num_levels: int, grid_step: float) -> np.ndarray:
+def _simplex_columns(num_levels: int, n: int) -> np.ndarray:
     """All pmfs on num_levels points with masses that are multiples of 1/n.
 
     Compositions of n into num_levels parts via bar placements; returned as a
     (count, num_levels) float array in a fixed deterministic order.
     """
-    n = int(round(1.0 / grid_step))
-    cols = []
-    for bars in itertools.combinations(range(n + num_levels - 1), num_levels - 1):
-        prev = -1
-        parts = []
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(n + num_levels - 2 - prev)
-        cols.append(parts)
-    return np.asarray(cols, dtype=float) / n
+    bars = list(itertools.combinations(range(n + num_levels - 1), num_levels - 1))
+    bars = np.array(bars, dtype=float).reshape(len(bars), num_levels - 1)
+    return (np.diff(bars, axis=1, prepend=-1, append=n + num_levels - 1) - 1) / n
 
 
 def enumerate_q(L: int, n_cols: int, grid_step: float,
@@ -103,97 +105,86 @@ def enumerate_q(L: int, n_cols: int, grid_step: float,
     Column order follows the mixed-radix flat index used by RateTable, so the
     k-th yielded matrix is exactly RateTable candidate k.
     """
-    total = _num_columns(L, grid_step) ** n_cols
-    if total > max_cells:
-        raise OracleBudgetError(
-            f"enumeration needs {total} candidate matrices, budget is {max_cells}"
-        )
-    cols = _simplex_columns(L, grid_step)
+    n, _ = _grid_size(grid_step, L, n_cols, max_cells)
+    cols = _simplex_columns(L, n)
     for combo in itertools.product(cols, repeat=n_cols):
         yield QuantizerPmf(np.stack(combo, axis=1))
 
 
-def _marginal_entropies_nats(joint3: np.ndarray) -> dict:
-    """Entropies of the fixed (x1, x2, y_r) joint and its marginals, in nats."""
-    def h(p):
-        return float(-xlogy(p, p).sum())
-
+def _marginal_entropies_nats(joint3: np.ndarray) -> list:
+    """H(X1,X2), H(X1,Yr), H(X2,Yr), H(X1) and H(X2) of the fixed joint, in nats."""
     p_ab = joint3.sum(axis=2)
-    p_aj = joint3.sum(axis=1)
-    p_bj = joint3.sum(axis=0)
-    return {
-        "h_ab": h(p_ab),
-        "h_aj": h(p_aj),
-        "h_bj": h(p_bj),
-        "h_a": h(p_ab.sum(axis=1)),
-        "h_b": h(p_ab.sum(axis=0)),
-    }
+    parts = (p_ab, joint3.sum(axis=1), joint3.sum(axis=0), p_ab.sum(axis=1), p_ab.sum(axis=0))
+    return [float(-xlogy(p, p).sum()) for p in parts]
+
+
+def _digit_sums(tables: np.ndarray) -> np.ndarray:
+    """Row k is the sum over digits j of tables[j, d_j] for the k-th digit
+    tuple (d_0, ..., d_last) in C order; one zero row for no digits."""
+    out = np.zeros((1, tables.shape[2]))
+    for t in tables:
+        out = (out[:, None, :] + t[None, :, :]).reshape(-1, tables.shape[2])
+    return out
 
 
 class RateTable:
     """Exhaustive (j, c1, c2) evaluation over every grid quantizer.
 
-    Building the table is the expensive step; constrained maxima, penalized
-    maxima, and boundary checks are then array reductions over the cached
-    columns, so one table serves many targets and multiplier pairs.
+    Candidate k gives relay bin j the grid column d_j, the j-th mixed-radix
+    digit of k, so bin j's slice p(x1, x2, y_j, yhat) of the joint depends on
+    d_j alone.  Per (bin, column) the build forms that block once, with its
+    marginals p(x1, y_j, yhat) and p(x2, y_j, yhat) and their xlogy sums.  It
+    then walks runs of candidates that share their leading digits: the
+    leading digits' block sum plus a table of trailing-digit block sums gives
+    each candidate's [p(x1,x2,yhat) | p(x1,yhat) | p(x2,yhat)], and one xlogy
+    over those gives H(X1,X2,Yhat), H(X1,Yhat) and H(X2,Yhat); H(X1,Yr,Yhat)
+    and H(X2,Yr,Yhat) are sums of per-bin terms.  So every entropy is still an
+    xlogy sum over entries of the explicit joint, only grouped by bin.
+
+    Constrained maxima, penalized maxima, and boundary checks are then array
+    reductions over the cached columns, so one table serves many targets and
+    multiplier pairs.
     """
 
     def __init__(self, ch: ChannelModel, num_levels: int, grid_step: float,
-                 max_cells: int = DEFAULT_MAX_CELLS, chunk: int = 20000):
-        total = _num_columns(num_levels, grid_step) ** ch.num_bins
-        if total > max_cells:
-            raise OracleBudgetError(
-                f"enumeration needs {total} candidate matrices, budget is {max_cells}"
-            )
+                 max_cells: int = DEFAULT_MAX_CELLS):
+        n_cols = ch.num_bins
+        n, total = _grid_size(grid_step, num_levels, n_cols, max_cells)
         self.channel = ch
         self.num_levels = int(num_levels)
         self.grid_step = float(grid_step)
-        self.columns = _simplex_columns(num_levels, grid_step)
+        self.columns = _simplex_columns(num_levels, n)
         self.num_candidates = total
-
-        joint3 = ch.p_x1x2_yr
-        base = _marginal_entropies_nats(joint3)
         m = self.columns.shape[0]
-        n_cols = ch.num_bins
-        shape = (m,) * n_cols
+        self._shape = (m,) * n_cols
 
-        j_bits = np.empty(total)
-        c1_bits = np.empty(total)
-        c2_bits = np.empty(total)
-        for start in range(0, total, chunk):
-            idx = np.arange(start, min(start + chunk, total))
-            digits = np.stack(np.unravel_index(idx, shape), axis=0)  # (n_cols, k)
-            qs = np.transpose(self.columns[digits], (1, 2, 0))  # (k, L, n_cols)
+        # per (bin, column): the block, its sums over x2 and over x1, and the
+        # xlogy sums of those two marginals
+        blocks = np.einsum("abj,ci->jcabi", ch.p_x1x2_yr, self.columns)
+        flat = [x.reshape(n_cols, m, -1) for x in (blocks, blocks.sum(3), blocks.sum(2))]
+        marginals = np.concatenate(flat, axis=2)
+        segments = np.cumsum([0] + [x.shape[2] for x in flat[:-1]])
+        bin_sums = np.stack([xlogy(x, x).sum(axis=2) for x in flat[1:]], axis=2)
 
-            g = np.einsum("abj,nij->nabji", joint3, qs)
-            p_abi = g.sum(axis=3)
-            p_aji = g.sum(axis=2)
-            p_bji = g.sum(axis=1)
-            p_ai = p_abi.sum(axis=2)
-            p_bi = p_abi.sum(axis=1)
+        # trailing digits per run: as many as fit in RUN_CELLS, at least one
+        tail = 1
+        while tail < n_cols and m ** (tail + 1) <= RUN_CELLS:
+            tail += 1
+        run_marg, run_sums = _digit_sums(marginals[-tail:]), _digit_sums(bin_sums[-tail:])
+        lead_marg, lead_sums = _digit_sums(marginals[:-tail]), _digit_sums(bin_sums[:-tail])
+        run = run_marg.shape[0]
 
-            def h(p):
-                return -xlogy(p, p).reshape(p.shape[0], -1).sum(axis=1)
-
-            h_abi = h(p_abi)
-            h_aji = h(p_aji)
-            h_bji = h(p_bji)
-            h_ai = h(p_ai)
-            h_bi = h(p_bi)
-
-            r1 = base["h_ab"] + h_bi - base["h_b"] - h_abi
-            r2 = base["h_ab"] + h_ai - base["h_a"] - h_abi
-            c1 = base["h_aj"] + h_ai - base["h_a"] - h_aji
-            c2 = base["h_bj"] + h_bi - base["h_b"] - h_bji
-
-            j_bits[idx] = np.maximum(0.0, r1 + r2) / LN2
-            c1_bits[idx] = np.maximum(0.0, c1) / LN2
-            c2_bits[idx] = np.maximum(0.0, c2) / LN2
-
-        self.j_bits = j_bits
-        self.c1_bits = c1_bits
-        self.c2_bits = c2_bits
-        self._shape = shape
+        h_ab, h_aj, h_bj, h_a, h_b = _marginal_entropies_nats(ch.p_x1x2_yr)
+        self.j_bits, self.c1_bits, self.c2_bits = rates = np.empty((3, total))
+        for r in range(lead_marg.shape[0]):
+            p = run_marg + lead_marg[r]
+            h_abi, h_ai, h_bi = -np.add.reduceat(xlogy(p, p), segments, axis=1).T
+            h_aji, h_bji = -(run_sums + lead_sums[r]).T
+            r1 = h_ab + h_bi - h_b - h_abi
+            r2 = h_ab + h_ai - h_a - h_abi
+            c1 = h_aj + h_ai - h_a - h_aji
+            c2 = h_bj + h_bi - h_b - h_bji
+            rates[:, r * run:(r + 1) * run] = np.maximum(0.0, [r1 + r2, c1, c2]) / LN2
 
     def __len__(self) -> int:
         return self.num_candidates

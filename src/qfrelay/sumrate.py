@@ -67,6 +67,12 @@ def sum_rate_at(s: Surface, i1: float, i2: float, alpha: float) -> float:
     return alpha * query_lower_envelope(s, c1_t, c2_t)
 
 
+def _rates(s: Surface):
+    """The surface's (c1, c2, i_rd) columns as float arrays."""
+    rows = np.array([(p.c1, p.c2, p.i_rd) for p in s.points], dtype=float)
+    return rows.reshape(-1, 3).T
+
+
 def _fitting_alphas(c1, c2, i1: float, i2: float):
     """(alpha, fits): per point, the last float alpha in [ALPHA_MARGIN,
     1 - ALPHA_MARGIN] whose targets admit it, and whether it is admitted.
@@ -110,7 +116,7 @@ def optimize_alpha(s: Surface, i1: float, i2: float) -> SumRateResult:
     if not (0 <= i1 < math.inf and 0 <= i2 < math.inf):
         raise ValueError("downlink capacities must be finite and nonnegative")
 
-    c1, c2, i_rd = np.array([(p.c1, p.c2, p.i_rd) for p in s.points], dtype=float).T
+    c1, c2, i_rd = _rates(s)
     alpha, fits = _fitting_alphas(c1, c2, i1, i2)
     value = np.where(fits, alpha * i_rd, 0.0)
     k = int(np.argmax(value))
@@ -128,13 +134,19 @@ def optimize_alpha(s: Surface, i1: float, i2: float) -> SumRateResult:
 
 
 def alpha_objective_curve(s: Surface, i1: float, i2: float, num: int = 1000) -> list:
-    """(alpha, sum rate) samples on a uniform grid, for plotting."""
+    """(alpha, sum rate) samples on a uniform grid, for plotting; one pass over
+    the surface gives each sample exactly as sum_rate_at(s, i1, i2, alpha)."""
     if num < 2:
         raise ValueError("num must be at least 2")
-    return [
-        (float(a), sum_rate_at(s, i1, i2, float(a)))
-        for a in np.linspace(ALPHA_MARGIN, 1.0 - ALPHA_MARGIN, num)
-    ]
+    if not (0 <= i1 < math.inf and 0 <= i2 < math.inf):
+        raise ValueError("downlink capacities must be finite and nonnegative")
+    alphas = np.linspace(ALPHA_MARGIN, 1.0 - ALPHA_MARGIN, num)
+    c1_t, c2_t = _targets(i1, i2, alphas)
+    c1, c2, i_rd = _rates(s)
+    fits = (c1 <= c1_t[:, None]) & (c2 <= c2_t[:, None])
+    best = np.where(fits, i_rd, -np.inf).max(axis=1, initial=-np.inf)
+    vals = alphas * np.where(best > 0, best, 0.0)
+    return list(zip(alphas.tolist(), vals.tolist()))
 
 
 def unimodality_report(s: Surface, i1: float, i2: float, num_alphas: int = 100,

@@ -309,6 +309,12 @@ def test_oracle_rejects_negative_target(capsys):
     assert "nonnegative" in capsys.readouterr().err
 
 
+def test_oracle_rejects_step_that_does_not_divide_one(capsys):
+    code = main(["oracle", "--fixture", "--step", "0.3", "--levels", "2"])
+    assert code == EXIT_CONFIG
+    assert "0.3" in capsys.readouterr().err
+
+
 def test_oracle_budget_exit_code(capsys):
     code = main(["oracle", "--fixture", "--step", "0.01", "--levels", "4",
                  "--max-cells", "1000"])

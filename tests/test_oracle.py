@@ -1,7 +1,11 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from qfrelay import (
     OracleBudgetError,
@@ -17,10 +21,59 @@ from qfrelay import (
     uplink_sum_rate_bound,
     yr_conditional_entropies,
 )
+from qfrelay import oracle
+from qfrelay.infotheory import LN2
 
 # frozen from the independent straight-from-definition enumeration
 REF_CONSTRAINED_MID = 0.29287234187829103  # L=2, step 0.05, targets (0.5, 0.5)
 REF_PENALIZED = {0.05: 0.32951577982488234, 0.3: 0.014742860045341477}
+
+
+def reference_rates(ch, qs):
+    """(j, c1, c2) in bits per quantizer, each candidate's full four-way joint
+    p(x1, x2, y_r, yhat) formed by one einsum and reduced entry by entry."""
+    def h(p):
+        return -xlogy(p, p).reshape(p.shape[0], -1).sum(axis=1)
+
+    def h0(p):
+        return float(-xlogy(p, p).sum())
+
+    joint3 = ch.p_x1x2_yr
+    p_ab = joint3.sum(axis=2)
+    h_ab, h_a, h_b = h0(p_ab), h0(p_ab.sum(axis=1)), h0(p_ab.sum(axis=0))
+    h_aj, h_bj = h0(joint3.sum(axis=1)), h0(joint3.sum(axis=0))
+
+    g = np.einsum("abj,nij->nabji", joint3, qs)
+    p_abi = g.sum(axis=3)
+    h_abi, h_aji, h_bji = h(p_abi), h(g.sum(axis=2)), h(g.sum(axis=1))
+    h_ai, h_bi = h(p_abi.sum(axis=2)), h(p_abi.sum(axis=1))
+    r1 = h_ab + h_bi - h_b - h_abi
+    r2 = h_ab + h_ai - h_a - h_abi
+    c1 = h_aj + h_ai - h_a - h_aji
+    c2 = h_bj + h_bi - h_b - h_bji
+    return (np.maximum(0.0, r1 + r2) / LN2, np.maximum(0.0, c1) / LN2,
+            np.maximum(0.0, c2) / LN2)
+
+
+# Small integer weights, so exact zeros come up in the priors and the law.
+WEIGHTS = st.integers(0, 3)
+
+
+@st.composite
+def tiny_channels(draw):
+    """from_pmfs channels with 1-3 inputs per user and 1-4 relay bins; bin 0
+    may carry no mass at all."""
+    n1, n2, nb = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def pmf(n):
+        w = np.array(draw(st.lists(WEIGHTS, min_size=n, max_size=n)), dtype=float)
+        w[draw(st.integers(0, n - 1))] += 1.0
+        return w / w.sum()
+
+    dead = int(nb > 1 and draw(st.booleans()))
+    w = np.zeros((n1 * n2, nb))
+    w[:, dead:] = [pmf(nb - dead) for _ in range(n1 * n2)]
+    return from_pmfs(pmf(n1), pmf(n2), w.reshape(n1, n2, nb))
 
 
 def test_enumerate_binary_single_column():
@@ -59,6 +112,22 @@ def test_oracle_config_budget():
         OracleConfig(grid_step=0.0)
     with pytest.raises(ValueError):
         OracleConfig(max_cells=0)
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 1.0 / 14.0])
+def test_grid_steps_that_divide_one_are_accepted(step):
+    n = round(1 / step)
+    assert OracleConfig(grid_step=step).num_candidates(2, 1) == n + 1
+    assert sum(1 for _ in enumerate_q(2, 1, step)) == n + 1
+
+
+def test_grid_step_that_does_not_divide_one_is_refused(fx):
+    with pytest.raises(ValueError, match="0.3"):
+        OracleConfig(grid_step=0.3)
+    with pytest.raises(ValueError, match="0.3"):
+        RateTable(fx, 2, 0.3)
+    with pytest.raises(ValueError, match="0.7"):
+        list(enumerate_q(2, 1, 0.7))
 
 
 def test_table_agrees_with_rate_report(fx, fx_table_l2_coarse, rng):
@@ -143,3 +212,35 @@ def test_boundary_optimality_degenerate_channel_vacuous():
 def test_budget_refusal_on_table_construction(fx):
     with pytest.raises(OracleBudgetError):
         RateTable(fx, 4, 0.05, max_cells=100)
+
+
+@settings(max_examples=50, deadline=None)
+# small run lengths split even these tiny tables into several runs
+@given(ch=tiny_channels(), levels=st.integers(1, 3), n=st.integers(1, 4),
+       run_cells=st.sampled_from([1, 4, 16, oracle.RUN_CELLS]))
+def test_table_matches_per_candidate_reference(ch, levels, n, run_cells):
+    budget = 5000
+    if OracleConfig(1.0 / n).num_candidates(levels, ch.num_bins) > budget:
+        with pytest.raises(OracleBudgetError):
+            RateTable(ch, levels, 1.0 / n, max_cells=budget)
+        return
+    with mock.patch.object(oracle, "RUN_CELLS", run_cells):
+        tab = RateTable(ch, levels, 1.0 / n, max_cells=budget)
+    mats = [q.q for q in enumerate_q(levels, ch.num_bins, 1.0 / n)]
+    assert len(tab) == len(mats)
+    for k, q in enumerate(mats):
+        assert np.array_equal(tab.quantizer_at(k).q, q)
+    j, c1, c2 = reference_rates(ch, np.stack(mats))
+    np.testing.assert_allclose(tab.j_bits, j, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tab.c1_bits, c1, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tab.c2_bits, c2, rtol=0, atol=1e-12)
+
+
+def test_session_tables_match_per_candidate_reference(fx, fx_table_l2, fx_table_l3, rng):
+    # both tables take several runs at the default run length
+    for tab in (fx_table_l2, fx_table_l3):
+        ks = rng.integers(0, len(tab), size=300)
+        j, c1, c2 = reference_rates(fx, np.stack([tab.quantizer_at(int(k)).q for k in ks]))
+        np.testing.assert_allclose(tab.j_bits[ks], j, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tab.c1_bits[ks], c1, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tab.c2_bits[ks], c2, rtol=0, atol=1e-12)

@@ -153,6 +153,24 @@ def test_alpha_objective_curve_consistency(fx_surface_dense):
         assert v == sum_rate_at(fx_surface_dense, 0.4, 0.4, a)
 
 
+@pytest.mark.parametrize("i1, i2", [(0.4, 0.4), (0.5, 0.2), (0.0, 0.3), (0.0, 0.0), (3.0, 3.0)])
+def test_alpha_objective_curve_equals_sum_rate_at(fx_surface_dense, i1, i2):
+    zero = synthetic_surface([(0.0, 0.0, 0.3)])
+    for s in (fx_surface_dense, zero):
+        curve = alpha_objective_curve(s, i1, i2, num=120)
+        assert curve == [(a, sum_rate_at(s, i1, i2, a)) for a, _ in curve]
+    empty = Surface(points=(), channel_fingerprint="", num_levels=2)
+    assert [v for _, v in alpha_objective_curve(empty, i1, i2, num=5)] == [0.0] * 5
+
+
+def test_alpha_objective_curve_rejects_bad_arguments(fx_surface_dense):
+    with pytest.raises(ValueError, match="num"):
+        alpha_objective_curve(fx_surface_dense, 0.5, 0.5, num=1)
+    for i1 in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            alpha_objective_curve(fx_surface_dense, i1, 0.5)
+
+
 def test_unimodality_report_structure(fx_surface_dense):
     rep = unimodality_report(fx_surface_dense, 0.5, 0.5)
     assert rep["num_alphas"] == 100
