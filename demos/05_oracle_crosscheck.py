@@ -18,13 +18,11 @@ from qfrelay import (
     sweep_grid,
     uplink_sum_rate_bound,
     LambdaGrid,
-    OracleConfig,
     RateTable,
 )
 
 fx = fixture_channel()
-cfg = OracleConfig(grid_step=0.05)
-table = RateTable(fx, 2, grid_step=cfg.grid_step)
+table = RateTable(fx, 2, grid_step=0.05)
 
 print("candidate quantizers:", table.j_bits.size)
 print("unconstrained max J = %.9f bits" % table.j_bits.max())

@@ -30,7 +30,6 @@ from qfrelay.optimizer import (
 )
 from qfrelay.oracle import (
     OracleBudgetError,
-    OracleConfig,
     RateTable,
     brute_force_ird,
     brute_force_lagrangian,
@@ -64,7 +63,6 @@ __all__ = [
     "LambdaGrid",
     "OptimizerResult",
     "OracleBudgetError",
-    "OracleConfig",
     "Posteriors",
     "QuantizerPmf",
     "RateReport",

@@ -2,8 +2,11 @@
 
 Subcommands: channel, optimize, sweep, sumrate, oracle, repro.  Parameters
 come from a JSON config file, command-line flags, or built-in defaults, with
-flags taking precedence over the file.  Exit codes: 0 success, 2 configuration
-error, 3 numeric failure, 4 enumeration budget refusal.
+flags taking precedence over the file.  PARAMS is the one list of run
+parameters: each row names the RunConfig field, the dotted config-file key,
+the value kind, the default and the flag, and the config validator, RunConfig,
+DEFAULTS and the flags are all derived from it.  Exit codes: 0 success, 2
+configuration error, 3 non-finite result, 4 enumeration budget refusal.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ import re
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, make_dataclass
 
 from qfrelay.channel import ChannelModel, build_bpsk_mac, from_pmfs
 from qfrelay.infotheory import uplink_sum_rate_bound, yr_conditional_entropies
@@ -31,22 +32,6 @@ from qfrelay.sweep import (LambdaGrid, surface_from_csv, surface_from_json,
                            surface_to_csv, surface_to_json, scalar_diagnostic,
                            sweep_grid)
 
-DEFAULTS = {
-    "snr1_db": 1.5,
-    "snr2_db": 4.5,
-    "num_bins": 128,
-    "span_sigmas": 4.0,
-    "levels": 32,
-    "init": "perturbed-uniform",
-    "restarts": 4,
-    "seed": 0,
-    "eps": 1e-8,
-    "max_iter": 5000,
-    "lambda_min": 1e-3,
-    "lambda_max": 10.0,
-    "lambda_count": 12,
-}
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -58,44 +43,74 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run parameters: file values overridden by flags,
-    remaining gaps filled with documented defaults."""
+class Param:
+    """One run parameter.  `field` is also the flag's argparse dest; `flag` is
+    offered by each subcommand named in `commands`."""
 
+    field: str
+    key: str  # dotted config-file key
+    kind: str  # "number", "integer", "string" or "list"
+    default: object = None
+    flag: str | None = None
+    commands: str = ""  # space-separated subcommand names
+    choices: tuple | None = None
+    help: str | None = None
+
+
+PARAMS = (
     # channel: parametric source
-    snr1_db: float
-    snr2_db: float
-    num_bins: int
-    span_sigmas: float
+    Param("snr1_db", "channel.snr1_db", "number", 1.5, "--snr1-db", "channel optimize sweep"),
+    Param("snr2_db", "channel.snr2_db", "number", 4.5, "--snr2-db", "channel optimize sweep"),
+    Param("num_bins", "channel.num_bins", "integer", 128, "--bins", "channel optimize sweep"),
+    Param("span_sigmas", "channel.span_sigmas", "number", 4.0, "--span-sigmas",
+          "channel optimize sweep"),
     # channel: inline source (all three set, or all three None)
-    p_x1: list | None
-    p_x2: list | None
-    p_yr_given_x1x2: list | None
+    Param("p_x1", "channel.p_x1", "list"),
+    Param("p_x2", "channel.p_x2", "list"),
+    Param("p_yr_given_x1x2", "channel.p_yr_given_x1x2", "list"),
     # quantizer
-    levels: int
-    init: str
-    restarts: int
-    seed: int
-    # solver
-    lam1: float | None
-    lam2: float | None
-    lambda_min: float
-    lambda_max: float
-    lambda_count: int
-    eps: float
-    max_iter: int
-    # sumrate
-    i1_bits: float | None
-    i2_bits: float | None
-    dl_snr1_db: float | None
-    dl_snr2_db: float | None
+    Param("levels", "quantizer.levels", "integer", 32, "--levels", "optimize sweep oracle",
+          help="quantizer levels (default 32; oracle: 2)"),
+    Param("init", "quantizer.init", "string", "perturbed-uniform", "--init", "optimize sweep",
+          choices=INIT_STRATEGIES),
+    Param("restarts", "quantizer.restarts", "integer", 4, "--restarts", "optimize sweep"),
+    Param("seed", "quantizer.seed", "integer", 0, "--seed", "optimize sweep"),
+    # solver: one multiplier pair, or a log-spaced grid
+    Param("lam1", "solver.lambda1", "number", None, "--lambda1", "optimize oracle"),
+    Param("lam2", "solver.lambda2", "number", None, "--lambda2", "optimize oracle"),
+    Param("lambda_min", "solver.lambda_grid.min", "number", 1e-3, "--lambda-min", "sweep"),
+    Param("lambda_max", "solver.lambda_grid.max", "number", 10.0, "--lambda-max", "sweep"),
+    Param("lambda_count", "solver.lambda_grid.count", "integer", 12, "--lambda-count", "sweep"),
+    Param("eps", "solver.eps", "number", 1e-8, "--eps", "optimize sweep"),
+    Param("max_iter", "solver.max_iter", "integer", 5000, "--max-iter", "optimize sweep"),
+    # sumrate: downlink capacities, directly or from SNRs
+    Param("i1_bits", "sumrate.i1_bits", "number", None, "--i1-bits", "sumrate"),
+    Param("i2_bits", "sumrate.i2_bits", "number", None, "--i2-bits", "sumrate"),
+    Param("dl_snr1_db", "sumrate.dl_snr1_db", "number", None, "--dl-snr1-db", "sumrate"),
+    Param("dl_snr2_db", "sumrate.dl_snr2_db", "number", None, "--dl-snr2-db", "sumrate"),
     # output
-    out: str | None
-    json_out: str | None
-    trace: str | None
-    dump_q: object
-    outdir: str
-    workers: int | None
+    Param("out", "output.out", "string", None, "--out", "channel optimize sweep sumrate oracle",
+          help="write the result here (default stdout; sweep: surface.csv)"),
+    Param("json_out", "output.json_out", "string", None, "--json-out", "sweep",
+          help="also write a JSON surface"),
+    Param("trace", "output.trace", "string", None, "--trace", "optimize",
+          help="write per-iteration Lagrangian CSV here"),
+    Param("dump_q", "output.dump_q", "string", None, "--dump-q", "optimize",
+          help="write the final quantizer as JSON here"),
+    Param("outdir", "output.outdir", "string", "."),
+    Param("workers", "output.workers", "integer", None, "--workers", "sweep",
+          help="parallel grid workers (default: serial)"),
+)
+
+DEFAULTS = {p.field: p.default for p in PARAMS if p.default is not None}
+_KINDS = {p.key: p.kind for p in PARAMS}
+_TYPES = {"number": float, "integer": int}
+_JSON_TYPES = {"number": (int, float), "integer": int, "string": str, "list": list}
+
+
+class _RunConfigMethods:
+    """Fully resolved run parameters, one RunConfig field per PARAMS row: file
+    values overridden by flags, remaining gaps filled with the table's defaults."""
 
     def build_channel(self) -> ChannelModel:
         if self.p_yr_given_x1x2 is not None:
@@ -107,64 +122,35 @@ class RunConfig:
         return LambdaGrid.log_spaced(self.lambda_min, self.lambda_max, self.lambda_count)
 
 
-_SCHEMA = {
-    "channel": {
-        "snr1_db": "number",
-        "snr2_db": "number",
-        "num_bins": "integer",
-        "span_sigmas": "number",
-        "p_x1": "list",
-        "p_x2": "list",
-        "p_yr_given_x1x2": "list",
-    },
-    "quantizer": {
-        "levels": "integer",
-        "init": "string",
-        "restarts": "integer",
-        "seed": "integer",
-    },
-    "solver": {
-        "lambda1": "number",
-        "lambda2": "number",
-        "lambda_grid": "object",
-        "eps": "number",
-        "max_iter": "integer",
-    },
-    "sumrate": {
-        "i1_bits": "number",
-        "i2_bits": "number",
-        "dl_snr1_db": "number",
-        "dl_snr2_db": "number",
-    },
-    "output": {
-        "out": "string",
-        "json_out": "string",
-        "trace": "string",
-        "dump_q": "string",
-        "outdir": "string",
-        "workers": "integer",
-    },
-}
-_GRID_SCHEMA = {"min": "number", "max": "number", "count": "integer"}
+RunConfig = make_dataclass("RunConfig", [(p.field, object) for p in PARAMS],
+                           bases=(_RunConfigMethods,), frozen=True)
 
 
-def _check_type(value, kind: str, key: str):
-    ok = {
-        "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-        "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "string": lambda v: isinstance(v, str),
-        "list": lambda v: isinstance(v, list),
-        "object": lambda v: isinstance(v, dict),
-    }[kind]
-    if not ok(value):
-        raise ConfigError(f"config key {key!r} must be a {kind}, got {value!r}")
-    if kind == "number" and not math.isfinite(value):
-        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-    return value
+def _flatten(body: dict, prefix: str = "") -> dict:
+    """The config file's values by dotted key, each checked against its PARAMS
+    row; unknown keys are hard errors."""
+    what = "key" if prefix else "section"
+    names = sorted({k[len(prefix):].split(".")[0] for k in _KINDS if k.startswith(prefix)})
+    flat = {}
+    for name, value in body.items():
+        key, kind = prefix + name, _KINDS.get(prefix + name)
+        if name not in names:
+            raise ConfigError(f"unknown config {what} {key!r}; expected one of {names}")
+        if kind is None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config {what} {key!r} must be an object")
+            flat.update(_flatten(value, key + "."))
+        elif isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise ConfigError(f"config key {key!r} must be a {kind}, got {value!r}")
+        elif kind == "number" and not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
+        else:
+            flat[key] = value
+    return flat
 
 
 def _load_config_file(path: str) -> dict:
-    """Validated nested config dict; unknown keys are hard errors."""
+    """Validated config values by dotted key."""
     try:
         with open(path) as f:
             raw = json.load(f)
@@ -172,121 +158,40 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"{path}: not valid JSON ({e})")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    for section, body in raw.items():
-        if section not in _SCHEMA:
-            raise ConfigError(
-                f"unknown config section {section!r}; expected one of {sorted(_SCHEMA)}"
-            )
-        if not isinstance(body, dict):
-            raise ConfigError(f"config section {section!r} must be an object")
-        for key, value in body.items():
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    f"unknown config key {section + '.' + key!r}; "
-                    f"expected one of {sorted(_SCHEMA[section])}"
-                )
-            _check_type(value, _SCHEMA[section][key], f"{section}.{key}")
-    grid = raw.get("solver", {}).get("lambda_grid")
-    if grid is not None:
-        for key, value in grid.items():
-            if key not in _GRID_SCHEMA:
-                raise ConfigError(
-                    f"unknown config key 'solver.lambda_grid.{key}'; "
-                    f"expected one of {sorted(_GRID_SCHEMA)}"
-                )
-            _check_type(value, _GRID_SCHEMA[key], f"solver.lambda_grid.{key}")
-    return raw
+    return _flatten(raw)
 
 
 def _resolve(cfg: dict, overrides: dict) -> RunConfig:
-    """Merge config file values and flag overrides into a RunConfig.
+    """Merge config file values (by dotted key) and flag overrides (by field;
+    None when the flag is absent) into a RunConfig, enforcing the cross-key rules."""
+    given, values = {}, {}
+    for p in PARAMS:
+        flag = overrides.get(p.field)
+        given[p.field] = cfg.get(p.key) if flag is None else flag
+        value = p.default if given[p.field] is None else given[p.field]
+        convert = _TYPES.get(p.kind)
+        values[p.field] = value if value is None or convert is None else convert(value)
 
-    Exactly one channel source (parametric or inline) and at most one lambda
-    source (point or grid) may be specified explicitly.
-    """
-    def pick(section, key, default=None):
-        flat = f"{section}.{key}"
-        if overrides.get(flat) is not None:
-            return overrides[flat]
-        return cfg.get(section, {}).get(key, default)
+    def any_given(*fields):
+        return any(given[f] is not None for f in fields)
 
-    grid_cfg = cfg.get("solver", {}).get("lambda_grid") or {}
-    grid_explicit = bool(grid_cfg) or any(
-        overrides.get(k) is not None
-        for k in ("grid.min", "grid.max", "grid.count")
-    )
-    lam1 = pick("solver", "lambda1")
-    lam2 = pick("solver", "lambda2")
-    if (lam1 is not None or lam2 is not None) and grid_explicit:
-        raise ConfigError(
-            "exactly one lambda source allowed: lambda1/lambda2 or lambda_grid, not both"
-        )
-
+    if any_given("lam1", "lam2") and any_given("lambda_min", "lambda_max", "lambda_count"):
+        raise ConfigError("exactly one lambda source allowed: "
+                          "lambda1/lambda2 or lambda_grid, not both")
     inline_keys = ("p_x1", "p_x2", "p_yr_given_x1x2")
-    inline = {k: pick("channel", k) for k in inline_keys}
-    inline_given = any(v is not None for v in inline.values())
-    parametric_given = any(
-        pick("channel", k) is not None
-        for k in ("snr1_db", "snr2_db", "num_bins", "span_sigmas")
-    )
-    if inline_given and parametric_given:
-        raise ConfigError(
-            "exactly one channel source allowed: SNR parameters or inline pmfs, not both"
-        )
-    if inline_given and any(v is None for v in inline.values()):
-        missing = [k for k, v in inline.items() if v is None]
+    if any_given(*inline_keys) and any_given("snr1_db", "snr2_db", "num_bins", "span_sigmas"):
+        raise ConfigError("exactly one channel source allowed: "
+                          "SNR parameters or inline pmfs, not both")
+    missing = [k for k in inline_keys if given[k] is None]
+    if any_given(*inline_keys) and missing:
         raise ConfigError(f"inline channel needs all of {inline_keys}, missing {missing}")
-
-    lambda_min = overrides.get("grid.min")
-    if lambda_min is None:
-        lambda_min = grid_cfg.get("min", DEFAULTS["lambda_min"])
-    lambda_max = overrides.get("grid.max")
-    if lambda_max is None:
-        lambda_max = grid_cfg.get("max", DEFAULTS["lambda_max"])
-    lambda_count = overrides.get("grid.count")
-    if lambda_count is None:
-        lambda_count = grid_cfg.get("count", DEFAULTS["lambda_count"])
-    if lambda_min <= 0:
-        raise ConfigError(
-            "lambda grid min must be > 0 (the quantizer update divides by lam1 + lam2)"
-        )
-
-    init = pick("quantizer", "init", DEFAULTS["init"])
-    if init not in INIT_STRATEGIES:
-        raise ConfigError(
-            f"config key 'quantizer.init' must be one of {INIT_STRATEGIES}, got {init!r}"
-        )
-
-    return RunConfig(
-        snr1_db=float(pick("channel", "snr1_db", DEFAULTS["snr1_db"])),
-        snr2_db=float(pick("channel", "snr2_db", DEFAULTS["snr2_db"])),
-        num_bins=int(pick("channel", "num_bins", DEFAULTS["num_bins"])),
-        span_sigmas=float(pick("channel", "span_sigmas", DEFAULTS["span_sigmas"])),
-        p_x1=inline["p_x1"],
-        p_x2=inline["p_x2"],
-        p_yr_given_x1x2=inline["p_yr_given_x1x2"],
-        levels=int(pick("quantizer", "levels", DEFAULTS["levels"])),
-        init=init,
-        restarts=int(pick("quantizer", "restarts", DEFAULTS["restarts"])),
-        seed=int(pick("quantizer", "seed", DEFAULTS["seed"])),
-        lam1=None if lam1 is None else float(lam1),
-        lam2=None if lam2 is None else float(lam2),
-        lambda_min=float(lambda_min),
-        lambda_max=float(lambda_max),
-        lambda_count=int(lambda_count),
-        eps=float(pick("solver", "eps", DEFAULTS["eps"])),
-        max_iter=int(pick("solver", "max_iter", DEFAULTS["max_iter"])),
-        i1_bits=pick("sumrate", "i1_bits"),
-        i2_bits=pick("sumrate", "i2_bits"),
-        dl_snr1_db=pick("sumrate", "dl_snr1_db"),
-        dl_snr2_db=pick("sumrate", "dl_snr2_db"),
-        out=pick("output", "out"),
-        json_out=pick("output", "json_out"),
-        trace=pick("output", "trace"),
-        dump_q=pick("output", "dump_q"),
-        outdir=pick("output", "outdir", "."),
-        workers=pick("output", "workers"),
-    )
+    if values["lambda_min"] <= 0:
+        raise ConfigError("lambda grid min must be > 0 "
+                          "(the quantizer update divides by lam1 + lam2)")
+    if values["init"] not in INIT_STRATEGIES:
+        raise ConfigError(f"config key 'quantizer.init' must be one of "
+                          f"{INIT_STRATEGIES}, got {values['init']!r}")
+    return RunConfig(**values)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -296,34 +201,7 @@ def parse_config(path: str) -> RunConfig:
 
 def _config_from_args(args) -> RunConfig:
     cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    overrides = {
-        "channel.snr1_db": getattr(args, "snr1_db", None),
-        "channel.snr2_db": getattr(args, "snr2_db", None),
-        "channel.num_bins": getattr(args, "bins", None),
-        "channel.span_sigmas": getattr(args, "span_sigmas", None),
-        "quantizer.levels": getattr(args, "levels", None),
-        "quantizer.init": getattr(args, "init", None),
-        "quantizer.restarts": getattr(args, "restarts", None),
-        "quantizer.seed": getattr(args, "seed", None),
-        "solver.lambda1": getattr(args, "lambda1", None),
-        "solver.lambda2": getattr(args, "lambda2", None),
-        "grid.min": getattr(args, "lambda_min", None),
-        "grid.max": getattr(args, "lambda_max", None),
-        "grid.count": getattr(args, "lambda_count", None),
-        "solver.eps": getattr(args, "eps", None),
-        "solver.max_iter": getattr(args, "max_iter", None),
-        "sumrate.i1_bits": getattr(args, "i1_bits", None),
-        "sumrate.i2_bits": getattr(args, "i2_bits", None),
-        "sumrate.dl_snr1_db": getattr(args, "dl_snr1_db", None),
-        "sumrate.dl_snr2_db": getattr(args, "dl_snr2_db", None),
-        "output.out": getattr(args, "out", None),
-        "output.json_out": getattr(args, "json_out", None),
-        "output.trace": getattr(args, "trace", None),
-        "output.dump_q": getattr(args, "dump_q", None),
-        "output.outdir": getattr(args, "outdir", None),
-        "output.workers": getattr(args, "workers", None),
-    }
-    return _resolve(cfg, overrides)
+    return _resolve(cfg, {p.field: getattr(args, p.field, None) for p in PARAMS})
 
 
 def _assert_finite(obj, context: str):
@@ -349,12 +227,18 @@ def _emit_json(payload: dict, path: str | None, context: str):
         sys.stdout.write(text)
 
 
-def _write_trace_csv(trace, path: str):
-    _assert_finite(list(trace), f"trace file {path}")
-    lines = ["iteration,lagrangian_bits"]
-    lines.extend(f"{k},{repr(float(v))}" for k, v in enumerate(trace))
+def _write_csv(path: str, header: str, rows, context: str):
+    """A header line and one line per row, each value in its shortest
+    round-trip repr; non-finite values are refused."""
+    rows = list(rows)
+    _assert_finite(rows, context)
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n")
+
+
+def _write_trace_csv(trace, path: str):
+    _write_csv(path, "iteration,lagrangian_bits", enumerate(map(float, trace)),
+               f"trace file {path}")
 
 
 def _cmd_channel(args) -> int:
@@ -415,8 +299,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
-    ch = cfg.build_channel()
-    surface = sweep_grid(ch, cfg.levels, grid=cfg.lambda_grid(),
+    surface = sweep_grid(cfg.build_channel(), cfg.levels, grid=cfg.lambda_grid(),
                          restarts=cfg.restarts, init=cfg.init, eps=cfg.eps,
                          max_iter=cfg.max_iter, seed=cfg.seed, workers=cfg.workers)
     for w in surface.warnings:
@@ -431,12 +314,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _load_surface(path: str):
-    if path.endswith(".json"):
-        return surface_from_json(path)
-    return surface_from_csv(path)
-
-
 def _cmd_sumrate(args) -> int:
     cfg = _config_from_args(args)
     if not args.surface:
@@ -449,7 +326,7 @@ def _cmd_sumrate(args) -> int:
     if direct:
         if cfg.i1_bits is None or cfg.i2_bits is None:
             raise ConfigError("both --i1-bits and --i2-bits are required")
-        i1, i2 = float(cfg.i1_bits), float(cfg.i2_bits)
+        i1, i2 = cfg.i1_bits, cfg.i2_bits
     elif from_snr:
         if cfg.dl_snr1_db is None or cfg.dl_snr2_db is None:
             raise ConfigError("both --dl-snr1-db and --dl-snr2-db are required")
@@ -458,7 +335,8 @@ def _cmd_sumrate(args) -> int:
         raise ConfigError("sumrate needs downlink capacities "
                           "(--i1-bits/--i2-bits or --dl-snr1-db/--dl-snr2-db)")
 
-    surface = _load_surface(args.surface)
+    load = surface_from_json if args.surface.endswith(".json") else surface_from_csv
+    surface = load(args.surface)
     res = optimize_alpha(surface, i1, i2)
     payload = {
         "i1_bits": i1,
@@ -471,12 +349,9 @@ def _cmd_sumrate(args) -> int:
         "unimodality": unimodality_report(surface, i1, i2),
     }
     if args.alpha_curve:
-        curve = alpha_objective_curve(surface, i1, i2)
-        _assert_finite(curve, f"alpha curve file {args.alpha_curve}")
-        lines = ["alpha,sum_rate_bits"]
-        lines.extend(f"{repr(a)},{repr(v)}" for a, v in curve)
-        with open(args.alpha_curve, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        _write_csv(args.alpha_curve, "alpha,sum_rate_bits",
+                   alpha_objective_curve(surface, i1, i2),
+                   f"alpha curve file {args.alpha_curve}")
     _emit_json(payload, cfg.out, "sumrate result")
     return EXIT_OK
 
@@ -515,13 +390,13 @@ def _cmd_oracle(args) -> int:
             "boundary_optimal": bool(check_boundary_optimality(
                 ch, levels, step, args.c1_max, args.c2_max, table=table)),
         }
-    if args.lambda1 is not None or args.lambda2 is not None:
-        if args.lambda1 is None or args.lambda2 is None:
+    if args.lam1 is not None or args.lam2 is not None:
+        if args.lam1 is None or args.lam2 is None:
             raise ConfigError("give both --lambda1 and --lambda2 or neither")
-        value, k = table.best_penalized(args.lambda1, args.lambda2)
+        value, k = table.best_penalized(args.lam1, args.lam2)
         payload["penalized"] = {
-            "lambda1": args.lambda1,
-            "lambda2": args.lambda2,
+            "lambda1": args.lam1,
+            "lambda2": args.lam2,
             "value_bits": value,
             "argmax_j_bits": float(table.j_bits[k]),
             "argmax_c1_bits": float(table.c1_bits[k]),
@@ -562,16 +437,10 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
         raise ConfigError(f"unknown figure {figure_id!r}; choose fig3, fig4 or fig5")
     os.makedirs(outdir, exist_ok=True)
     start = time.perf_counter()
-    params = {
-        "snr1_db": DEFAULTS["snr1_db"],
-        "snr2_db": DEFAULTS["snr2_db"],
-        "num_bins": DEFAULTS["num_bins"],
-        "span_sigmas": DEFAULTS["span_sigmas"],
-        "levels": DEFAULTS["levels"],
-        "eps": DEFAULTS["eps"],
-        "max_iter": DEFAULTS["max_iter"],
-        "seed": seed,
-    }
+    cfg = _resolve({}, {})
+    params = {k: DEFAULTS[k] for k in ("snr1_db", "snr2_db", "num_bins", "span_sigmas",
+                                      "levels", "eps", "max_iter")}
+    params["seed"] = seed
     written = []
 
     def path(name):
@@ -581,43 +450,28 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
         # moderate multipliers keep the limit point interior, so the trace
         # shows a nontrivial convergence curve instead of a collapse to zero
         params.update({"lambda1": 0.1, "lambda2": 0.1})
-        ch = build_bpsk_mac(params["snr1_db"], params["snr2_db"],
-                            params["num_bins"], params["span_sigmas"])
-        res = optimize(ch, 0.1, 0.1, params["levels"], eps=params["eps"],
-                       max_iter=params["max_iter"], seed=seed)
+        res = optimize(cfg.build_channel(), 0.1, 0.1, cfg.levels, eps=cfg.eps,
+                       max_iter=cfg.max_iter, seed=seed)
         _write_trace_csv(res.lagrangian_trace, path("fig3_trace.csv"))
         written.append(path("fig3_trace.csv"))
         extra = {"iterations": res.iterations, "converged": res.converged}
     else:
-        params.update({
-            "lambda_min": DEFAULTS["lambda_min"],
-            "lambda_max": DEFAULTS["lambda_max"],
-            "lambda_count": DEFAULTS["lambda_count"],
-            "restarts": DEFAULTS["restarts"],
-        })
+        params.update({k: DEFAULTS[k] for k in ("lambda_min", "lambda_max",
+                                                "lambda_count", "restarts")})
         surface_csv = path("fig4_surface.csv")
         if figure_id == "fig5" and os.path.exists(surface_csv):
             surface = surface_from_csv(surface_csv)
             extra = {"surface_source": surface_csv}
         else:
-            ch = build_bpsk_mac(params["snr1_db"], params["snr2_db"],
-                                params["num_bins"], params["span_sigmas"])
-            surface = sweep_grid(
-                ch, params["levels"], grid=LambdaGrid.log_spaced(
-                    params["lambda_min"], params["lambda_max"], params["lambda_count"]),
-                restarts=params["restarts"], eps=params["eps"],
-                max_iter=params["max_iter"], seed=seed, workers=workers)
+            surface = sweep_grid(cfg.build_channel(), cfg.levels, grid=cfg.lambda_grid(),
+                                 restarts=cfg.restarts, eps=cfg.eps, max_iter=cfg.max_iter,
+                                 seed=seed, workers=workers)
             surface_to_csv(surface, surface_csv)
             written.append(surface_csv)
-            extra = {"surface_source": "computed",
-                     "sweep_warnings": list(surface.warnings)}
+            extra = {"surface_source": "computed", "sweep_warnings": list(surface.warnings)}
         if figure_id == "fig5":
-            pairs = scalar_diagnostic(surface)
-            _assert_finite(pairs, "fig5 diagnostic")
-            lines = ["h_scalar_bits,i_rd_bits"]
-            lines.extend(f"{repr(h)},{repr(i)}" for h, i in pairs)
-            with open(path("fig5_scalar.csv"), "w") as f:
-                f.write("\n".join(lines) + "\n")
+            _write_csv(path("fig5_scalar.csv"), "h_scalar_bits,i_rd_bits",
+                       scalar_diagnostic(surface), "fig5 diagnostic")
             written.append(path("fig5_scalar.csv"))
 
     manifest = {
@@ -629,11 +483,8 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
         "wall_time_s": time.perf_counter() - start,
         "created_unix": time.time(),
     }
-    manifest_path = path(f"{figure_id}_manifest.json")
-    with open(manifest_path, "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
-    written.append(manifest_path)
+    written.append(path(f"{figure_id}_manifest.json"))
+    _emit_json(manifest, written[-1], "manifest")
     return written
 
 
@@ -646,33 +497,24 @@ def _cmd_repro(args) -> int:
     return EXIT_OK
 
 
-def _add_channel_flags(p):
-    p.add_argument("--config", help="JSON run-config file; flags override it")
-    p.add_argument("--snr1-db", type=float, dest="snr1_db")
-    p.add_argument("--snr2-db", type=float, dest="snr2_db")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--span-sigmas", type=float, dest="span_sigmas")
-
-
-def _add_solver_flags(p):
-    p.add_argument("--levels", type=int)
-    p.add_argument("--init", choices=INIT_STRATEGIES)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--max-iter", type=int, dest="max_iter")
-
-
 class _Parser(argparse.ArgumentParser):
-    """Takes '-6.6e-05' as a negative number, not an option string.
-
-    argparse's own matcher accepts only plain decimals such as '-0.5'.
-    Subparsers inherit this class.
-    """
+    """Takes '-6.6e-05' as a negative number, not an option string (argparse's
+    own matcher accepts only plain decimals such as '-0.5').  Subparsers inherit
+    this class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+_COMMANDS = {
+    "channel": (_cmd_channel, "build a channel and dump its description"),
+    "optimize": (_cmd_optimize, "solve one multiplier pair"),
+    "sweep": (_cmd_sweep, "sweep a multiplier grid into a surface CSV"),
+    "sumrate": (_cmd_sumrate, "optimize time sharing over a swept surface"),
+    "oracle": (_cmd_oracle, "brute-force reference values as JSON"),
+    "repro": (_cmd_repro, "reproduce a reference figure's data"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -682,96 +524,55 @@ def build_parser() -> argparse.ArgumentParser:
                     "Quantize-and-Forward two-way relaying",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p = {name: sub.add_parser(name, help=text) for name, (_, text) in _COMMANDS.items()}
+    for name in ("channel", "optimize", "sweep", "sumrate", "oracle"):
+        p[name].add_argument("--config", help="JSON run-config file; flags override it")
+    for param in PARAMS:
+        for name in param.commands.split():
+            p[name].add_argument(param.flag, dest=param.field, type=_TYPES.get(param.kind),
+                                 choices=param.choices, help=param.help, metavar=None
+                                 if param.choices else param.flag[2:].replace("-", "_").upper())
 
-    p = sub.add_parser("channel", help="build a channel and dump its description")
-    _add_channel_flags(p)
-    p.add_argument("--out")
+    p["sweep"].add_argument("--dump-q", dest="dump_q", action="store_true",
+                            help="embed per-point quantizers in the JSON surface")
+    p["sumrate"].add_argument("--surface", help="sweep output to query (.csv or .json)")
+    p["sumrate"].add_argument("--alpha-curve", dest="alpha_curve",
+                              help="write the alpha-grid objective CSV here")
+    oracle = p["oracle"]
+    oracle.add_argument("--fixture", action="store_true",
+                        help="use the built-in 2x2x3 fixture channel")
+    oracle.add_argument("--step", type=float, help="simplex grid step (default 0.05)")
+    oracle.add_argument("--c1-max", type=float, dest="c1_max")
+    oracle.add_argument("--c2-max", type=float, dest="c2_max")
+    oracle.add_argument("--max-cells", type=int, dest="max_cells", default=DEFAULT_MAX_CELLS)
 
-    p = sub.add_parser("optimize", help="solve one multiplier pair")
-    _add_channel_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--trace", help="write per-iteration Lagrangian CSV here")
-    p.add_argument("--dump-q", dest="dump_q", help="write the final quantizer as JSON here")
-    p.add_argument("--out")
-
-    p = sub.add_parser("sweep", help="sweep a multiplier grid into a surface CSV")
-    _add_channel_flags(p)
-    _add_solver_flags(p)
-    p.add_argument("--lambda-min", type=float, dest="lambda_min")
-    p.add_argument("--lambda-max", type=float, dest="lambda_max")
-    p.add_argument("--lambda-count", type=int, dest="lambda_count")
-    p.add_argument("--workers", type=int,
-                   help="parallel grid workers (default: serial)")
-    p.add_argument("--out", help="surface CSV path (default surface.csv)")
-    p.add_argument("--json-out", dest="json_out", help="also write a JSON surface")
-    p.add_argument("--dump-q", dest="dump_q", action="store_true",
-                   help="embed per-point quantizers in the JSON surface")
-
-    p = sub.add_parser("sumrate", help="optimize time sharing over a swept surface")
-    p.add_argument("--config", help="JSON run-config file; flags override it")
-    p.add_argument("--surface", help="sweep output to query (.csv or .json)")
-    p.add_argument("--i1-bits", type=float, dest="i1_bits")
-    p.add_argument("--i2-bits", type=float, dest="i2_bits")
-    p.add_argument("--dl-snr1-db", type=float, dest="dl_snr1_db")
-    p.add_argument("--dl-snr2-db", type=float, dest="dl_snr2_db")
-    p.add_argument("--alpha-curve", dest="alpha_curve",
-                   help="write the alpha-grid objective CSV here")
-    p.add_argument("--out")
-
-    p = sub.add_parser("oracle", help="brute-force reference values as JSON")
-    p.add_argument("--config", help="JSON run-config file (inline-pmf channel)")
-    p.add_argument("--fixture", action="store_true",
-                   help="use the built-in 2x2x3 fixture channel")
-    p.add_argument("--step", type=float, help="simplex grid step (default 0.05)")
-    p.add_argument("--levels", type=int, help="quantizer levels (default 2)")
-    p.add_argument("--c1-max", type=float, dest="c1_max")
-    p.add_argument("--c2-max", type=float, dest="c2_max")
-    p.add_argument("--lambda1", type=float)
-    p.add_argument("--lambda2", type=float)
-    p.add_argument("--max-cells", type=int, dest="max_cells",
-                   default=DEFAULT_MAX_CELLS)
-    p.add_argument("--out")
-
-    p = sub.add_parser("repro", help="reproduce a reference figure's data")
-    p.add_argument("figure", choices=("fig3", "fig4", "fig5"))
-    p.add_argument("--outdir")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    repro = p["repro"]
+    repro.add_argument("figure", choices=("fig3", "fig4", "fig5"))
+    repro.add_argument("--outdir")
+    repro.add_argument("--seed", type=int)
+    repro.add_argument("--workers", type=int)
 
     return parser
 
 
-_HANDLERS = {
-    "channel": _cmd_channel,
-    "optimize": _cmd_optimize,
-    "sweep": _cmd_sweep,
-    "sumrate": _cmd_sumrate,
-    "oracle": _cmd_oracle,
-    "repro": _cmd_repro,
+# Exception type -> exit code.  No type here subclasses another, so at most
+# one entry matches.
+_EXIT_CODES = {
+    ConfigError: EXIT_CONFIG,
+    ValueError: EXIT_CONFIG,
+    OSError: EXIT_CONFIG,
+    OracleBudgetError: EXIT_BUDGET,
+    FloatingPointError: EXIT_NUMERIC,
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except ConfigError as e:
+        return _COMMANDS[args.command][0](args)
+    except tuple(_EXIT_CODES) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OracleBudgetError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
-    except FloatingPointError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
 
 
 if __name__ == "__main__":

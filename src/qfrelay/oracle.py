@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import xlogy
@@ -31,8 +30,7 @@ class OracleBudgetError(Exception):
     """Raised when an enumeration would exceed the configured cell budget."""
 
 
-def _grid_size(grid_step: float, num_levels: int = 1, n_cols: int = 0,
-               max_cells: float = math.inf) -> tuple:
+def _grid_size(grid_step: float, num_levels: int, n_cols: int, max_cells: float) -> tuple:
     """(n, candidates) for num_levels x n_cols matrices on the step-1/n grid.
 
     The step must be 1/n for a whole n; anything else is refused rather than
@@ -53,25 +51,6 @@ def _grid_size(grid_step: float, num_levels: int = 1, n_cols: int = 0,
             f"budget is {max_cells}"
         )
     return n, total
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Enumeration resolution and size cap for the brute-force oracle."""
-
-    grid_step: float = 0.05
-    max_cells: int = DEFAULT_MAX_CELLS
-
-    def __post_init__(self):
-        _grid_size(self.grid_step)
-        if self.max_cells < 1:
-            raise ValueError("max_cells must be positive")
-
-    def num_candidates(self, num_levels: int, n_cols: int) -> int:
-        return _grid_size(self.grid_step, num_levels, n_cols)[1]
-
-    def check_budget(self, num_levels: int, n_cols: int) -> int:
-        return _grid_size(self.grid_step, num_levels, n_cols, self.max_cells)[1]
 
 
 def fixture_channel() -> ChannelModel:

@@ -10,6 +10,7 @@ Every answer is therefore achievable by a concrete stored quantizer.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -192,40 +193,30 @@ def round_to_scalar(q: QuantizerPmf) -> QuantizerPmf:
     return QuantizerPmf(hard)
 
 
-def c2_interval_by_c1(s: Surface, num_slices: int = 8) -> list:
-    """Empirical spread of achieved c2 within equal-width c1 slices.
-
-    Report-only diagnostic: how much the second description rate varies among
-    swept points whose first rate lands in the same band.  No threshold is
-    asserted anywhere; empty slices are skipped.
-    """
-    if not s.points:
-        raise ValueError("surface has no points")
-    c1s = np.array([p.c1 for p in s.points])
-    c2s = np.array([p.c2 for p in s.points])
-    lo, hi = float(c1s.min()), float(c1s.max())
-    edges = np.linspace(lo, hi, num_slices + 1)
-    out = []
-    for k in range(num_slices):
-        upper_inclusive = k == num_slices - 1
-        if upper_inclusive:
-            mask = (c1s >= edges[k]) & (c1s <= edges[k + 1])
-        else:
-            mask = (c1s >= edges[k]) & (c1s < edges[k + 1])
-        if not mask.any():
-            continue
-        out.append({
-            "c1_lo": float(edges[k]),
-            "c1_hi": float(edges[k + 1]),
-            "count": int(mask.sum()),
-            "c2_min": float(c2s[mask].min()),
-            "c2_max": float(c2s[mask].max()),
-            "c2_width": float(c2s[mask].max() - c2s[mask].min()),
-        })
-    return out
-
-
 CSV_HEADER = "lambda1,lambda2,c1_bits,c2_bits,i_rd_bits,h_scalar_bits,iterations,converged,seed"
+_COLUMNS = CSV_HEADER.split(",")
+
+
+def _point_to_row(p: SurfacePoint) -> dict:
+    """A point's nine scalar columns, by CSV_HEADER name."""
+    return dict(zip(_COLUMNS, (p.lam1, p.lam2, p.c1, p.c2, p.i_rd, p.h_scalar,
+                               p.iterations, p.converged, p.seed)))
+
+
+def _row_to_point(values: list, where: str, q: QuantizerPmf | None = None) -> SurfacePoint:
+    """The point of one file row, values in CSV_HEADER order.  Refuses what no
+    solve produces: non-finite numbers, multipliers <= 0 and negative rates."""
+    try:
+        numbers = list(map(float, values[:6]))
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: non-numeric value in {values[:6]}") from None
+    lam1, lam2, c1, c2, i_rd, h_scalar = numbers
+    inf = math.inf
+    if not (0 < lam1 < inf and 0 < lam2 < inf and 0 <= c1 < inf and 0 <= c2 < inf
+            and 0 <= i_rd < inf and 0 <= h_scalar < inf):
+        raise ValueError(f"{where}: multipliers must be finite and > 0 and rates finite "
+                         f"and >= 0, got {dict(zip(_COLUMNS, numbers))}")
+    return SurfacePoint(*numbers, *values[6:], q=q)
 
 
 def surface_to_csv(s: Surface, path) -> None:
@@ -233,11 +224,9 @@ def surface_to_csv(s: Surface, path) -> None:
     reproducibility across runs."""
     lines = [CSV_HEADER]
     for p in s.points:
-        lines.append(",".join([
-            repr(p.lam1), repr(p.lam2), repr(p.c1), repr(p.c2),
-            repr(p.i_rd), repr(p.h_scalar), str(p.iterations),
-            "true" if p.converged else "false", str(p.seed),
-        ]))
+        row = _point_to_row(p)
+        row["converged"] = "true" if p.converged else "false"
+        lines.append(",".join(map(str, row.values())))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -248,41 +237,30 @@ def surface_from_csv(path) -> Surface:
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
     points = []
-    for ln in lines[1:]:
+    for k, ln in enumerate(lines[1:]):
         cells = ln.split(",")
         if len(cells) != 9:
             raise ValueError(f"{path}: malformed row {ln!r}")
-        points.append(SurfacePoint(
-            lam1=float(cells[0]), lam2=float(cells[1]), c1=float(cells[2]),
-            c2=float(cells[3]), i_rd=float(cells[4]), h_scalar=float(cells[5]),
-            iterations=int(cells[6]), converged=cells[7] == "true",
-            seed=int(cells[8]), q=None,
-        ))
+        tail = [int(cells[6]), cells[7] == "true", int(cells[8])]
+        points.append(_row_to_point(cells[:6] + tail, f"{path}: row {k}"))
     return Surface(points=tuple(points), channel_fingerprint="", num_levels=0)
 
 
-def surface_to_dict(s: Surface, include_q: bool = False) -> dict:
+def surface_to_json(s: Surface, path, include_q: bool = False) -> None:
     points = []
     for p in s.points:
-        d = {
-            "lambda1": p.lam1, "lambda2": p.lam2, "c1_bits": p.c1,
-            "c2_bits": p.c2, "i_rd_bits": p.i_rd, "h_scalar_bits": p.h_scalar,
-            "iterations": p.iterations, "converged": p.converged, "seed": p.seed,
-        }
+        row = _point_to_row(p)
         if include_q and p.q is not None:
-            d["q"] = p.q.q.tolist()
-        points.append(d)
-    return {
+            row["q"] = p.q.q.tolist()
+        points.append(row)
+    doc = {
         "channel_fingerprint": s.channel_fingerprint,
         "num_levels": s.num_levels,
         "warnings": list(s.warnings),
         "points": points,
     }
-
-
-def surface_to_json(s: Surface, path, include_q: bool = False) -> None:
     with open(path, "w") as f:
-        json.dump(surface_to_dict(s, include_q=include_q), f, indent=2)
+        json.dump(doc, f, indent=2)
         f.write("\n")
 
 
@@ -291,19 +269,13 @@ def surface_from_json(path) -> Surface:
         d = json.load(f)
     if not isinstance(d, dict) or not isinstance(d.get("points"), list):
         raise ValueError(f"{path}: expected a JSON object with a 'points' list")
-    columns = CSV_HEADER.split(",")
     points = []
     for k, row in enumerate(d["points"]):
-        missing = [c for c in columns if c not in row] if isinstance(row, dict) else columns
+        missing = [c for c in _COLUMNS if c not in row] if isinstance(row, dict) else _COLUMNS
         if missing:
             raise ValueError(f"{path}: point {k} lacks the columns {missing}")
         q = QuantizerPmf(np.asarray(row["q"], dtype=float)) if "q" in row else None
-        points.append(SurfacePoint(
-            lam1=row["lambda1"], lam2=row["lambda2"], c1=row["c1_bits"],
-            c2=row["c2_bits"], i_rd=row["i_rd_bits"], h_scalar=row["h_scalar_bits"],
-            iterations=row["iterations"], converged=row["converged"],
-            seed=row["seed"], q=q,
-        ))
+        points.append(_row_to_point([row[c] for c in _COLUMNS], f"{path}: point {k}", q))
     return Surface(
         points=tuple(points),
         channel_fingerprint=d.get("channel_fingerprint", ""),

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import json
 
 import numpy as np
@@ -10,6 +12,8 @@ from qfrelay.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    _config_from_args,
+    build_parser,
     main,
     parse_config,
     run_repro,
@@ -247,10 +251,17 @@ def test_sumrate_rejects_mixed_capacity_sources(inline_cfg, tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+POINT = {"lambda1": 0.1, "lambda2": 0.1, "c1_bits": 0.1, "c2_bits": 0.1,
+         "i_rd_bits": 0.3, "h_scalar_bits": 0.0, "iterations": 1,
+         "converged": True, "seed": 0}
+
+
 @pytest.mark.parametrize("content", [
     {"channel_fingerprint": "x"},
     [1, 2],
     {"points": [{"lambda1": 0.1, "lambda2": 0.1, "c2_bits": 0.2}]},
+    {"points": [POINT, dict(POINT, c1_bits=float("nan"))]},
+    {"points": [POINT, dict(POINT, c1_bits=-0.5)]},
 ])
 def test_sumrate_malformed_json_surface_is_config_error(tmp_path, capsys, content):
     surface = tmp_path / "surface.json"
@@ -259,6 +270,19 @@ def test_sumrate_malformed_json_surface_is_config_error(tmp_path, capsys, conten
                  "--i2-bits", "0.5"])
     assert code == EXIT_CONFIG
     assert str(surface) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c1_bits", ["nan", "-0.5"])
+def test_sumrate_impossible_csv_row_is_config_error(tmp_path, capsys, c1_bits):
+    surface = tmp_path / "surface.csv"
+    surface.write_text("lambda1,lambda2,c1_bits,c2_bits,i_rd_bits,h_scalar_bits,"
+                       "iterations,converged,seed\n"
+                       "0.1,0.1,0.1,0.1,0.3,0.0,1,true,0\n"
+                       f"0.2,0.2,{c1_bits},0.1,0.5,0.0,1,true,0\n")
+    code = main(["sumrate", "--surface", str(surface), "--i1-bits", "0.5",
+                 "--i2-bits", "0.5"])
+    assert code == EXIT_CONFIG
+    assert f"{surface}: row 1" in capsys.readouterr().err
 
 
 def test_sumrate_nan_capacity_is_config_error(tmp_path, capsys):
@@ -352,3 +376,190 @@ def test_repro_rejects_unknown_figure(capsys):
     with pytest.raises(SystemExit):
         main(["repro", "fig9"])
     assert "fig9" in capsys.readouterr().err
+
+
+# Every subcommand's options: (type, default, choices, nargs) per option
+# string, or per dest for a positional.
+CLI_SURFACE = {
+    "channel": {
+        "--config": (None, None, None, None),
+        "--snr1-db": ("float", None, None, None),
+        "--snr2-db": ("float", None, None, None),
+        "--bins": ("int", None, None, None),
+        "--span-sigmas": ("float", None, None, None),
+        "--out": (None, None, None, None),
+    },
+    "optimize": {
+        "--config": (None, None, None, None),
+        "--snr1-db": ("float", None, None, None),
+        "--snr2-db": ("float", None, None, None),
+        "--bins": ("int", None, None, None),
+        "--span-sigmas": ("float", None, None, None),
+        "--levels": ("int", None, None, None),
+        "--init": (None, None, ("perturbed-uniform", "random", "identity"), None),
+        "--restarts": ("int", None, None, None),
+        "--seed": ("int", None, None, None),
+        "--eps": ("float", None, None, None),
+        "--max-iter": ("int", None, None, None),
+        "--lambda1": ("float", None, None, None),
+        "--lambda2": ("float", None, None, None),
+        "--trace": (None, None, None, None),
+        "--dump-q": (None, None, None, None),
+        "--out": (None, None, None, None),
+    },
+    "sweep": {
+        "--config": (None, None, None, None),
+        "--snr1-db": ("float", None, None, None),
+        "--snr2-db": ("float", None, None, None),
+        "--bins": ("int", None, None, None),
+        "--span-sigmas": ("float", None, None, None),
+        "--levels": ("int", None, None, None),
+        "--init": (None, None, ("perturbed-uniform", "random", "identity"), None),
+        "--restarts": ("int", None, None, None),
+        "--seed": ("int", None, None, None),
+        "--eps": ("float", None, None, None),
+        "--max-iter": ("int", None, None, None),
+        "--lambda-min": ("float", None, None, None),
+        "--lambda-max": ("float", None, None, None),
+        "--lambda-count": ("int", None, None, None),
+        "--workers": ("int", None, None, None),
+        "--out": (None, None, None, None),
+        "--json-out": (None, None, None, None),
+        "--dump-q": (None, False, None, 0),
+    },
+    "sumrate": {
+        "--config": (None, None, None, None),
+        "--surface": (None, None, None, None),
+        "--i1-bits": ("float", None, None, None),
+        "--i2-bits": ("float", None, None, None),
+        "--dl-snr1-db": ("float", None, None, None),
+        "--dl-snr2-db": ("float", None, None, None),
+        "--alpha-curve": (None, None, None, None),
+        "--out": (None, None, None, None),
+    },
+    "oracle": {
+        "--config": (None, None, None, None),
+        "--fixture": (None, False, None, 0),
+        "--step": ("float", None, None, None),
+        "--levels": ("int", None, None, None),
+        "--c1-max": ("float", None, None, None),
+        "--c2-max": ("float", None, None, None),
+        "--lambda1": ("float", None, None, None),
+        "--lambda2": ("float", None, None, None),
+        "--max-cells": ("int", 2_000_000, None, None),
+        "--out": (None, None, None, None),
+    },
+    "repro": {
+        "figure": (None, None, ("fig3", "fig4", "fig5"), None),
+        "--outdir": (None, None, None, None),
+        "--seed": ("int", None, None, None),
+        "--workers": ("int", None, None, None),
+    },
+}
+
+CONFIG_KEYS = {
+    "channel.snr1_db", "channel.snr2_db", "channel.num_bins",
+    "channel.span_sigmas", "channel.p_x1", "channel.p_x2",
+    "channel.p_yr_given_x1x2",
+    "quantizer.levels", "quantizer.init", "quantizer.restarts", "quantizer.seed",
+    "solver.lambda1", "solver.lambda2", "solver.lambda_grid",
+    "solver.lambda_grid.min", "solver.lambda_grid.max", "solver.lambda_grid.count",
+    "solver.eps", "solver.max_iter",
+    "sumrate.i1_bits", "sumrate.i2_bits", "sumrate.dl_snr1_db", "sumrate.dl_snr2_db",
+    "output.out", "output.json_out", "output.trace", "output.dump_q",
+    "output.outdir", "output.workers",
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {}
+    for name, p in sub.choices.items():
+        surface[name] = {
+            "/".join(a.option_strings) or a.dest: (
+                getattr(a.type, "__name__", None), a.default,
+                None if a.choices is None else tuple(a.choices), a.nargs)
+            for a in p._actions if not isinstance(a, argparse._HelpAction)
+        }
+    assert surface == CLI_SURFACE
+
+
+def _listed_keys(tmp_path, content) -> list:
+    """The keys a config error lists as expected, for a probe with one unknown key."""
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(ConfigError, match="expected one of") as e:
+        parse_config(str(path))
+    return ast.literal_eval(str(e.value).split("expected one of ", 1)[1])
+
+
+def test_config_keys_are_pinned(tmp_path):
+    keys = set()
+    for section in _listed_keys(tmp_path, {"zz_unknown": {}}):
+        keys.update(f"{section}.{key}"
+                    for key in _listed_keys(tmp_path, {section: {"zz_unknown": 0}}))
+    grid = _listed_keys(tmp_path, {"solver": {"lambda_grid": {"zz_unknown": 0}}})
+    keys.update(f"solver.lambda_grid.{key}" for key in grid)
+    assert keys == CONFIG_KEYS
+
+
+# (subcommand, flag argv, config key, RunConfig field, file value, flag value)
+FLAG_OVERRIDES = [
+    (cmd, flag, "channel." + key, field, file_v, flag_v)
+    for cmd in ("channel", "optimize", "sweep")
+    for flag, key, field, file_v, flag_v in [
+        (["--snr1-db", "2.5"], "snr1_db", "snr1_db", 0.5, 2.5),
+        (["--snr2-db", "2.5"], "snr2_db", "snr2_db", 0.5, 2.5),
+        (["--bins", "16"], "num_bins", "num_bins", 8, 16),
+        (["--span-sigmas", "3.5"], "span_sigmas", "span_sigmas", 2.5, 3.5),
+    ]
+] + [
+    (cmd, flag, key, field, file_v, flag_v)
+    for cmd in ("optimize", "sweep")
+    for flag, key, field, file_v, flag_v in [
+        (["--levels", "5"], "quantizer.levels", "levels", 3, 5),
+        (["--init", "identity"], "quantizer.init", "init", "random", "identity"),
+        (["--restarts", "7"], "quantizer.restarts", "restarts", 2, 7),
+        (["--seed", "11"], "quantizer.seed", "seed", 3, 11),
+        (["--eps", "1e-06"], "solver.eps", "eps", 1e-4, 1e-6),
+        (["--max-iter", "77"], "solver.max_iter", "max_iter", 55, 77),
+    ]
+] + [
+    (cmd, flag, key, field, file_v, flag_v)
+    for cmd in ("optimize", "oracle")
+    for flag, key, field, file_v, flag_v in [
+        (["--lambda1", "0.25"], "solver.lambda1", "lam1", 0.5, 0.25),
+        (["--lambda2", "0.25"], "solver.lambda2", "lam2", 0.5, 0.25),
+    ]
+] + [
+    ("oracle", ["--levels", "3"], "quantizer.levels", "levels", 4, 3),
+    ("sweep", ["--lambda-min", "0.25"], "solver.lambda_grid.min", "lambda_min", 0.5, 0.25),
+    ("sweep", ["--lambda-max", "4.5"], "solver.lambda_grid.max", "lambda_max", 2.5, 4.5),
+    ("sweep", ["--lambda-count", "5"], "solver.lambda_grid.count", "lambda_count", 3, 5),
+    ("sweep", ["--workers", "3"], "output.workers", "workers", 2, 3),
+    ("sweep", ["--json-out", "b.json"], "output.json_out", "json_out", "a.json", "b.json"),
+    ("sweep", ["--dump-q"], "output.dump_q", "dump_q", "a.json", True),
+    ("optimize", ["--dump-q", "b.json"], "output.dump_q", "dump_q", "a.json", "b.json"),
+    ("optimize", ["--trace", "b.csv"], "output.trace", "trace", "a.csv", "b.csv"),
+    ("sumrate", ["--i1-bits", "0.75"], "sumrate.i1_bits", "i1_bits", 0.25, 0.75),
+    ("sumrate", ["--i2-bits", "0.75"], "sumrate.i2_bits", "i2_bits", 0.25, 0.75),
+    ("sumrate", ["--dl-snr1-db", "3.5"], "sumrate.dl_snr1_db", "dl_snr1_db", 1.5, 3.5),
+    ("sumrate", ["--dl-snr2-db", "3.5"], "sumrate.dl_snr2_db", "dl_snr2_db", 1.5, 3.5),
+] + [
+    (cmd, ["--out", "b.json"], "output.out", "out", "a.json", "b.json")
+    for cmd in ("channel", "optimize", "sweep", "sumrate", "oracle")
+]
+
+
+@pytest.mark.parametrize("cmd, flag, key, field, file_value, flag_value", FLAG_OVERRIDES)
+def test_flag_and_file_set_the_same_field_and_the_flag_wins(
+        tmp_path, cmd, flag, key, field, file_value, flag_value):
+    config = file_value
+    for part in reversed(key.split(".")):
+        config = {part: config}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert getattr(parse_config(str(path)), field) == file_value
+    args = build_parser().parse_args([cmd, "--config", str(path), *flag])
+    assert getattr(_config_from_args(args), field) == flag_value

@@ -1,4 +1,5 @@
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy.special import xlogy
 
 from qfrelay import (
     OracleBudgetError,
-    OracleConfig,
     QuantizerPmf,
     RateTable,
     brute_force_ird,
@@ -105,25 +105,23 @@ def test_enumerate_order_matches_table(fx, fx_table_l2_coarse):
             assert np.array_equal(q.q, fx_table_l2_coarse.quantizer_at(k).q)
 
 
-def test_oracle_config_budget():
-    cfg = OracleConfig(grid_step=0.5, max_cells=10)
-    assert cfg.num_candidates(2, 1) == 3
+def test_grid_step_candidate_count_and_zero_step(fx):
+    assert sum(1 for _ in enumerate_q(2, 1, 0.5, max_cells=10)) == 3
+    assert len(RateTable(fx, 2, 0.5, max_cells=27)) == 3 ** 3
     with pytest.raises(ValueError):
-        OracleConfig(grid_step=0.0)
+        list(enumerate_q(2, 1, 0.0))
     with pytest.raises(ValueError):
-        OracleConfig(max_cells=0)
+        RateTable(fx, 2, 0.0)
 
 
 @pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 1.0 / 14.0])
-def test_grid_steps_that_divide_one_are_accepted(step):
+def test_grid_steps_that_divide_one_are_accepted(fx, step):
     n = round(1 / step)
-    assert OracleConfig(grid_step=step).num_candidates(2, 1) == n + 1
+    assert len(RateTable(fx, 2, step)) == (n + 1) ** 3
     assert sum(1 for _ in enumerate_q(2, 1, step)) == n + 1
 
 
 def test_grid_step_that_does_not_divide_one_is_refused(fx):
-    with pytest.raises(ValueError, match="0.3"):
-        OracleConfig(grid_step=0.3)
     with pytest.raises(ValueError, match="0.3"):
         RateTable(fx, 2, 0.3)
     with pytest.raises(ValueError, match="0.7"):
@@ -220,7 +218,7 @@ def test_budget_refusal_on_table_construction(fx):
        run_cells=st.sampled_from([1, 4, 16, oracle.RUN_CELLS]))
 def test_table_matches_per_candidate_reference(ch, levels, n, run_cells):
     budget = 5000
-    if OracleConfig(1.0 / n).num_candidates(levels, ch.num_bins) > budget:
+    if math.comb(n + levels - 1, levels - 1) ** ch.num_bins > budget:
         with pytest.raises(OracleBudgetError):
             RateTable(ch, levels, 1.0 / n, max_cells=budget)
         return

@@ -1,3 +1,7 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,6 @@ from qfrelay import (
 )
 from qfrelay.sweep import (
     CSV_HEADER,
-    c2_interval_by_c1,
     surface_from_csv,
     surface_from_json,
     surface_to_csv,
@@ -190,16 +193,6 @@ def test_round_to_scalar_kills_soft_entropy(fx, rng):
     assert rate_report(fx, r).h_yhat_given_y == 0.0
 
 
-def test_c2_interval_report_structure(fx_surface_dense):
-    rows = c2_interval_by_c1(fx_surface_dense, num_slices=4)
-    assert rows
-    for row in rows:
-        assert row["c2_width"] >= 0
-        assert row["c1_lo"] <= row["c1_hi"]
-        assert row["c2_min"] <= row["c2_max"]
-        assert row["count"] >= 1
-
-
 def test_csv_round_trip(tmp_path, fx_surface_dense):
     path = tmp_path / "surface.csv"
     surface_to_csv(fx_surface_dense, path)
@@ -225,6 +218,33 @@ def test_json_round_trip_with_q(tmp_path, fx_surface_dense):
         assert pa.i_rd == pb.i_rd
         # reconstruction renormalizes columns: equal up to 1 ulp
         assert np.allclose(pa.q.q, pb.q.q, rtol=0, atol=1e-15)
+
+
+GOOD_ROW = {"lambda1": 0.1, "lambda2": 0.1, "c1_bits": 0.2, "c2_bits": 0.2,
+            "i_rd_bits": 0.3, "h_scalar_bits": 0.0, "iterations": 5,
+            "converged": True, "seed": 7}
+IMPOSSIBLE = [("c1_bits", math.nan), ("c1_bits", -0.5), ("c2_bits", math.inf),
+              ("i_rd_bits", -1e-3), ("h_scalar_bits", -0.1), ("lambda1", 0.0),
+              ("lambda2", -math.inf)]
+
+
+@pytest.mark.parametrize("column, value", IMPOSSIBLE)
+def test_csv_reader_refuses_impossible_values(tmp_path, column, value):
+    path = tmp_path / "surface.csv"
+    rows = [GOOD_ROW, dict(GOOD_ROW, **{column: value})]
+    path.write_text("\n".join([CSV_HEADER] + [
+        ",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in r.values())
+        for r in rows]) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: row 1: .*{column}"):
+        surface_from_csv(path)
+
+
+@pytest.mark.parametrize("column, value", IMPOSSIBLE + [("c1_bits", None), ("c2_bits", "x")])
+def test_json_reader_refuses_impossible_values(tmp_path, column, value):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"points": [GOOD_ROW, dict(GOOD_ROW, **{column: value})]}))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: point 1: "):
+        surface_from_json(path)
 
 
 def test_csv_malformed_header_rejected(tmp_path):
