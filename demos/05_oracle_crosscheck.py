@@ -8,8 +8,6 @@ the fixed-point solver and the sweep envelope should reproduce.
 import numpy as np
 
 from qfrelay import (
-    brute_force_ird,
-    brute_force_lagrangian,
     check_boundary_optimality,
     enumerate_q,
     fixture_channel,
@@ -43,7 +41,7 @@ surface = sweep_grid(fx, 2, grid=LambdaGrid.log_spaced(1e-3, 10.0, 40),
 print("\nconstrained I_RD, oracle vs sweep envelope:")
 print("  C1max  C2max  oracle     envelope   gap")
 for t1, t2 in ((0.2, 0.2), (0.5, 0.5), (0.3, 0.6)):
-    want, idx = brute_force_ird(fx, 2, 0.05, t1, t2, table=table)
+    want, _ = table.best_constrained(t1, t2)
     got = query_lower_envelope(surface, t1, t2)
     print("  %-5.2f  %-5.2f  %.6f   %.6f   %+.2e" % (t1, t2, want, got, got - want))
 

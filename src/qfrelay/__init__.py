@@ -31,8 +31,6 @@ from qfrelay.optimizer import (
 from qfrelay.oracle import (
     OracleBudgetError,
     RateTable,
-    brute_force_ird,
-    brute_force_lagrangian,
     check_boundary_optimality,
     enumerate_q,
     fixture_channel,
@@ -71,8 +69,6 @@ __all__ = [
     "Surface",
     "SurfacePoint",
     "alpha_objective_curve",
-    "brute_force_ird",
-    "brute_force_lagrangian",
     "build_bpsk_mac",
     "check_boundary_optimality",
     "delta_matrix",

@@ -5,8 +5,10 @@ come from a JSON config file, command-line flags, or built-in defaults, with
 flags taking precedence over the file.  PARAMS is the one list of run
 parameters: each row names the RunConfig field, the dotted config-file key,
 the value kind, the default and the flag, and the config validator, RunConfig,
-DEFAULTS and the flags are all derived from it.  Exit codes: 0 success, 2
-configuration error, 3 non-finite result, 4 enumeration budget refusal.
+DEFAULTS and the flags are all derived from it.  Subcommands read every PARAMS
+field from the resolved RunConfig, never from the flags.  Exit codes: 0
+success, 2 configuration error, 3 non-finite result, 4 enumeration budget
+refusal.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ PARAMS = (
     Param("init", "quantizer.init", "string", "perturbed-uniform", "--init", "optimize sweep",
           choices=INIT_STRATEGIES),
     Param("restarts", "quantizer.restarts", "integer", 4, "--restarts", "optimize sweep"),
-    Param("seed", "quantizer.seed", "integer", 0, "--seed", "optimize sweep"),
+    Param("seed", "quantizer.seed", "integer", 0, "--seed", "optimize sweep repro"),
     # solver: one multiplier pair, or a log-spaced grid
     Param("lam1", "solver.lambda1", "number", None, "--lambda1", "optimize oracle"),
     Param("lam2", "solver.lambda2", "number", None, "--lambda2", "optimize oracle"),
@@ -97,8 +99,7 @@ PARAMS = (
           help="write per-iteration Lagrangian CSV here"),
     Param("dump_q", "output.dump_q", "string", None, "--dump-q", "optimize",
           help="write the final quantizer as JSON here"),
-    Param("outdir", "output.outdir", "string", "."),
-    Param("workers", "output.workers", "integer", None, "--workers", "sweep",
+    Param("workers", "output.workers", "integer", None, "--workers", "sweep repro",
           help="parallel grid workers (default: serial)"),
 )
 
@@ -142,8 +143,6 @@ def _flatten(body: dict, prefix: str = "") -> dict:
             flat.update(_flatten(value, key + "."))
         elif isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
             raise ConfigError(f"config key {key!r} must be a {kind}, got {value!r}")
-        elif kind == "number" and not math.isfinite(value):
-            raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
         else:
             flat[key] = value
     return flat
@@ -161,16 +160,22 @@ def _load_config_file(path: str) -> dict:
     return _flatten(raw)
 
 
-def _resolve(cfg: dict, overrides: dict) -> RunConfig:
+def _resolve(cfg: dict, overrides: dict, defaults: dict | None = None) -> RunConfig:
     """Merge config file values (by dotted key) and flag overrides (by field;
-    None when the flag is absent) into a RunConfig, enforcing the cross-key rules."""
+    None when the flag is absent) into a RunConfig, enforcing the cross-key
+    rules.  `defaults` replaces the table's default for the fields it names."""
     given, values = {}, {}
     for p in PARAMS:
         flag = overrides.get(p.field)
         given[p.field] = cfg.get(p.key) if flag is None else flag
-        value = p.default if given[p.field] is None else given[p.field]
+        value = given[p.field]
+        if value is None:
+            value = (defaults or {}).get(p.field, p.default)
         convert = _TYPES.get(p.kind)
         values[p.field] = value if value is None or convert is None else convert(value)
+        if p.kind == "number" and value is not None and not math.isfinite(value):
+            source = f"flag {p.flag}" if flag is not None else f"config key {p.key!r}"
+            raise ConfigError(f"{source} must be finite, got {value!r}")
 
     def any_given(*fields):
         return any(given[f] is not None for f in fields)
@@ -199,9 +204,9 @@ def parse_config(path: str) -> RunConfig:
     return _resolve(_load_config_file(path), {})
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args, **defaults) -> RunConfig:
     cfg = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    return _resolve(cfg, {p.field: getattr(args, p.field, None) for p in PARAMS})
+    return _resolve(cfg, {p.field: getattr(args, p.field, None) for p in PARAMS}, defaults)
 
 
 def _assert_finite(obj, context: str):
@@ -357,7 +362,7 @@ def _cmd_sumrate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, levels=2)
     if args.fixture:
         ch = fixture_channel()
     elif cfg.p_yr_given_x1x2 is not None:
@@ -365,13 +370,12 @@ def _cmd_oracle(args) -> int:
     else:
         raise ConfigError("oracle needs --fixture or an inline-pmf channel config "
                           "(full-size parametric channels exceed the enumeration budget)")
-    levels = args.levels if args.levels is not None else 2
     step = args.step if args.step is not None else 0.05
-    table = RateTable(ch, levels, step, max_cells=args.max_cells)
+    table = RateTable(ch, cfg.levels, step, max_cells=args.max_cells)
 
     payload = {
         "channel_fingerprint": ch.fingerprint(),
-        "levels": levels,
+        "levels": cfg.levels,
         "grid_step": step,
         "num_candidates": table.num_candidates,
         "unconstrained_max_j_bits": float(table.j_bits.max()),
@@ -388,15 +392,16 @@ def _cmd_oracle(args) -> int:
             "argmax_c1_bits": float(table.c1_bits[k]),
             "argmax_c2_bits": float(table.c2_bits[k]),
             "boundary_optimal": bool(check_boundary_optimality(
-                ch, levels, step, args.c1_max, args.c2_max, table=table)),
+                ch, cfg.levels, step, args.c1_max, args.c2_max, table=table)),
         }
-    if args.lam1 is not None or args.lam2 is not None:
-        if args.lam1 is None or args.lam2 is None:
-            raise ConfigError("give both --lambda1 and --lambda2 or neither")
-        value, k = table.best_penalized(args.lam1, args.lam2)
+    if cfg.lam1 is not None or cfg.lam2 is not None:
+        if cfg.lam1 is None or cfg.lam2 is None:
+            raise ConfigError("give both --lambda1 and --lambda2 "
+                              "(or solver.lambda1/lambda2) or neither")
+        value, k = table.best_penalized(cfg.lam1, cfg.lam2)
         payload["penalized"] = {
-            "lambda1": args.lam1,
-            "lambda2": args.lam2,
+            "lambda1": cfg.lam1,
+            "lambda2": cfg.lam2,
             "value_bits": value,
             "argmax_j_bits": float(table.j_bits[k]),
             "argmax_c1_bits": float(table.c1_bits[k]),
@@ -415,7 +420,7 @@ def _git_describe() -> str:
         )
         if out.returncode == 0:
             return out.stdout.strip()
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return "unknown"
 
@@ -489,9 +494,9 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
 
 
 def _cmd_repro(args) -> int:
-    written = run_repro(args.figure, outdir=args.outdir or ".",
-                        seed=args.seed if args.seed is not None else 0,
-                        workers=args.workers)
+    cfg = _config_from_args(args)
+    written = run_repro(args.figure, outdir=args.outdir or ".", seed=cfg.seed,
+                        workers=cfg.workers)
     for w in written:
         print(w)
     return EXIT_OK
@@ -533,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  choices=param.choices, help=param.help, metavar=None
                                  if param.choices else param.flag[2:].replace("-", "_").upper())
 
-    p["sweep"].add_argument("--dump-q", dest="dump_q", action="store_true",
+    p["sweep"].add_argument("--dump-q", dest="dump_q", action="store_true", default=None,
                             help="embed per-point quantizers in the JSON surface")
     p["sumrate"].add_argument("--surface", help="sweep output to query (.csv or .json)")
     p["sumrate"].add_argument("--alpha-curve", dest="alpha_curve",
@@ -549,8 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     repro = p["repro"]
     repro.add_argument("figure", choices=("fig3", "fig4", "fig5"))
     repro.add_argument("--outdir")
-    repro.add_argument("--seed", type=int)
-    repro.add_argument("--workers", type=int)
 
     return parser
 

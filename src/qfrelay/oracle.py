@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from qfrelay.channel import ChannelModel, from_pmfs
-from qfrelay.infotheory import LN2, QuantizerPmf
+from qfrelay.infotheory import LN2, QuantizerPmf, yr_conditional_entropies
 
 DEFAULT_MAX_CELLS = 2_000_000
 # Most candidates per vectorized run of the table build; a run is never
@@ -192,52 +192,22 @@ class RateTable:
         return float(vals[k]), k
 
 
-def brute_force_ird(ch: ChannelModel, L: int, grid_step: float,
-                    c1_max: float, c2_max: float,
-                    max_cells: int = DEFAULT_MAX_CELLS,
-                    table: RateTable | None = None):
-    """Grid-exhaustive constrained maximum of J, with the achieving quantizer.
-
-    Returns (bits, QuantizerPmf).  Pass a prebuilt RateTable to amortize the
-    enumeration across many target pairs.
-    """
-    if table is None:
-        table = RateTable(ch, L, grid_step, max_cells=max_cells)
-    best, k = table.best_constrained(c1_max, c2_max)
-    return best, table.quantizer_at(k)
-
-
-def brute_force_lagrangian(ch: ChannelModel, L: int, grid_step: float,
-                           lam1: float, lam2: float,
-                           max_cells: int = DEFAULT_MAX_CELLS,
-                           table: RateTable | None = None):
-    """Grid-exhaustive maximum of the penalized objective, in bits."""
-    if table is None:
-        table = RateTable(ch, L, grid_step, max_cells=max_cells)
-    best, k = table.best_penalized(lam1, lam2)
-    return best, table.quantizer_at(k)
-
-
 def check_boundary_optimality(ch: ChannelModel, L: int, grid_step: float,
                               c1_max: float, c2_max: float,
-                              grid_slack: float = 0.05,
-                              max_cells: int = DEFAULT_MAX_CELLS,
                               table: RateTable | None = None) -> bool:
-    """True iff the constrained grid optimum sits on a rate constraint.
+    """True iff the constrained grid optimum sits within 0.05 bits (the grid
+    slack) of a rate constraint.
 
     Targets must be strictly below the unconstrained description rates
     H(Yr|X1) and H(Yr|X2) so the constraints can bind at all.  A channel whose
     objective is identically zero satisfies the claim vacuously.
     """
-    from qfrelay.infotheory import yr_conditional_entropies
-
     ents = yr_conditional_entropies(ch)
     if c1_max >= ents["h_yr_given_x1"] or c2_max >= ents["h_yr_given_x2"]:
         raise ValueError("targets must be strictly below H(Yr|X1) and H(Yr|X2)")
     if table is None:
-        table = RateTable(ch, L, grid_step, max_cells=max_cells)
+        table = RateTable(ch, L, grid_step)
     if table.j_bits.max() <= 1e-12:
         return True
     _, k = table.best_constrained(c1_max, c2_max)
-    return (table.c1_bits[k] >= c1_max - grid_slack
-            or table.c2_bits[k] >= c2_max - grid_slack)
+    return table.c1_bits[k] >= c1_max - 0.05 or table.c2_bits[k] >= c2_max - 0.05

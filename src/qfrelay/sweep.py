@@ -23,7 +23,7 @@ from qfrelay.optimizer import optimize_restarts
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Multiplier values per axis; both axes strictly positive."""
+    """Multiplier values per axis; both axes finite and strictly positive."""
 
     axis1: np.ndarray
     axis2: np.ndarray
@@ -33,10 +33,10 @@ class LambdaGrid:
         a2 = np.asarray(self.axis2, dtype=float)
         if a1.ndim != 1 or a2.ndim != 1 or a1.size == 0 or a2.size == 0:
             raise ValueError("lambda axes must be non-empty 1-D arrays")
-        if a1.min() <= 0 or a2.min() <= 0:
-            raise ValueError(
-                "lambda values must be strictly positive (the update divides by lam1 + lam2)"
-            )
+        if not (np.isfinite(a1).all() and np.isfinite(a2).all()
+                and a1.min() > 0 and a2.min() > 0):
+            raise ValueError("lambda values must be finite and strictly positive "
+                             "(the update divides by lam1 + lam2)")
         object.__setattr__(self, "axis1", _readonly(a1))
         object.__setattr__(self, "axis2", _readonly(a2))
 
@@ -47,8 +47,8 @@ class LambdaGrid:
             raise ValueError(
                 "lambda grid min must be > 0 (the update divides by lam1 + lam2)"
             )
-        if not (lam_max >= lam_min):
-            raise ValueError("lambda grid max must be >= min")
+        if not (lam_min <= lam_max < np.inf):
+            raise ValueError("lambda grid max must be finite and >= min")
         if count < 1:
             raise ValueError("lambda grid count must be at least 1")
         axis = np.logspace(np.log10(lam_min), np.log10(lam_max), count)

@@ -15,7 +15,6 @@ from scipy.optimize import linprog
 
 from qfrelay import (
     LambdaGrid,
-    brute_force_ird,
     envelope_point,
     optimize,
     optimize_alpha,
@@ -88,7 +87,7 @@ def test_criterion_03_oracle_equivalence(fx, fx_table_l2, fx_surface_dense):
         assert abs(got - want) <= 1e-2, (
             f"lam=({lam1},{lam2}): optimizer {got:.6f} vs oracle {want:.6f}")
     for t1, t2 in ((0.2, 0.2), (0.5, 0.5), (0.8, 0.8), (0.3, 0.6), (0.6, 0.3)):
-        want, _ = brute_force_ird(fx, 2, 0.02, t1, t2, table=fx_table_l2)
+        want, _ = fx_table_l2.best_constrained(t1, t2)
         got = query_lower_envelope(fx_surface_dense, t1, t2)
         assert abs(got - want) <= 1e-2, (
             f"targets ({t1},{t2}): envelope {got:.6f} vs oracle {want:.6f}")
@@ -150,7 +149,7 @@ def test_criterion_05_concavity(bpsk_surface, fx, fx_table_l3):
     def ird(t1, t2):
         key = (round(t1, 12), round(t2, 12))
         if key not in cache:
-            val, _ = brute_force_ird(fx, 3, 1.0 / 14.0, t1, t2, table=fx_table_l3)
+            val, _ = fx_table_l3.best_constrained(t1, t2)
             cache[key] = val
         return cache[key]
 

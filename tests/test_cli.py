@@ -1,11 +1,14 @@
 import argparse
 import ast
 import json
+import math
+import subprocess
 
 import numpy as np
 import pytest
 
-from qfrelay import downlink_rate, fixture_channel
+from qfrelay import (LambdaGrid, cli, downlink_rate, fixture_channel, scalar_diagnostic,
+                     surface_from_csv, surface_to_csv, sweep_grid)
 from qfrelay.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -294,7 +297,7 @@ def test_sumrate_nan_capacity_is_config_error(tmp_path, capsys):
     code = main(["sumrate", "--surface", str(surface), "--i1-bits", "nan",
                  "--i2-bits", "0.5"])
     assert code == EXIT_CONFIG
-    assert "finite and nonnegative" in capsys.readouterr().err
+    assert "--i1-bits must be finite" in capsys.readouterr().err
 
 
 def test_oracle_subcommand_fixture(tmp_path):
@@ -378,6 +381,98 @@ def test_repro_rejects_unknown_figure(capsys):
     assert "fig9" in capsys.readouterr().err
 
 
+def test_oracle_takes_levels_and_multipliers_from_config(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "channel": {"p_x1": [0.5, 0.5], "p_x2": [0.65, 0.35],
+                    "p_yr_given_x1x2": FIXTURE_W},
+        "quantizer": {"levels": 3},
+        "solver": {"lambda1": 0.3, "lambda2": 0.2},
+    }))
+    out = tmp_path / "oracle.json"
+    code = main(["oracle", "--config", str(path), "--step", "0.25", "--out", str(out)])
+    assert code == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert payload["levels"] == 3
+    assert payload["num_candidates"] == math.comb(6, 2) ** 3
+    penalized = payload["penalized"]
+    assert (penalized["lambda1"], penalized["lambda2"]) == (0.3, 0.2)
+    assert penalized["value_bits"] == pytest.approx(
+        penalized["argmax_j_bits"] - 0.3 * penalized["argmax_c1_bits"]
+        - 0.2 * penalized["argmax_c2_bits"], abs=1e-12)
+
+
+def test_sweep_takes_dump_q_from_config(tmp_path):
+    jout = tmp_path / "surface.json"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "channel": {"p_x1": [0.5, 0.5], "p_x2": [0.65, 0.35],
+                    "p_yr_given_x1x2": FIXTURE_W},
+        "quantizer": {"levels": 2, "restarts": 1},
+        "solver": {"lambda_grid": {"min": 0.1, "max": 1.0, "count": 2}},
+        "output": {"out": str(tmp_path / "surface.csv"), "json_out": str(jout),
+                   "dump_q": "yes"},
+    }))
+    assert main(["sweep", "--config", str(path)]) == EXIT_OK
+    points = json.loads(jout.read_text())["points"]
+    assert len(points) == 4
+    for point in points:
+        q = np.array(point["q"])
+        assert q.shape == (2, 3)
+        assert np.allclose(q.sum(axis=0), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--eps", "nan"), ("--eps", "inf"), ("--eps", "-inf"), ("--lambda-max", "inf")])
+def test_nonfinite_flag_is_config_error(inline_cfg, capsys, flag, value):
+    code = main(["sweep", "--config", inline_cfg, f"{flag}={value}"])
+    assert code == EXIT_CONFIG
+    assert f"{flag} must be finite" in capsys.readouterr().err
+
+
+def test_nonfinite_config_value_is_config_error(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text('{"solver": {"eps": NaN}}')
+    with pytest.raises(ConfigError, match="'solver.eps' must be finite"):
+        parse_config(str(path))
+
+
+def test_repro_writes_manifest_when_git_hangs(tmp_path, monkeypatch):
+    def hang(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    run_repro("fig3", outdir=str(tmp_path), seed=0)
+    meta = json.loads((tmp_path / "fig3_manifest.json").read_text())
+    assert meta["git_describe"] == "unknown"
+
+
+def test_repro_fig5_reuses_existing_surface(fx, tmp_path, monkeypatch):
+    surface_csv = tmp_path / "fig4_surface.csv"
+    surface_to_csv(sweep_grid(fx, 2, grid=LambdaGrid.log_spaced(0.05, 2.0, 3),
+                              restarts=1, seed=0), surface_csv)
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("fig5 swept although a fig4 surface exists")
+
+    monkeypatch.setattr(cli, "sweep_grid", no_sweep)
+    files = run_repro("fig5", outdir=str(tmp_path), seed=0)
+    assert files == [str(tmp_path / "fig5_scalar.csv"), str(tmp_path / "fig5_manifest.json")]
+    meta = json.loads((tmp_path / "fig5_manifest.json").read_text())
+    assert meta["extra"]["surface_source"] == str(surface_csv)
+    rows = (tmp_path / "fig5_scalar.csv").read_text().splitlines()
+    assert rows[0] == "h_scalar_bits,i_rd_bits"
+    pairs = [tuple(map(float, r.split(","))) for r in rows[1:]]
+    assert pairs == scalar_diagnostic(surface_from_csv(surface_csv))
+
+
+def test_repro_subcommand_prints_written_paths(tmp_path, capsys):
+    code = main(["repro", "fig3", "--outdir", str(tmp_path), "--seed", "0"])
+    assert code == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        str(tmp_path / "fig3_trace.csv"), str(tmp_path / "fig3_manifest.json")]
+
+
 # Every subcommand's options: (type, default, choices, nargs) per option
 # string, or per dest for a positional.
 CLI_SURFACE = {
@@ -425,7 +520,7 @@ CLI_SURFACE = {
         "--workers": ("int", None, None, None),
         "--out": (None, None, None, None),
         "--json-out": (None, None, None, None),
-        "--dump-q": (None, False, None, 0),
+        "--dump-q": (None, None, None, 0),
     },
     "sumrate": {
         "--config": (None, None, None, None),
@@ -467,7 +562,7 @@ CONFIG_KEYS = {
     "solver.eps", "solver.max_iter",
     "sumrate.i1_bits", "sumrate.i2_bits", "sumrate.dl_snr1_db", "sumrate.dl_snr2_db",
     "output.out", "output.json_out", "output.trace", "output.dump_q",
-    "output.outdir", "output.workers",
+    "output.workers",
 }
 
 

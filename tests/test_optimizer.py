@@ -6,7 +6,6 @@ from scipy.special import xlogy
 
 from qfrelay import (
     QuantizerPmf,
-    brute_force_lagrangian,
     delta_matrix,
     from_pmfs,
     induced_posteriors,
@@ -218,7 +217,7 @@ def test_optimize_single_level_stationary(fx):
 
 def test_optimize_reaches_oracle_lagrangian(fx, fx_table_l2):
     lam = 0.5
-    want, _ = brute_force_lagrangian(fx, 2, 0.02, lam, lam, table=fx_table_l2)
+    want, _ = fx_table_l2.best_penalized(lam, lam)
     res = optimize_restarts(fx, lam, lam, 2, restarts=4, seed=0)
     assert res.lagrangian_trace[-1] >= want - 1e-2
 

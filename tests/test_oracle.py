@@ -12,8 +12,6 @@ from qfrelay import (
     OracleBudgetError,
     QuantizerPmf,
     RateTable,
-    brute_force_ird,
-    brute_force_lagrangian,
     check_boundary_optimality,
     enumerate_q,
     from_pmfs,
@@ -139,38 +137,35 @@ def test_table_agrees_with_rate_report(fx, fx_table_l2_coarse, rng):
 
 def test_brute_force_unconstrained_targets(fx, fx_table_l2_coarse):
     ents = yr_conditional_entropies(fx)
-    val, q = brute_force_ird(fx, 2, 0.05, ents["h_yr_given_x1"],
-                             ents["h_yr_given_x2"], table=fx_table_l2_coarse)
-    assert val == pytest.approx(fx_table_l2_coarse.j_bits.max(), abs=1e-15)
-    assert rate_report(fx, q).j_value == pytest.approx(val, abs=1e-12)
+    tab = fx_table_l2_coarse
+    val, k = tab.best_constrained(ents["h_yr_given_x1"], ents["h_yr_given_x2"])
+    assert val == pytest.approx(tab.j_bits.max(), abs=1e-15)
+    assert rate_report(fx, tab.quantizer_at(k)).j_value == pytest.approx(val, abs=1e-12)
 
 
 def test_brute_force_zero_targets(fx, fx_table_l2_coarse):
-    val, _ = brute_force_ird(fx, 2, 0.05, 0.0, 0.0, table=fx_table_l2_coarse)
+    val, _ = fx_table_l2_coarse.best_constrained(0.0, 0.0)
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
-def test_constrained_query_rejects_negative_targets(fx, fx_table_l2_coarse):
+def test_constrained_query_rejects_negative_targets(fx_table_l2_coarse):
     with pytest.raises(ValueError, match="nonnegative"):
         fx_table_l2_coarse.best_constrained(-0.5, 0.5)
     with pytest.raises(ValueError, match="nonnegative"):
         fx_table_l2_coarse.best_constrained(0.5, float("nan"))
-    with pytest.raises(ValueError, match="nonnegative"):
-        brute_force_ird(fx, 2, 0.05, 0.5, -0.5, table=fx_table_l2_coarse)
 
 
 def test_brute_force_mid_targets_frozen_value(fx, fx_table_l2_coarse):
-    val, q = brute_force_ird(fx, 2, 0.05, 0.5, 0.5, table=fx_table_l2_coarse)
+    val, k = fx_table_l2_coarse.best_constrained(0.5, 0.5)
     assert val == pytest.approx(REF_CONSTRAINED_MID, abs=1e-12)
-    rep = rate_report(fx, q)
+    rep = rate_report(fx, fx_table_l2_coarse.quantizer_at(k))
     assert rep.c1_achieved <= 0.5 + 1e-12
     assert rep.c2_achieved <= 0.5 + 1e-12
 
 
 def test_brute_force_penalized_frozen_values(fx, fx_table_l2_coarse):
     for lam, want in REF_PENALIZED.items():
-        val, _ = brute_force_lagrangian(fx, 2, 0.05, lam, lam,
-                                        table=fx_table_l2_coarse)
+        val, _ = fx_table_l2_coarse.best_penalized(lam, lam)
         assert val == pytest.approx(want, abs=1e-12)
 
 
@@ -183,8 +178,8 @@ def test_doubling_resolution_never_decreases(fx):
     fine = RateTable(fx, 2, 0.05)
     assert fine.j_bits.max() >= coarse.j_bits.max() - 1e-12
     for t in (0.2, 0.5, 0.8):
-        vc, _ = brute_force_ird(fx, 2, 0.1, t, t, table=coarse)
-        vf, _ = brute_force_ird(fx, 2, 0.05, t, t, table=fine)
+        vc, _ = coarse.best_constrained(t, t)
+        vf, _ = fine.best_constrained(t, t)
         assert vf >= vc - 1e-12
 
 

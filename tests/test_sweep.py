@@ -10,7 +10,6 @@ from qfrelay import (
     QuantizerPmf,
     Surface,
     SurfacePoint,
-    brute_force_ird,
     envelope_point,
     query_lower_envelope,
     rate_report,
@@ -42,6 +41,16 @@ def test_lambda_grid_rejects_nonpositive():
         LambdaGrid(np.array([0.0, 1.0]), np.array([1.0]))
     with pytest.raises(ValueError):
         LambdaGrid.log_spaced(0.0, 10.0, 4)
+
+
+def test_lambda_grid_rejects_nonfinite():
+    for axis in ([math.nan, 1.0], [math.inf], [1.0, -math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            LambdaGrid(np.array(axis), np.array([1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            LambdaGrid(np.array([1.0]), np.array(axis))
+    with pytest.raises(ValueError, match="finite"):
+        LambdaGrid.log_spaced(1e-3, math.inf, 4)
 
 
 def test_sweep_heavy_penalty_degenerates(fx):
@@ -130,7 +139,7 @@ def test_envelope_zero_targets(fx_surface_dense):
 
 def test_envelope_matches_constrained_oracle(fx, fx_surface_dense, fx_table_l2):
     for t1, t2 in ((0.2, 0.2), (0.5, 0.5), (0.8, 0.8), (0.3, 0.6), (0.6, 0.3)):
-        want, _ = brute_force_ird(fx, 2, 0.02, t1, t2, table=fx_table_l2)
+        want, _ = fx_table_l2.best_constrained(t1, t2)
         got = query_lower_envelope(fx_surface_dense, t1, t2)
         # both sides are achievability bounds; they can straddle each other
         # by their respective resolution errors but must sit close
