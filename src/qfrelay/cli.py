@@ -51,7 +51,7 @@ class Param:
 
     field: str
     key: str  # dotted config-file key
-    kind: str  # "number", "integer", "string" or "list"
+    kind: str  # "number", "integer", "string", "string or boolean" or "list"
     default: object = None
     flag: str | None = None
     commands: str = ""  # space-separated subcommand names
@@ -97,7 +97,8 @@ PARAMS = (
           help="also write a JSON surface"),
     Param("trace", "output.trace", "string", None, "--trace", "optimize",
           help="write per-iteration Lagrangian CSV here"),
-    Param("dump_q", "output.dump_q", "string", None, "--dump-q", "optimize",
+    # a path for optimize, an on/off switch for sweep
+    Param("dump_q", "output.dump_q", "string or boolean", None, "--dump-q", "optimize",
           help="write the final quantizer as JSON here"),
     Param("workers", "output.workers", "integer", None, "--workers", "sweep repro",
           help="parallel grid workers (default: serial)"),
@@ -106,7 +107,9 @@ PARAMS = (
 DEFAULTS = {p.field: p.default for p in PARAMS if p.default is not None}
 _KINDS = {p.key: p.kind for p in PARAMS}
 _TYPES = {"number": float, "integer": int}
-_JSON_TYPES = {"number": (int, float), "integer": int, "string": str, "list": list}
+# Exact JSON types, so a boolean is not taken for a number.
+_JSON_TYPES = {"number": (int, float), "integer": (int,), "string": (str,),
+               "string or boolean": (str, bool), "list": (list,)}
 
 
 class _RunConfigMethods:
@@ -141,7 +144,7 @@ def _flatten(body: dict, prefix: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"config {what} {key!r} must be an object")
             flat.update(_flatten(value, key + "."))
-        elif isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        elif type(value) not in _JSON_TYPES[kind]:
             raise ConfigError(f"config key {key!r} must be a {kind}, got {value!r}")
         else:
             flat[key] = value
@@ -266,6 +269,9 @@ def _cmd_optimize(args) -> int:
     cfg = _config_from_args(args)
     if cfg.lam1 is None or cfg.lam2 is None:
         raise ConfigError("optimize needs both --lambda1 and --lambda2 (or solver.lambda1/lambda2)")
+    if isinstance(cfg.dump_q, bool):
+        raise ConfigError(f"config key 'output.dump_q' must be a path for optimize, "
+                          f"got {cfg.dump_q!r}")
     ch = cfg.build_channel()
     res = optimize_restarts(ch, cfg.lam1, cfg.lam2, cfg.levels,
                             restarts=cfg.restarts, init=cfg.init, eps=cfg.eps,

@@ -5,22 +5,27 @@ minimizes the surrogate functional over Q in closed form (a column softmax),
 then refreshes the posteriors.  Both half-steps are exact coordinate
 minimizations, so the Lagrangian trace never decreases.
 
-optimize() runs each iteration as one fused step on raw arrays (_FusedStep).
-It forms the (x1, x2, yhat) joint once per iteration, as P @ q.T with
-P = p(x1, x2, y) viewed as a |X1||X2| x |Yr| matrix, and uses it twice: for
-the posteriors of the next update and for the Lagrangian of the current Q.
-Three identities keep the step small:
+optimize() runs each iteration as one fused step on raw arrays (_FusedStep)
+made of constant-matrix products.  With P = p(x1, x2, y) viewed as a
+|X1||X2| x |Yr| matrix, the step stacks every posterior it needs as rows:
+t1 and t2 (one row per input pair), t3 (per x1) and t4 (per x2).
 
-- t3 = p(x1, yhat)/p(x1) and t4 = p(x2, yhat)/p(x2) are marginals of the
-  joint, and p(x1, y_j) = sum_b P[ab, j], so all four log-posterior terms
-  fold into one coefficient per (input pair, level) and delta is one matmul
-  against P;
+- num = N @ q.T gives every numerator (N stacks P, P, p(y|x1) and p(y|x2))
+  and den = S @ num every denominator: S sums g over x1 in t1 rows and over
+  x2 in t2 rows, and is zero in t3/t4 rows.  One division
+  (num + mask/|X|) / (den + mask), mask = (den == 0), applies the uniform
+  placeholder where the conditioning event is empty and divides t3/t4 by 1.
+- One maximum and one log over the block give every floored log-posterior.
+- The rates of the Lagrangian are the same logs weighted by the joint,
+  e.g. I(X1;Yhat|X2) = H(X1) + sum g log t1 and I(Yr;Yhat|X1) =
+  -sum p(x1, yhat) log t3 - H(Yhat|Yr): one weighted sum over the rows.
+- p(x1, y_j) = sum_b P[ab, j], so the four log-posterior terms of delta fold
+  into one constant matrix K = C.T P', with C the per-segment coefficients
+  (1, 1, lam1, lam2) and P' = P / ((lam1 + lam2) p(y)): delta = log_t.T @ K.
 - H(Yhat|Yr) comes from the softmax's own log-partition: with s the
   max-shifted exponents and z_j = sum_i exp(s_ij),
-  H(q[:, j]) = log z_j - sum_i q_ij s_ij;
-- the rates are the posterior logs weighted by the joint, e.g.
-  I(X1;Yhat|X2) = H(X1) + sum g log t1 and I(Yr;Yhat|X1) = -sum p(x1, yhat)
-  log t3 - H(Yhat|Yr).
+  H(q[:, j]) = log z_j - sum_i q_ij s_ij.  It is finite exactly when delta
+  is, so it doubles as the step's non-finite check.
 
 induced_posteriors, delta_matrix, update_q and lagrangian are the unfused
 definitions of the same iteration.  The tests compare the fused step with
@@ -29,6 +34,7 @@ them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,78 +186,72 @@ def initial_quantizer(num_levels: int, num_bins: int, init: str = "perturbed-uni
 class _FusedStep:
     """The fixed-point iteration on raw arrays for a fixed (channel, lam1, lam2).
 
-    evaluate(q, h) gives the coefficient matrix of q's posteriors and the
-    Lagrangian of q; update(coef) gives the next quantizer and its
-    H(Yhat|Yr).  update(evaluate(q, h)[0])[0] is the q of
+    evaluate(q, h) gives the (R, L) floored log-posteriors of q, rows t1 | t2
+    | t3 | t4 with R = 2|X1||X2| + |X1| + |X2|, and the Lagrangian of q;
+    update(log_t) gives the next quantizer and its H(Yhat|Yr).
+    update(evaluate(q, h)[0])[0] is the q of
     update_q(delta_matrix(ch, induced_posteriors(ch, q), lam1, lam2)), and
     evaluate(q, h)[1] is lagrangian(ch, q, lam1, lam2), both up to rounding.
     """
 
     def __init__(self, ch: ChannelModel, lam1: float, lam2: float):
-        self.num_x1, self.num_x2 = ch.num_x1, ch.num_x2
-        self.lam1, self.lam2 = lam1, lam2
-        self.p = ch.p_x1x2_yr.reshape(-1, ch.num_bins)
-        # delta = coef.T @ (P / ((lam1 + lam2) p(y))); dead bins get a zero
-        # column, so the softmax leaves them uniform as delta_matrix does.
-        self.p_scaled = self.p * _safe_inverse((lam1 + lam2) * ch.p_yr)
+        a, b, ab = ch.num_x1, ch.num_x2, ch.num_x1 * ch.num_x2
+        p = ch.p_x1x2_yr.reshape(ab, -1)
+        p_ay, p_by = ch.p_x1x2_yr.sum(axis=1), ch.p_x1x2_yr.sum(axis=0)
+        self.num = np.concatenate([p, p, ch.p_yr_given_x1, ch.p_yr_given_x2])
+        row_a, row_b = np.divmod(np.arange(ab), b)
+        self.sums = np.zeros((len(self.num), len(self.num)))
+        self.sums[:ab, :ab] = row_b[:, None] == row_b
+        self.sums[ab:2 * ab, :ab] = row_a[:, None] == row_a
+        # Row weights of the four rate sums: g for t1 and t2, p(xk) for t3, t4.
+        self.weights = w = np.zeros((4, len(self.num)))
+        w[0, :ab] = w[1, ab:2 * ab] = 1.0
+        w[2, 2 * ab:2 * ab + a], w[3, 2 * ab + a:] = ch.p_x1, ch.p_x2
+        self.fill = (w[0] / a + w[1] / b)[:, None]
+        # Dead bins get a zero column of K, so the softmax leaves them uniform.
+        scale = (lam1 + lam2) * ch.p_yr
+        inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+        self.k = np.concatenate([p, p, lam1 * p_ay, lam2 * p_by]) * inv
         self.p_yr = ch.p_yr
-        # t3 = p(x1, yhat)/p(x1); a zero prior entry gives t3 = 0, whose
-        # floored log only meets zero rows of P.
-        self.inv_p_x1 = _safe_inverse(ch.p_x1)[:, None]
-        self.inv_p_x2 = _safe_inverse(ch.p_x2)[:, None]
-        self.h_x1 = _entropy_nats(ch.p_x1)
-        self.h_x2 = _entropy_nats(ch.p_x2)
+        self.h_x1, self.h_x2 = _entropy_nats(ch.p_x1), _entropy_nats(ch.p_x2)
+        self.lam1, self.lam2 = lam1, lam2
 
     def evaluate(self, q: np.ndarray, h_i_given_y: float) -> tuple:
-        """(coef, Lagrangian in bits) of the (L, |Yr|) quantizer q, given its
-        H(Yhat|Yr) in nats.
-
-        coef[ab, i] = log t1 + log t2 + lam1 log t3 + lam2 log t4 at
-        (x1, x2) = ab and level i, with the placeholder and floor rules of
-        induced_posteriors and delta_matrix.
-        """
-        num_x1, num_x2 = self.num_x1, self.num_x2
-        g = (self.p @ q.T).reshape(num_x1, num_x2, -1)  # p(x1, x2, yhat)
-        p_bi = g.sum(axis=0)  # p(x2, yhat)
-        p_ai = g.sum(axis=1)  # p(x1, yhat)
-
-        t1_mask = p_bi == 0
-        t2_mask = p_ai == 0
-        t1 = np.where(t1_mask, 1.0 / num_x1, g / np.where(t1_mask, 1.0, p_bi))
-        t2 = np.where(t2_mask[:, None, :], 1.0 / num_x2,
-                      g / np.where(t2_mask, 1.0, p_ai)[:, None, :])
-        log_t1 = np.log(np.maximum(t1, LOG_FLOOR))
-        log_t2 = np.log(np.maximum(t2, LOG_FLOOR))
-        log_t3 = np.log(np.maximum(p_ai * self.inv_p_x1, LOG_FLOOR))
-        log_t4 = np.log(np.maximum(p_bi * self.inv_p_x2, LOG_FLOOR))
-        coef = log_t1 + log_t2 + self.lam1 * log_t3[:, None, :] + self.lam2 * log_t4[None, :, :]
-
-        r1 = max(0.0, self.h_x1 + float(np.vdot(g, log_t1)))
-        r2 = max(0.0, self.h_x2 + float(np.vdot(g, log_t2)))
-        c1 = max(0.0, -float(np.vdot(p_ai, log_t3)) - h_i_given_y)
-        c2 = max(0.0, -float(np.vdot(p_bi, log_t4)) - h_i_given_y)
+        """(log_t, Lagrangian in bits) of the (L, |Yr|) quantizer q, given its
+        H(Yhat|Yr) in nats, with the placeholder and floor rules of
+        induced_posteriors and delta_matrix."""
+        num = self.num @ q.T
+        den = self.sums @ num
+        mask = den == 0
+        t = num + mask * self.fill
+        t /= den + mask
+        log_t = np.log(np.maximum(t, LOG_FLOOR, out=t), out=t)
+        # sum g log t1, sum g log t2, sum p(x1, yhat) log t3, sum p(x2, yhat) log t4
+        s1, s2, s3, s4 = self.weights @ np.einsum("ri,ri->r", num, log_t)
+        r1 = max(0.0, self.h_x1 + s1)
+        r2 = max(0.0, self.h_x2 + s2)
+        c1 = max(0.0, -s3 - h_i_given_y)
+        c2 = max(0.0, -s4 - h_i_given_y)
         value = (r1 + r2) / LN2 - self.lam1 * (c1 / LN2) - self.lam2 * (c2 / LN2)
-        return coef.reshape(num_x1 * num_x2, -1), value
+        return log_t, value
 
-    def update(self, coef: np.ndarray) -> tuple:
-        """(q, H(Yhat|Yr) in nats) of the column softmax of delta = coef.T @ P'."""
-        s = coef.T @ self.p_scaled
-        if not np.isfinite(s).all():
-            i, j = np.argwhere(~np.isfinite(s))[0]
-            raise FloatingPointError(f"delta has non-finite entry at ({i}, {j})")
+    def update(self, log_t: np.ndarray) -> tuple:
+        """(q, H(Yhat|Yr) in nats) of the column softmax of delta = log_t.T @ K."""
+        s = log_t.T @ self.k
         s -= s.max(axis=0)
         q = np.exp(s)
         z = q.sum(axis=0)
         q /= z
         h_i_given_y = float(self.p_yr @ (np.log(z) - np.einsum("ij,ij->j", q, s)))
+        # h is finite exactly when delta is.  In a column with a NaN the max
+        # and so every shift is NaN; with a +inf the shift inf - inf is NaN; a
+        # -inf gets q = 0 and adds 0 * -inf = NaN (an all -inf column shifts
+        # to NaN).  p_yr @ carries a NaN even at weight 0.  Finite deltas are
+        # <= 0 up to rounding (log t <= 0, K >= 0), so shifts cannot overflow.
+        if not math.isfinite(h_i_given_y):
+            i, j = np.argwhere(~np.isfinite(log_t.T @ self.k))[0]
+            raise FloatingPointError(f"delta has non-finite entry at ({i}, {j})")
         return q, h_i_given_y
-
-
-def _safe_inverse(p: np.ndarray) -> np.ndarray:
-    """1/p where p > 0, else 0."""
-    out = np.zeros_like(p)
-    np.divide(1.0, p, out=out, where=p > 0)
-    return out
 
 
 def _stopped(l_now: float, l_prev: float, eps: float) -> bool:
@@ -285,14 +285,14 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     q = initial_quantizer(num_levels, ch.num_bins, init=init, rng=rng).q
     step = _FusedStep(ch, lam1, lam2)
     # The start is not a softmax output, so its H(Yhat|Yr) is computed directly.
-    coef, value = step.evaluate(q, float(ch.p_yr @ -xlogy(q, q).sum(axis=0)))
+    log_t, value = step.evaluate(q, float(ch.p_yr @ -xlogy(q, q).sum(axis=0)))
     trace = [value]
 
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        q, h_i_given_y = step.update(coef)
-        coef, value = step.evaluate(q, h_i_given_y)
+        q, h_i_given_y = step.update(log_t)
+        log_t, value = step.evaluate(q, h_i_given_y)
         trace.append(value)
         iterations += 1
         if _stopped(trace[-1], trace[-2], eps):

@@ -112,13 +112,15 @@ class RateTable:
     Candidate k gives relay bin j the grid column d_j, the j-th mixed-radix
     digit of k, so bin j's slice p(x1, x2, y_j, yhat) of the joint depends on
     d_j alone.  Per (bin, column) the build forms that block once, with its
-    marginals p(x1, y_j, yhat) and p(x2, y_j, yhat) and their xlogy sums.  It
-    then walks runs of candidates that share their leading digits: the
+    marginals p(x1, y_j, yhat) and p(x2, y_j, yhat) and their sums of p log p.
+    It then walks runs of candidates that share their leading digits: the
     leading digits' block sum plus a table of trailing-digit block sums gives
-    each candidate's [p(x1,x2,yhat) | p(x1,yhat) | p(x2,yhat)], and one xlogy
-    over those gives H(X1,X2,Yhat), H(X1,Yhat) and H(X2,Yhat); H(X1,Yr,Yhat)
-    and H(X2,Yr,Yhat) are sums of per-bin terms.  So every entropy is still an
-    xlogy sum over entries of the explicit joint, only grouped by bin.
+    each candidate's [p(x1,x2,yhat) | p(x1,yhat) | p(x2,yhat)], and one
+    p log p over those gives H(X1,X2,Yhat), H(X1,Yhat) and H(X2,Yhat);
+    H(X1,Yr,Yhat) and H(X2,Yr,Yhat) are sums of per-bin terms.  So every
+    entropy is still a sum of p log p over entries of the explicit joint, only
+    grouped by bin; p log p is taken as p * log(p + (p == 0)), which is
+    0 * log 1 = 0 at p = 0.
 
     Constrained maxima, penalized maxima, and boundary checks are then array
     reductions over the cached columns, so one table serves many targets and
@@ -143,7 +145,7 @@ class RateTable:
         flat = [x.reshape(n_cols, m, -1) for x in (blocks, blocks.sum(3), blocks.sum(2))]
         marginals = np.concatenate(flat, axis=2)
         segments = np.cumsum([0] + [x.shape[2] for x in flat[:-1]])
-        bin_sums = np.stack([xlogy(x, x).sum(axis=2) for x in flat[1:]], axis=2)
+        bin_sums = np.stack([(x * np.log(x + (x == 0))).sum(axis=2) for x in flat[1:]], axis=2)
 
         # trailing digits per run: as many as fit in RUN_CELLS, at least one
         tail = 1
@@ -157,7 +159,7 @@ class RateTable:
         self.j_bits, self.c1_bits, self.c2_bits = rates = np.empty((3, total))
         for r in range(lead_marg.shape[0]):
             p = run_marg + lead_marg[r]
-            h_abi, h_ai, h_bi = -np.add.reduceat(xlogy(p, p), segments, axis=1).T
+            h_abi, h_ai, h_bi = -np.add.reduceat(p * np.log(p + (p == 0)), segments, axis=1).T
             h_aji, h_bji = -(run_sums + lead_sums[r]).T
             r1 = h_ab + h_bi - h_b - h_abi
             r2 = h_ab + h_ai - h_a - h_abi

@@ -2,14 +2,36 @@
 so the unit tests and the acceptance suite reuse the same objects."""
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from qfrelay import (
     LambdaGrid,
     RateTable,
     build_bpsk_mac,
     fixture_channel,
+    from_pmfs,
     sweep_grid,
 )
+
+# Small integer weights, so exact zeros come up in the priors and the law.
+WEIGHTS = st.integers(0, 3)
+
+
+@st.composite
+def tiny_channels(draw):
+    """from_pmfs channels with 1-3 inputs per user and 1-4 relay bins; bin 0
+    may carry no mass at all."""
+    n1, n2, nb = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def pmf(n):
+        w = np.array(draw(st.lists(WEIGHTS, min_size=n, max_size=n)), dtype=float)
+        w[draw(st.integers(0, n - 1))] += 1.0
+        return w / w.sum()
+
+    dead = int(nb > 1 and draw(st.booleans()))
+    w = np.zeros((n1 * n2, nb))
+    w[:, dead:] = [pmf(nb - dead) for _ in range(n1 * n2)]
+    return from_pmfs(pmf(n1), pmf(n2), w.reshape(n1, n2, nb))
 
 
 @pytest.fixture(scope="session")

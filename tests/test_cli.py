@@ -402,24 +402,46 @@ def test_oracle_takes_levels_and_multipliers_from_config(tmp_path):
         - 0.2 * penalized["argmax_c2_bits"], abs=1e-12)
 
 
-def test_sweep_takes_dump_q_from_config(tmp_path):
-    jout = tmp_path / "surface.json"
+def _dump_q_config(tmp_path, dump_q, solver=None) -> str:
+    """A fixture-channel run config, on a 2x2 grid unless `solver` is given,
+    with output.dump_q set."""
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
         "channel": {"p_x1": [0.5, 0.5], "p_x2": [0.65, 0.35],
                     "p_yr_given_x1x2": FIXTURE_W},
         "quantizer": {"levels": 2, "restarts": 1},
-        "solver": {"lambda_grid": {"min": 0.1, "max": 1.0, "count": 2}},
-        "output": {"out": str(tmp_path / "surface.csv"), "json_out": str(jout),
-                   "dump_q": "yes"},
+        "solver": solver or {"lambda_grid": {"min": 0.1, "max": 1.0, "count": 2}},
+        "output": {"out": str(tmp_path / "surface.csv"),
+                   "json_out": str(tmp_path / "surface.json"), "dump_q": dump_q},
     }))
-    assert main(["sweep", "--config", str(path)]) == EXIT_OK
-    points = json.loads(jout.read_text())["points"]
-    assert len(points) == 4
-    for point in points:
-        q = np.array(point["q"])
-        assert q.shape == (2, 3)
-        assert np.allclose(q.sum(axis=0), 1.0, atol=1e-12)
+    return str(path)
+
+
+def test_sweep_takes_dump_q_from_config(tmp_path):
+    for dump_q in ("yes", True):
+        run_dir = tmp_path / str(dump_q)
+        run_dir.mkdir()
+        assert main(["sweep", "--config", _dump_q_config(run_dir, dump_q)]) == EXIT_OK
+        points = json.loads((run_dir / "surface.json").read_text())["points"]
+        assert len(points) == 4
+        for point in points:
+            q = np.array(point["q"])
+            assert q.shape == (2, 3)
+            assert np.allclose(q.sum(axis=0), 1.0, atol=1e-12)
+
+
+def test_sweep_boolean_false_dump_q_embeds_nothing(tmp_path):
+    assert main(["sweep", "--config", _dump_q_config(tmp_path, False)]) == EXIT_OK
+    points = json.loads((tmp_path / "surface.json").read_text())["points"]
+    assert len(points) == 4 and all("q" not in point for point in points)
+
+
+@pytest.mark.parametrize("dump_q", [True, False])
+def test_optimize_boolean_dump_q_is_config_error(tmp_path, capsys, dump_q):
+    solver = {"lambda1": 0.2, "lambda2": 0.2}
+    code = main(["optimize", "--config", _dump_q_config(tmp_path, dump_q, solver)])
+    assert code == EXIT_CONFIG
+    assert "'output.dump_q' must be a path" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [

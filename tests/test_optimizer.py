@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import WEIGHTS, tiny_channels
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from qfrelay import (
@@ -311,34 +314,100 @@ def _kernel_case(name, fx, bpsk):
     return ch, q, 0.6, 1.5
 
 
+def _fused_step_errors(ch, qm, lam1, lam2):
+    """Largest gaps of one fused step from the unfused functions: the delta
+    (relative to its largest entry), q's Lagrangian, the next q and its
+    Lagrangian.  Dead levels sit near exp(-690) in q, so the exponents are
+    compared too."""
+    q = QuantizerPmf(qm)
+    want_delta = delta_matrix(ch, induced_posteriors(ch, q), lam1, lam2)
+    want_q = update_q(want_delta)
+
+    step = _FusedStep(ch, lam1, lam2)
+    log_t, value = step.evaluate(q.q, float(ch.p_yr @ -xlogy(q.q, q.q).sum(axis=0)))
+    got_q, h_next = step.update(log_t)
+    _, value_next = step.evaluate(got_q, h_next)
+
+    got_delta = log_t.T @ step.k
+    return (np.max(np.abs(got_delta - want_delta)) / max(1.0, np.max(np.abs(want_delta))),
+            abs(value - lagrangian(ch, q, lam1, lam2)),
+            np.max(np.abs(got_q - want_q.q)),
+            abs(value_next - lagrangian(ch, want_q, lam1, lam2)))
+
+
 @pytest.mark.parametrize("case", ["fixture", "bpsk", "zero-level", "dead-bin", "zero-prior"])
 def test_fused_step_matches_reference(case, fx, bpsk):
     ch, qm, lam1, lam2 = _kernel_case(case, fx, bpsk)
-    q = QuantizerPmf(qm)
-    post = induced_posteriors(ch, q)
+    post = induced_posteriors(ch, QuantizerPmf(qm))
     if case == "zero-level":
         assert post.t1_placeholder.any() and post.t2_placeholder.any()
     if case == "dead-bin":
         assert ch.p_yr[-1] == 0.0
-    want_delta = delta_matrix(ch, post, lam1, lam2)
-    want_q = update_q(want_delta)
-
-    step = _FusedStep(ch, lam1, lam2)
-    coef, value = step.evaluate(q.q, float(ch.p_yr @ -xlogy(q.q, q.q).sum(axis=0)))
-    got_q, h_next = step.update(coef)
-    _, value_next = step.evaluate(got_q, h_next)
-
-    # Dead levels sit near exp(-690) in q, so the exponents are compared too.
-    got_delta = coef.T @ step.p_scaled
-    assert np.max(np.abs(got_delta - want_delta)) < 1e-12 * max(1.0, np.max(np.abs(want_delta)))
-    assert abs(value - lagrangian(ch, q, lam1, lam2)) < 1e-12
-    assert np.max(np.abs(got_q - want_q.q)) < 1e-12
-    assert abs(value_next - lagrangian(ch, want_q, lam1, lam2)) < 1e-12
+    assert max(_fused_step_errors(ch, qm, lam1, lam2)) < 1e-12
 
 
+@st.composite
+def step_cases(draw):
+    """(channel, quantizer, lam1, lam2) with 1-4 levels; up to L - 1 levels
+    may be all-zero rows, so their posteriors are placeholders."""
+    ch = draw(tiny_channels())
+    levels = draw(st.integers(1, 4))
+    dead = draw(st.sets(st.integers(0, levels - 1), max_size=levels - 1))
+    live = [i for i in range(levels) if i not in dead]
+    qm = np.zeros((levels, ch.num_bins))
+    for j in range(ch.num_bins):
+        qm[live, j] = draw(st.lists(WEIGHTS, min_size=len(live), max_size=len(live)))
+        qm[live[draw(st.integers(0, len(live) - 1))], j] += 1.0
+    lams = st.floats(0.01, 5.0)
+    return ch, qm / qm.sum(axis=0), draw(lams), draw(lams)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=step_cases())
+def test_fused_step_matches_reference_random(case):
+    assert max(_fused_step_errors(*case)) < 1e-12
+
+
+# The column shift of a non-finite delta warns before the step raises.
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_fused_step_reports_nonfinite_delta(fx):
     step = _FusedStep(fx, 0.5, 0.5)
-    coef = np.zeros((4, 2))
-    coef[1, 1] = np.nan
-    with pytest.raises(FloatingPointError, match=r"\(1, 0\)"):
-        step.update(coef)
+    # Row 1 of delta = log_t.T @ K turns non-finite; the softmax's column
+    # shift would spread it to row 0, so (1, 0) is the unshifted location.
+    for bad in (np.nan, np.inf, -np.inf):
+        log_t = np.zeros((len(step.k), 2))
+        log_t[1, 1] = bad
+        with pytest.raises(FloatingPointError, match=r"\(1, 0\)"):
+            step.update(log_t)
+
+
+def _reference_run(ch, lam1, lam2, levels, init="perturbed-uniform", eps=1e-8,
+                   max_iter=5000, seed=0):
+    """optimize() spelled with the unfused functions: (final q, trace)."""
+    q = initial_quantizer(levels, ch.num_bins, init=init, rng=np.random.default_rng(seed))
+    trace = [lagrangian(ch, q, lam1, lam2)]
+    for _ in range(max_iter):
+        q = update_q(delta_matrix(ch, induced_posteriors(ch, q), lam1, lam2))
+        trace.append(lagrangian(ch, q, lam1, lam2))
+        if _stopped(trace[-1], trace[-2], eps):
+            break
+    return q, trace
+
+
+@pytest.mark.parametrize("case", ["fixture-a", "fixture-b", "fixture-dead-level", "bpsk"])
+def test_optimize_trajectory_matches_reference(case, fx, bpsk):
+    ch, lam1, lam2, kwargs = {
+        "fixture-a": (fx, 0.3, 0.8, {"levels": 2}),
+        "fixture-b": (fx, 0.1, 0.1, {"levels": 3, "seed": 4}),
+        # identity init on 3 bins leaves level 3 empty; it stays dead
+        "fixture-dead-level": (fx, 0.5, 0.1, {"levels": 4, "init": "identity"}),
+        "bpsk": (bpsk, 0.1, 0.4, {"levels": 32, "max_iter": 60}),
+    }[case]
+    levels = kwargs.pop("levels")
+    res = optimize(ch, lam1, lam2, levels, **kwargs)
+    want_q, want_trace = _reference_run(ch, lam1, lam2, levels, **kwargs)
+    assert res.iterations == len(want_trace) - 1
+    assert np.max(np.abs(np.subtract(res.lagrangian_trace, want_trace))) < 1e-9
+    assert np.max(np.abs(res.q_final.q - want_q.q)) < 1e-9
+    if case == "fixture-dead-level":
+        assert res.q_final.q[3].max() < 1e-250

@@ -4,6 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import tiny_channels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import xlogy
@@ -51,27 +52,6 @@ def reference_rates(ch, qs):
     c2 = h_bj + h_bi - h_b - h_bji
     return (np.maximum(0.0, r1 + r2) / LN2, np.maximum(0.0, c1) / LN2,
             np.maximum(0.0, c2) / LN2)
-
-
-# Small integer weights, so exact zeros come up in the priors and the law.
-WEIGHTS = st.integers(0, 3)
-
-
-@st.composite
-def tiny_channels(draw):
-    """from_pmfs channels with 1-3 inputs per user and 1-4 relay bins; bin 0
-    may carry no mass at all."""
-    n1, n2, nb = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
-
-    def pmf(n):
-        w = np.array(draw(st.lists(WEIGHTS, min_size=n, max_size=n)), dtype=float)
-        w[draw(st.integers(0, n - 1))] += 1.0
-        return w / w.sum()
-
-    dead = int(nb > 1 and draw(st.booleans()))
-    w = np.zeros((n1 * n2, nb))
-    w[:, dead:] = [pmf(nb - dead) for _ in range(n1 * n2)]
-    return from_pmfs(pmf(n1), pmf(n2), w.reshape(n1, n2, nb))
 
 
 def test_enumerate_binary_single_column():
