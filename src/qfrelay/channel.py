@@ -67,10 +67,7 @@ class ChannelModel:
 
         p1 = _validated_pmf(p1, "p_x1")
         p2 = _validated_pmf(p2, "p_x2")
-        w = w.copy()
-        for a in range(w.shape[0]):
-            for b in range(w.shape[1]):
-                w[a, b] = _validated_pmf(w[a, b], f"p_yr_given_x1x2[{a},{b}]")
+        w = _validated_pmf(w, "p_yr_given_x1x2")
 
         joint = p1[:, None, None] * p2[None, :, None] * w
         object.__setattr__(self, "x1_alphabet", x1)
@@ -118,15 +115,22 @@ class ChannelModel:
         }
 
 
-def _validated_pmf(p: np.ndarray, name: str) -> np.ndarray:
+def _validated_pmf(p: np.ndarray, name: str, axis: int = -1) -> np.ndarray:
+    """`p` with every slice along `axis` renormalized to sum to 1.  Each slice
+    must be finite, nonnegative and sum to 1 within INPUT_ATOL; a bad slice is
+    named by its indices on the other axes."""
     if not np.all(np.isfinite(p)):
         raise ValueError(f"{name} contains non-finite entries")
-    neg = np.flatnonzero(p < 0)
-    if neg.size:
-        raise ValueError(f"{name} has negative entry at index {neg[0]}")
-    s = p.sum()
-    if abs(s - 1.0) > INPUT_ATOL:
-        raise ValueError(f"{name} sums to {s!r}, expected 1 within {INPUT_ATOL}")
+    if np.any(p < 0):
+        raise ValueError(f"{name} has negative entry at index {np.argwhere(p < 0)[0].tolist()}")
+    s = p.sum(axis=axis, keepdims=True)
+    bad = np.abs(s - 1.0) > INPUT_ATOL
+    if bad.any():
+        first = np.argwhere(bad)[0]
+        k = np.delete(first, axis)
+        where = f"[{','.join(map(str, k))}]" if k.size else ""
+        raise ValueError(f"{name}{where} sums to {float(s[tuple(first)])!r}, "
+                         f"expected 1 within {INPUT_ATOL}")
     return p / s
 
 
@@ -177,10 +181,10 @@ def build_bpsk_mac(snr1_db: float, snr2_db: float, num_bins: int = 128,
     )
 
 
-def from_pmfs(p_x1, p_x2, p_yr_given_x1x2, bin_centers=None) -> ChannelModel:
+def from_pmfs(p_x1, p_x2, p_yr_given_x1x2) -> ChannelModel:
     """Build a model from explicit discrete laws.
 
-    The alphabets default to 0..n-1 index values and `bin_centers` to the bin
+    The alphabets are the 0..n-1 index values and `bin_centers` the bin
     indices; the Gaussian structure is irrelevant for rate computations.
     """
     p_x1 = np.asarray(p_x1, dtype=float)
@@ -188,13 +192,11 @@ def from_pmfs(p_x1, p_x2, p_yr_given_x1x2, bin_centers=None) -> ChannelModel:
     w = np.asarray(p_yr_given_x1x2, dtype=float)
     if w.ndim != 3:
         raise ValueError("p_yr_given_x1x2 must be a 3-D array")
-    if bin_centers is None:
-        bin_centers = np.arange(w.shape[2], dtype=float)
     return ChannelModel(
         x1_alphabet=np.arange(p_x1.size, dtype=float),
         x2_alphabet=np.arange(p_x2.size, dtype=float),
         p_x1=p_x1,
         p_x2=p_x2,
         p_yr_given_x1x2=w,
-        bin_centers=np.asarray(bin_centers, dtype=float),
+        bin_centers=np.arange(w.shape[2], dtype=float),
     )

@@ -30,7 +30,7 @@ from qfrelay.oracle import (DEFAULT_MAX_CELLS, OracleBudgetError, RateTable,
                             check_boundary_optimality, fixture_channel)
 from qfrelay.sumrate import (alpha_objective_curve, downlink_rate,
                              optimize_alpha, unimodality_report)
-from qfrelay.sweep import (LambdaGrid, surface_from_csv, surface_from_json,
+from qfrelay.sweep import (LambdaGrid, _check_finite, surface_from_csv, surface_from_json,
                            surface_to_csv, surface_to_json, scalar_diagnostic,
                            sweep_grid)
 
@@ -42,6 +42,9 @@ EXIT_BUDGET = 4
 
 class ConfigError(Exception):
     pass
+
+
+LAMBDA_PAIR = "--lambda1 and --lambda2 (or solver.lambda1/lambda2)"
 
 
 @dataclass(frozen=True)
@@ -212,22 +215,20 @@ def _config_from_args(args, **defaults) -> RunConfig:
     return _resolve(cfg, {p.field: getattr(args, p.field, None) for p in PARAMS}, defaults)
 
 
-def _assert_finite(obj, context: str):
-    """Refuse to emit NaN or infinity anywhere in a result payload."""
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise FloatingPointError(f"non-finite value in {context}: {obj!r}")
-    elif isinstance(obj, dict):
-        for v in obj.values():
-            _assert_finite(v, context)
-    elif isinstance(obj, (list, tuple)):
-        for v in obj:
-            _assert_finite(v, context)
+def _pair(a, b, flags: str) -> bool:
+    """True when both values of a pair are given, False when neither is; one
+    without the other is a ConfigError naming the pair's `flags`."""
+    if (a is None) != (b is None):
+        raise ConfigError(f"give both {flags} or neither")
+    return a is not None
 
 
 def _emit_json(payload: dict, path: str | None, context: str):
-    _assert_finite(payload, context)
-    text = json.dumps(payload, indent=2) + "\n"
+    """Write `payload` as JSON; NaN or infinity anywhere in it is refused."""
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise FloatingPointError(f"non-finite value in {context}") from None
     if path:
         with open(path, "w") as f:
             f.write(text)
@@ -239,7 +240,7 @@ def _write_csv(path: str, header: str, rows, context: str):
     """A header line and one line per row, each value in its shortest
     round-trip repr; non-finite values are refused."""
     rows = list(rows)
-    _assert_finite(rows, context)
+    _check_finite((v for row in rows for v in row), context)
     with open(path, "w") as f:
         f.write("\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n")
 
@@ -267,8 +268,8 @@ def _cmd_channel(args) -> int:
 
 def _cmd_optimize(args) -> int:
     cfg = _config_from_args(args)
-    if cfg.lam1 is None or cfg.lam2 is None:
-        raise ConfigError("optimize needs both --lambda1 and --lambda2 (or solver.lambda1/lambda2)")
+    if not _pair(cfg.lam1, cfg.lam2, LAMBDA_PAIR):
+        raise ConfigError(f"optimize needs {LAMBDA_PAIR}")
     if isinstance(cfg.dump_q, bool):
         raise ConfigError(f"config key 'output.dump_q' must be a path for optimize, "
                           f"got {cfg.dump_q!r}")
@@ -315,11 +316,7 @@ def _cmd_sweep(args) -> int:
                          max_iter=cfg.max_iter, seed=cfg.seed, workers=cfg.workers)
     for w in surface.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    out = cfg.out or "surface.csv"
-    for p in surface.points:
-        _assert_finite([p.lam1, p.lam2, p.c1, p.c2, p.i_rd, p.h_scalar],
-                       f"surface file {out}")
-    surface_to_csv(surface, out)
+    surface_to_csv(surface, cfg.out or "surface.csv")
     if cfg.json_out:
         surface_to_json(surface, cfg.json_out, include_q=bool(cfg.dump_q))
     return EXIT_OK
@@ -329,22 +326,14 @@ def _cmd_sumrate(args) -> int:
     cfg = _config_from_args(args)
     if not args.surface:
         raise ConfigError("sumrate needs --surface pointing at a sweep output file")
-    direct = cfg.i1_bits is not None or cfg.i2_bits is not None
-    from_snr = cfg.dl_snr1_db is not None or cfg.dl_snr2_db is not None
-    if direct and from_snr:
-        raise ConfigError("give downlink capacities as --i1-bits/--i2-bits or "
-                          "--dl-snr1-db/--dl-snr2-db, not both")
+    direct = _pair(cfg.i1_bits, cfg.i2_bits, "--i1-bits and --i2-bits")
+    if direct == _pair(cfg.dl_snr1_db, cfg.dl_snr2_db, "--dl-snr1-db and --dl-snr2-db"):
+        raise ConfigError("sumrate needs exactly one form of downlink capacities "
+                          "(--i1-bits/--i2-bits or --dl-snr1-db/--dl-snr2-db), not both")
     if direct:
-        if cfg.i1_bits is None or cfg.i2_bits is None:
-            raise ConfigError("both --i1-bits and --i2-bits are required")
         i1, i2 = cfg.i1_bits, cfg.i2_bits
-    elif from_snr:
-        if cfg.dl_snr1_db is None or cfg.dl_snr2_db is None:
-            raise ConfigError("both --dl-snr1-db and --dl-snr2-db are required")
-        i1, i2 = downlink_rate(cfg.dl_snr1_db), downlink_rate(cfg.dl_snr2_db)
     else:
-        raise ConfigError("sumrate needs downlink capacities "
-                          "(--i1-bits/--i2-bits or --dl-snr1-db/--dl-snr2-db)")
+        i1, i2 = downlink_rate(cfg.dl_snr1_db), downlink_rate(cfg.dl_snr2_db)
 
     load = surface_from_json if args.surface.endswith(".json") else surface_from_csv
     surface = load(args.surface)
@@ -387,9 +376,7 @@ def _cmd_oracle(args) -> int:
         "unconstrained_max_j_bits": float(table.j_bits.max()),
         "uplink_sum_rate_bound_bits": uplink_sum_rate_bound(ch),
     }
-    if args.c1_max is not None or args.c2_max is not None:
-        if args.c1_max is None or args.c2_max is None:
-            raise ConfigError("give both --c1-max and --c2-max or neither")
+    if _pair(args.c1_max, args.c2_max, "--c1-max and --c2-max"):
         value, k = table.best_constrained(args.c1_max, args.c2_max)
         payload["constrained"] = {
             "c1_max_bits": args.c1_max,
@@ -400,10 +387,7 @@ def _cmd_oracle(args) -> int:
             "boundary_optimal": bool(check_boundary_optimality(
                 ch, cfg.levels, step, args.c1_max, args.c2_max, table=table)),
         }
-    if cfg.lam1 is not None or cfg.lam2 is not None:
-        if cfg.lam1 is None or cfg.lam2 is None:
-            raise ConfigError("give both --lambda1 and --lambda2 "
-                              "(or solver.lambda1/lambda2) or neither")
+    if _pair(cfg.lam1, cfg.lam2, LAMBDA_PAIR):
         value, k = table.best_penalized(cfg.lam1, cfg.lam2)
         payload["penalized"] = {
             "lambda1": cfg.lam1,

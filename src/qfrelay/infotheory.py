@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from qfrelay.channel import INPUT_ATOL, ChannelModel, _readonly
+from qfrelay.channel import ChannelModel, _readonly, _validated_pmf
 
 LN2 = math.log(2.0)
 
@@ -24,16 +24,7 @@ def _entropy_nats(p: np.ndarray) -> float:
 
 def entropy(p) -> float:
     """Shannon entropy of a pmf in bits, with 0*log(0) = 0."""
-    p = np.asarray(p, dtype=float)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("pmf contains non-finite entries")
-    neg = np.flatnonzero(p < 0)
-    if neg.size:
-        raise ValueError(f"pmf has negative entry at index {neg[0]}")
-    s = p.sum()
-    if abs(s - 1.0) > INPUT_ATOL:
-        raise ValueError(f"pmf sums to {s!r}, expected 1 within {INPUT_ATOL}")
-    return _entropy_nats(p) / LN2
+    return _entropy_nats(_validated_pmf(np.asarray(p, dtype=float), "pmf")) / LN2
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,26 +41,10 @@ class QuantizerPmf:
         q = np.asarray(self.q, dtype=float)
         if q.ndim != 2:
             raise ValueError("q must be a 2-D matrix")
-        if not np.all(np.isfinite(q)):
-            raise ValueError("q contains non-finite entries")
-        if np.any(q < 0):
-            i, j = np.argwhere(q < 0)[0]
-            raise ValueError(f"q has negative entry at ({i}, {j})")
-        cols = q.sum(axis=0)
-        bad = np.flatnonzero(np.abs(cols - 1.0) > INPUT_ATOL)
-        if bad.size:
-            raise ValueError(
-                f"column {bad[0]} sums to {cols[bad[0]]!r}, expected 1 within {INPUT_ATOL}"
-            )
-        object.__setattr__(self, "q", _readonly(q / cols[None, :]))
+        object.__setattr__(self, "q", _readonly(_validated_pmf(q, "q column", axis=0)))
 
     @property
     def num_levels(self) -> int:
-        return self.q.shape[0]
-
-    # Alias matching the usual symbol for the number of quantizer levels.
-    @property
-    def L(self) -> int:
         return self.q.shape[0]
 
     @property

@@ -53,6 +53,10 @@ def downlink_rate(snr_db: float) -> float:
 
 
 def _targets(i1: float, i2: float, alpha):
+    """The description-rate targets of the split `alpha`; every query on the
+    downlink capacities i1, i2 passes here, so they are checked here."""
+    if not (0 <= i1 < math.inf and 0 <= i2 < math.inf):
+        raise ValueError("downlink capacities must be finite and nonnegative")
     ratio = (1.0 - alpha) / alpha
     return ratio * i1, ratio * i2
 
@@ -61,8 +65,6 @@ def sum_rate_at(s: Surface, i1: float, i2: float, alpha: float) -> float:
     """Exchanged sum rate for one time-sharing split, in bits per channel use."""
     if not (0 < alpha < 1):
         raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
-    if not (0 <= i1 < math.inf and 0 <= i2 < math.inf):
-        raise ValueError("downlink capacities must be finite and nonnegative")
     c1_t, c2_t = _targets(i1, i2, alpha)
     return alpha * query_lower_envelope(s, c1_t, c2_t)
 
@@ -113,8 +115,6 @@ def optimize_alpha(s: Surface, i1: float, i2: float) -> SumRateResult:
     """
     if not s.points:
         raise ValueError("surface has no points")
-    if not (0 <= i1 < math.inf and 0 <= i2 < math.inf):
-        raise ValueError("downlink capacities must be finite and nonnegative")
 
     c1, c2, i_rd = _rates(s)
     alpha, fits = _fitting_alphas(c1, c2, i1, i2)
@@ -138,8 +138,6 @@ def alpha_objective_curve(s: Surface, i1: float, i2: float, num: int = 1000) -> 
     the surface gives each sample exactly as sum_rate_at(s, i1, i2, alpha)."""
     if num < 2:
         raise ValueError("num must be at least 2")
-    if not (0 <= i1 < math.inf and 0 <= i2 < math.inf):
-        raise ValueError("downlink capacities must be finite and nonnegative")
     alphas = np.linspace(ALPHA_MARGIN, 1.0 - ALPHA_MARGIN, num)
     c1_t, c2_t = _targets(i1, i2, alphas)
     c1, c2, i_rd = _rates(s)

@@ -101,10 +101,6 @@ def _solve_point(ch, num_levels, lam1, lam2, restarts, init, eps, max_iter, poin
     )
 
 
-def _solve_point_star(args):
-    return _solve_point(*args)
-
-
 def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None,
                restarts: int = 4, init: str = "perturbed-uniform", eps: float = 1e-8,
                max_iter: int = 5000, seed: int = 0, workers: int | None = None) -> Surface:
@@ -124,11 +120,12 @@ def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None
             tasks.append((ch, num_levels, float(lam1), float(lam2), restarts,
                           init, eps, max_iter, point_seed))
 
+    columns = zip(*tasks)
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_solve_point_star, tasks))
+            points = list(pool.map(_solve_point, *columns))
     else:
-        points = [_solve_point(*t) for t in tasks]
+        points = list(map(_solve_point, *columns))
 
     warnings = []
     bad = sum(1 for p in points if not p.converged)
@@ -159,7 +156,7 @@ def query_lower_envelope(s: Surface, c1_target: float, c2_target: float) -> floa
 def envelope_point(s: Surface, c1_target: float, c2_target: float) -> SurfacePoint | None:
     """The best swept point dominated by the target rates (the first of equal
     maxima), or None when no point fits under them."""
-    if c1_target < 0 or c2_target < 0:
+    if not (c1_target >= 0 and c2_target >= 0):
         raise ValueError("rate targets must be nonnegative")
     best = None
     for p in s.points:
@@ -195,37 +192,54 @@ def round_to_scalar(q: QuantizerPmf) -> QuantizerPmf:
 
 CSV_HEADER = "lambda1,lambda2,c1_bits,c2_bits,i_rd_bits,h_scalar_bits,iterations,converged,seed"
 _COLUMNS = CSV_HEADER.split(",")
+_CSV_BOOLEANS = {"true": True, "false": False}
 
 
-def _point_to_row(p: SurfacePoint) -> dict:
-    """A point's nine scalar columns, by CSV_HEADER name."""
-    return dict(zip(_COLUMNS, (p.lam1, p.lam2, p.c1, p.c2, p.i_rd, p.h_scalar,
-                               p.iterations, p.converged, p.seed)))
+def _check_finite(values, context: str):
+    """Refuse to write NaN or infinity: `values` are the numbers bound for
+    one output file."""
+    if not all(map(math.isfinite, values)):
+        raise FloatingPointError(f"non-finite value in {context}")
+
+
+def _point_rows(s: Surface, path) -> list:
+    """Each point's nine scalar columns, by CSV_HEADER name, bound for the
+    surface file at `path`; NaN or infinity in any of them is refused."""
+    rows = [dict(zip(_COLUMNS, (p.lam1, p.lam2, p.c1, p.c2, p.i_rd, p.h_scalar,
+                                p.iterations, p.converged, p.seed))) for p in s.points]
+    _check_finite([v for row in rows for v in row.values()], f"surface file {path}")
+    return rows
 
 
 def _row_to_point(values: list, where: str, q: QuantizerPmf | None = None) -> SurfacePoint:
-    """The point of one file row, values in CSV_HEADER order.  Refuses what no
-    solve produces: non-finite numbers, multipliers <= 0 and negative rates."""
+    """The point of one file row, values in CSV_HEADER order as JSON gives
+    them.  Refuses what no solve produces: non-numbers or booleans in the
+    numeric columns, non-finite numbers, multipliers <= 0, negative rates,
+    iterations or seed that are not integers >= 0 and a non-boolean
+    converged flag."""
     try:
         numbers = list(map(float, values[:6]))
     except (TypeError, ValueError):
-        raise ValueError(f"{where}: non-numeric value in {values[:6]}") from None
+        raise ValueError(f"{where}: non-numeric value in {dict(zip(_COLUMNS, values))}") from None
     lam1, lam2, c1, c2, i_rd, h_scalar = numbers
+    iterations, converged, seed = values[6:]
     inf = math.inf
     if not (0 < lam1 < inf and 0 < lam2 < inf and 0 <= c1 < inf and 0 <= c2 < inf
-            and 0 <= i_rd < inf and 0 <= h_scalar < inf):
-        raise ValueError(f"{where}: multipliers must be finite and > 0 and rates finite "
-                         f"and >= 0, got {dict(zip(_COLUMNS, numbers))}")
-    return SurfacePoint(*numbers, *values[6:], q=q)
+            and 0 <= i_rd < inf and 0 <= h_scalar < inf and bool not in map(type, values[:6])
+            and type(iterations) is int and iterations >= 0 and type(seed) is int and seed >= 0
+            and type(converged) is bool):
+        raise ValueError(f"{where}: multipliers must be finite non-boolean numbers > 0, rates "
+                         f"finite non-boolean numbers >= 0, iterations and seed integers >= 0 "
+                         f"and converged a boolean, got {dict(zip(_COLUMNS, values))}")
+    return SurfacePoint(*numbers, iterations, converged, seed, q=q)
 
 
 def surface_to_csv(s: Surface, path) -> None:
     """One row per point; floats use shortest round-trip repr for bytewise
     reproducibility across runs."""
     lines = [CSV_HEADER]
-    for p in s.points:
-        row = _point_to_row(p)
-        row["converged"] = "true" if p.converged else "false"
+    for row in _point_rows(s, path):
+        row["converged"] = "true" if row["converged"] else "false"
         lines.append(",".join(map(str, row.values())))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
@@ -241,15 +255,15 @@ def surface_from_csv(path) -> Surface:
         cells = ln.split(",")
         if len(cells) != 9:
             raise ValueError(f"{path}: malformed row {ln!r}")
-        tail = [int(cells[6]), cells[7] == "true", int(cells[8])]
+        # the JSON value each tail cell stands for, kept as text if none
+        tail = [int(c) if c.isdecimal() else _CSV_BOOLEANS.get(c, c) for c in cells[6:]]
         points.append(_row_to_point(cells[:6] + tail, f"{path}: row {k}"))
     return Surface(points=tuple(points), channel_fingerprint="", num_levels=0)
 
 
 def surface_to_json(s: Surface, path, include_q: bool = False) -> None:
     points = []
-    for p in s.points:
-        row = _point_to_row(p)
+    for p, row in zip(s.points, _point_rows(s, path)):
         if include_q and p.q is not None:
             row["q"] = p.q.q.tolist()
         points.append(row)

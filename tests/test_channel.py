@@ -104,6 +104,17 @@ def test_from_pmfs_normalization_error_names_index():
         from_pmfs([0.6, 0.6], [0.5, 0.5], np.full((2, 2, 2), 0.5))
 
 
+def test_renormalization_matches_per_slice_reference():
+    rng = np.random.default_rng(5)
+    w = rng.random((3, 2, 200))
+    w /= w.sum(axis=2, keepdims=True)
+    w *= 1.0 + rng.uniform(-1e-10, 1e-10, size=(3, 2, 1))
+    ch = from_pmfs([0.2, 0.3, 0.5], [0.5, 0.5], w)
+    for a in range(3):
+        for b in range(2):
+            assert np.array_equal(ch.p_yr_given_x1x2[a, b], w[a, b] / w[a, b].sum())
+
+
 def test_fixture_channel_echoes_inputs():
     fx = fixture_channel()
     assert fx.p_yr_given_x1x2.shape == (2, 2, 3)

@@ -459,6 +459,22 @@ def test_nonfinite_config_value_is_config_error(tmp_path):
         parse_config(str(path))
 
 
+def test_solver_overflow_is_numeric_error(inline_cfg, capsys):
+    code = main(["optimize", "--config", inline_cfg, "--lambda1", "1e-308",
+                 "--lambda2", "1e-308", "--levels", "2", "--restarts", "1"])
+    assert code == EXIT_NUMERIC
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_writers_refuse_nonfinite_output(tmp_path):
+    out = tmp_path / "out.json"
+    with pytest.raises(FloatingPointError, match="non-finite value in payload"):
+        cli._emit_json({"ok": [1.0], "bad": {"x": math.nan}}, str(out), "payload")
+    with pytest.raises(FloatingPointError, match="non-finite value in rows"):
+        cli._write_csv(str(tmp_path / "out.csv"), "a,b", [(0, 1.0), (1, math.nan)], "rows")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_repro_writes_manifest_when_git_hangs(tmp_path, monkeypatch):
     def hang(cmd, **kwargs):
         raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))

@@ -54,7 +54,7 @@ def test_entropy_rejects_negative_and_unnormalized():
 
 def test_quantizer_pmf_validation():
     q = QuantizerPmf(FIXED_Q)
-    assert q.L == 2 and q.num_bins == 3
+    assert q.num_levels == 2 and q.num_bins == 3
     assert np.max(np.abs(q.q.sum(axis=0) - 1.0)) < 1e-12
     with pytest.raises(ValueError):
         QuantizerPmf(np.array([[0.9, 0.3], [0.2, 0.7]]))

@@ -158,6 +158,8 @@ def test_envelope_monotone_in_targets(fx_surface_dense, rng):
 def test_envelope_rejects_negative_targets(fx_surface_dense):
     with pytest.raises(ValueError):
         query_lower_envelope(fx_surface_dense, -0.1, 0.5)
+    with pytest.raises(ValueError):
+        query_lower_envelope(fx_surface_dense, math.nan, 0.5)
 
 
 def test_envelope_point_consistency(fx_surface_dense):
@@ -237,7 +239,9 @@ IMPOSSIBLE = [("c1_bits", math.nan), ("c1_bits", -0.5), ("c2_bits", math.inf),
               ("lambda2", -math.inf)]
 
 
-@pytest.mark.parametrize("column, value", IMPOSSIBLE)
+@pytest.mark.parametrize("column, value", IMPOSSIBLE + [
+    ("converged", "True"), ("converged", "yes"), ("converged", 1),
+    ("iterations", -3), ("iterations", "five")])
 def test_csv_reader_refuses_impossible_values(tmp_path, column, value):
     path = tmp_path / "surface.csv"
     rows = [GOOD_ROW, dict(GOOD_ROW, **{column: value})]
@@ -248,12 +252,24 @@ def test_csv_reader_refuses_impossible_values(tmp_path, column, value):
         surface_from_csv(path)
 
 
-@pytest.mark.parametrize("column, value", IMPOSSIBLE + [("c1_bits", None), ("c2_bits", "x")])
+@pytest.mark.parametrize("column, value", IMPOSSIBLE + [
+    ("c1_bits", None), ("c2_bits", "x"), ("c1_bits", True), ("iterations", "five"),
+    ("iterations", 2.5), ("iterations", -3), ("seed", None), ("seed", False),
+    ("converged", "true"), ("converged", 1)])
 def test_json_reader_refuses_impossible_values(tmp_path, column, value):
     path = tmp_path / "surface.json"
     path.write_text(json.dumps({"points": [GOOD_ROW, dict(GOOD_ROW, **{column: value})]}))
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: point 1: "):
         surface_from_json(path)
+
+
+@pytest.mark.parametrize("write", [surface_to_csv, surface_to_json])
+def test_surface_writers_refuse_nonfinite(tmp_path, write):
+    bad = SurfacePoint(0.1, 0.1, math.nan, 0.2, 0.3, 0.0, 5, True, 7)
+    path = tmp_path / "surface.out"
+    with pytest.raises(FloatingPointError, match=re.escape(str(path))):
+        write(Surface(points=(bad,), channel_fingerprint="", num_levels=2), path)
+    assert not path.exists()
 
 
 def test_csv_malformed_header_rejected(tmp_path):
