@@ -49,8 +49,9 @@ print("\nscalar diagnostic, five best-objective points:")
 for h, ird in diag[:5]:
     print("  i_rd = %.6f: h_scalar = %.4f bits" % (ird, h))
 
-out = os.path.join(tempfile.mkdtemp(), "surface.csv")
-surface_to_csv(surface, out)
-lines = open(out).read().splitlines()
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "surface.csv")
+    surface_to_csv(surface, out)
+    lines = open(out).read().splitlines()
 print("\nCSV header:", lines[0])
 print("CSV rows:", len(lines) - 1)

@@ -366,6 +366,8 @@ def _cmd_oracle(args) -> int:
         raise ConfigError("oracle needs --fixture or an inline-pmf channel config "
                           "(full-size parametric channels exceed the enumeration budget)")
     step = args.step if args.step is not None else 0.05
+    constrained = _pair(args.c1_max, args.c2_max, "--c1-max and --c2-max")
+    penalized = _pair(cfg.lam1, cfg.lam2, LAMBDA_PAIR)
     table = RateTable(ch, cfg.levels, step, max_cells=args.max_cells)
 
     payload = {
@@ -376,7 +378,7 @@ def _cmd_oracle(args) -> int:
         "unconstrained_max_j_bits": float(table.j_bits.max()),
         "uplink_sum_rate_bound_bits": uplink_sum_rate_bound(ch),
     }
-    if _pair(args.c1_max, args.c2_max, "--c1-max and --c2-max"):
+    if constrained:
         value, k = table.best_constrained(args.c1_max, args.c2_max)
         payload["constrained"] = {
             "c1_max_bits": args.c1_max,
@@ -387,7 +389,7 @@ def _cmd_oracle(args) -> int:
             "boundary_optimal": bool(check_boundary_optimality(
                 ch, cfg.levels, step, args.c1_max, args.c2_max, table=table)),
         }
-    if _pair(cfg.lam1, cfg.lam2, LAMBDA_PAIR):
+    if penalized:
         value, k = table.best_penalized(cfg.lam1, cfg.lam2)
         payload["penalized"] = {
             "lambda1": cfg.lam1,

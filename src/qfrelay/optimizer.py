@@ -22,10 +22,19 @@ t1 and t2 (one row per input pair), t3 (per x1) and t4 (per x2).
 - p(x1, y_j) = sum_b P[ab, j], so the four log-posterior terms of delta fold
   into one constant matrix K = C.T P', with C the per-segment coefficients
   (1, 1, lam1, lam2) and P' = P / ((lam1 + lam2) p(y)): delta = log_t.T @ K.
-- H(Yhat|Yr) comes from the softmax's own log-partition: with s the
-  max-shifted exponents and z_j = sum_i exp(s_ij),
-  H(q[:, j]) = log z_j - sum_i q_ij s_ij.  It is finite exactly when delta
-  is, so it doubles as the step's non-finite check.
+- The softmax takes exp of max(s, EXP_FLOOR), s the max-shifted exponents.
+  Without the floor, dead levels sink to exp(-700) and below: subnormal
+  floats, on which exp and the next N @ q.T run many times slower.  The
+  floor keeps q and its products with N normal and moves no entry above
+  e**-600 = 2.6e-261.
+- H(Yhat|Yr) comes from the softmax's own log-partition: with
+  z_j = sum_i exp(s_ij), H(q[:, j]) = log z_j - sum_i q_ij s_ij, taken over
+  the unclamped s.  It is finite exactly when delta is, so it doubles as the
+  step's non-finite check; clamping s itself would hide a -inf.
+
+N, S, the row weights and the multiplier-free blocks of K depend on the
+channel alone; they are built on a channel's first solve and kept on it
+(_channel_matrices).  Each solve builds only K.
 
 induced_posteriors, delta_matrix, update_q and lagrangian are the unfused
 definitions of the same iteration.  The tests compare the fused step with
@@ -46,6 +55,10 @@ from qfrelay.infotheory import LN2, QuantizerPmf, RateReport, _entropy_nats, rat
 # Posterior entries of exactly zero are clamped here before the log; the
 # resulting -690 nat penalty keeps dead levels dead without producing inf.
 LOG_FLOOR = 1e-300
+# The softmax raises exponents below this to it before exp.  e**-600 = 2.6e-261
+# keeps q and its products with the channel matrices (entries down to 7.7e-23
+# on the default BPSK channel) normal floats; log(LOG_FLOOR) = -690.8 would not.
+EXP_FLOOR = -600.0
 
 INIT_STRATEGIES = ("perturbed-uniform", "random", "identity")
 
@@ -183,6 +196,41 @@ def initial_quantizer(num_levels: int, num_bins: int, init: str = "perturbed-uni
     return QuantizerPmf(q)
 
 
+class _ChannelMatrices:
+    """The parts of _FusedStep that depend on the channel alone: N, S, the row
+    weights, the placeholder fill, H(X1), H(X2) and the blocks of K before
+    the multipliers and the 1/p(y) scale."""
+
+    def __init__(self, ch: ChannelModel):
+        a, b, ab = ch.num_x1, ch.num_x2, ch.num_x1 * ch.num_x2
+        p = ch.p_x1x2_yr.reshape(ab, -1)
+        self.num = np.concatenate([p, p, ch.p_yr_given_x1, ch.p_yr_given_x2])
+        # K's rows before scaling: P twice (coefficient 1), p(x1, y), p(x2, y).
+        self.k_blocks = (self.num[:2 * ab], ch.p_x1x2_yr.sum(axis=1), ch.p_x1x2_yr.sum(axis=0))
+        row_a, row_b = np.divmod(np.arange(ab), b)
+        self.sums = np.zeros((len(self.num), len(self.num)))
+        self.sums[:ab, :ab] = row_b[:, None] == row_b
+        self.sums[ab:2 * ab, :ab] = row_a[:, None] == row_a
+        # Row weights of the four rate sums: g for t1 and t2, p(xk) for t3, t4.
+        self.weights = w = np.zeros((4, len(self.num)))
+        w[0, :ab] = w[1, ab:2 * ab] = 1.0
+        w[2, 2 * ab:2 * ab + a], w[3, 2 * ab + a:] = ch.p_x1, ch.p_x2
+        self.fill = (w[0] / a + w[1] / b)[:, None]
+        self.h_x1, self.h_x2 = _entropy_nats(ch.p_x1), _entropy_nats(ch.p_x2)
+        for arr in (self.num, *self.k_blocks, self.sums, self.weights, self.fill):
+            arr.flags.writeable = False
+
+
+def _channel_matrices(ch: ChannelModel) -> _ChannelMatrices:
+    """ch's _ChannelMatrices, built on its first solve and kept on the instance;
+    a ChannelModel is frozen and its arrays are read-only, so they stay valid."""
+    m = ch.__dict__.get("_step_matrices")
+    if m is None:
+        m = _ChannelMatrices(ch)
+        object.__setattr__(ch, "_step_matrices", m)
+    return m
+
+
 class _FusedStep:
     """The fixed-point iteration on raw arrays for a fixed (channel, lam1, lam2).
 
@@ -195,25 +243,18 @@ class _FusedStep:
     """
 
     def __init__(self, ch: ChannelModel, lam1: float, lam2: float):
-        a, b, ab = ch.num_x1, ch.num_x2, ch.num_x1 * ch.num_x2
-        p = ch.p_x1x2_yr.reshape(ab, -1)
-        p_ay, p_by = ch.p_x1x2_yr.sum(axis=1), ch.p_x1x2_yr.sum(axis=0)
-        self.num = np.concatenate([p, p, ch.p_yr_given_x1, ch.p_yr_given_x2])
-        row_a, row_b = np.divmod(np.arange(ab), b)
-        self.sums = np.zeros((len(self.num), len(self.num)))
-        self.sums[:ab, :ab] = row_b[:, None] == row_b
-        self.sums[ab:2 * ab, :ab] = row_a[:, None] == row_a
-        # Row weights of the four rate sums: g for t1 and t2, p(xk) for t3, t4.
-        self.weights = w = np.zeros((4, len(self.num)))
-        w[0, :ab] = w[1, ab:2 * ab] = 1.0
-        w[2, 2 * ab:2 * ab + a], w[3, 2 * ab + a:] = ch.p_x1, ch.p_x2
-        self.fill = (w[0] / a + w[1] / b)[:, None]
+        m = _channel_matrices(ch)
+        self.num, self.sums, self.weights, self.fill = m.num, m.sums, m.weights, m.fill
+        self.h_x1, self.h_x2, self.p_yr = m.h_x1, m.h_x2, ch.p_yr
         # Dead bins get a zero column of K, so the softmax leaves them uniform.
+        # Multipliers near the smallest float overflow 1/scale; update then
+        # reports the non-finite delta instead of running the softmax.
         scale = (lam1 + lam2) * ch.p_yr
-        inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
-        self.k = np.concatenate([p, p, lam1 * p_ay, lam2 * p_by]) * inv
-        self.p_yr = ch.p_yr
-        self.h_x1, self.h_x2 = _entropy_nats(ch.p_x1), _entropy_nats(ch.p_x2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
+            pp, p_ay, p_by = m.k_blocks
+            self.k = np.concatenate([pp, lam1 * p_ay, lam2 * p_by]) * inv
+        self.finite_k = bool(np.isfinite(self.k).all())
         self.lam1, self.lam2 = lam1, lam2
 
     def evaluate(self, q: np.ndarray, h_i_given_y: float) -> tuple:
@@ -237,21 +278,26 @@ class _FusedStep:
 
     def update(self, log_t: np.ndarray) -> tuple:
         """(q, H(Yhat|Yr) in nats) of the column softmax of delta = log_t.T @ K."""
-        s = log_t.T @ self.k
-        s -= s.max(axis=0)
-        q = np.exp(s)
-        z = q.sum(axis=0)
-        q /= z
-        h_i_given_y = float(self.p_yr @ (np.log(z) - np.einsum("ij,ij->j", q, s)))
-        # h is finite exactly when delta is.  In a column with a NaN the max
-        # and so every shift is NaN; with a +inf the shift inf - inf is NaN; a
-        # -inf gets q = 0 and adds 0 * -inf = NaN (an all -inf column shifts
-        # to NaN).  p_yr @ carries a NaN even at weight 0.  Finite deltas are
-        # <= 0 up to rounding (log t <= 0, K >= 0), so shifts cannot overflow.
-        if not math.isfinite(h_i_given_y):
+        if self.finite_k:
+            s = log_t.T @ self.k
+            m = s.max(axis=0)
+            if math.isfinite(m.max()):
+                s -= m
+                q = np.exp(np.maximum(s, EXP_FLOOR))
+                z = q.sum(axis=0)
+                q /= z
+                h_i_given_y = float(self.p_yr @ (np.log(z) - np.einsum("ij,ij->j", q, s)))
+                if math.isfinite(h_i_given_y):
+                    return q, h_i_given_y
+        # The softmax runs only on a finite K and when no column maximum is NaN
+        # or +inf, so the shift makes no inf - inf.  A -inf left in delta gets
+        # q = e**EXP_FLOOR / z > 0 and makes h infinite, so h is finite exactly
+        # when delta is.  Finite deltas are <= 0 up to rounding (log t <= 0,
+        # K >= 0), so the shift cannot overflow.  The failure path recomputes
+        # the unshifted delta, quietly, to name its first non-finite entry.
+        with np.errstate(over="ignore", invalid="ignore"):
             i, j = np.argwhere(~np.isfinite(log_t.T @ self.k))[0]
-            raise FloatingPointError(f"delta has non-finite entry at ({i}, {j})")
-        return q, h_i_given_y
+        raise FloatingPointError(f"delta has non-finite entry at ({i}, {j})")
 
 
 def _stopped(l_now: float, l_prev: float, eps: float) -> bool:

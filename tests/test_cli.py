@@ -3,6 +3,7 @@ import ast
 import json
 import math
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,16 @@ def test_oracle_rejects_half_constrained(capsys):
     assert "--c2-max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--c1-max", "0.5"], ["--lambda2", "0.5"]])
+def test_oracle_checks_pairs_before_building_the_table(flags, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("RateTable built before the flag pairs were checked")
+
+    monkeypatch.setattr(cli, "RateTable", refuse)
+    assert main(["oracle", "--fixture", "--step", "0.02", *flags]) == EXIT_CONFIG
+    assert "give both" in capsys.readouterr().err
+
+
 def test_oracle_rejects_negative_target(capsys):
     code = main(["oracle", "--fixture", "--step", "0.5", "--c1-max", "-0.5",
                  "--c2-max", "0.5"])
@@ -460,10 +471,13 @@ def test_nonfinite_config_value_is_config_error(tmp_path):
 
 
 def test_solver_overflow_is_numeric_error(inline_cfg, capsys):
-    code = main(["optimize", "--config", inline_cfg, "--lambda1", "1e-308",
-                 "--lambda2", "1e-308", "--levels", "2", "--restarts", "1"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["optimize", "--config", inline_cfg, "--lambda1", "1e-308",
+                     "--lambda2", "1e-308", "--levels", "2", "--restarts", "1"])
     assert code == EXIT_NUMERIC
-    assert "non-finite" in capsys.readouterr().err
+    assert "non-finite entry at (0, 2)" in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == []
 
 
 def test_writers_refuse_nonfinite_output(tmp_path):

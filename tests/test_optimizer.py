@@ -9,6 +9,7 @@ from scipy.special import xlogy
 
 from qfrelay import (
     QuantizerPmf,
+    build_bpsk_mac,
     delta_matrix,
     from_pmfs,
     induced_posteriors,
@@ -368,8 +369,6 @@ def test_fused_step_matches_reference_random(case):
     assert max(_fused_step_errors(*case)) < 1e-12
 
 
-# The column shift of a non-finite delta warns before the step raises.
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_fused_step_reports_nonfinite_delta(fx):
     step = _FusedStep(fx, 0.5, 0.5)
     # Row 1 of delta = log_t.T @ K turns non-finite; the softmax's column
@@ -394,7 +393,8 @@ def _reference_run(ch, lam1, lam2, levels, init="perturbed-uniform", eps=1e-8,
     return q, trace
 
 
-@pytest.mark.parametrize("case", ["fixture-a", "fixture-b", "fixture-dead-level", "bpsk"])
+@pytest.mark.parametrize("case", ["fixture-a", "fixture-b", "fixture-dead-level", "bpsk",
+                                  "bpsk-small-multiplier"])
 def test_optimize_trajectory_matches_reference(case, fx, bpsk):
     ch, lam1, lam2, kwargs = {
         "fixture-a": (fx, 0.3, 0.8, {"levels": 2}),
@@ -402,6 +402,8 @@ def test_optimize_trajectory_matches_reference(case, fx, bpsk):
         # identity init on 3 bins leaves level 3 empty; it stays dead
         "fixture-dead-level": (fx, 0.5, 0.1, {"levels": 4, "init": "identity"}),
         "bpsk": (bpsk, 0.1, 0.4, {"levels": 32, "max_iter": 60}),
+        # dead levels fall below e**EXP_FLOOR, where the fused softmax clamps
+        "bpsk-small-multiplier": (bpsk, 0.0123, 0.0123, {"levels": 32, "seed": 3}),
     }[case]
     levels = kwargs.pop("levels")
     res = optimize(ch, lam1, lam2, levels, **kwargs)
@@ -411,3 +413,30 @@ def test_optimize_trajectory_matches_reference(case, fx, bpsk):
     assert np.max(np.abs(res.q_final.q - want_q.q)) < 1e-9
     if case == "fixture-dead-level":
         assert res.q_final.q[3].max() < 1e-250
+    if case == "bpsk-small-multiplier":
+        tiny = np.finfo(float).tiny  # the smallest normal float
+        assert np.count_nonzero((want_q.q > 0) & (want_q.q < tiny)) > 0
+        assert np.count_nonzero(res.q_final.q < tiny) == 0
+        # and its products with N, the left factor of num = N @ q.T, stay normal too
+        products = _FusedStep(ch, lam1, lam2).num[:, None, :] * res.q_final.q
+        assert np.count_nonzero((products > 0) & (products < tiny)) == 0
+
+
+def test_fused_step_reuses_channel_matrices():
+    """Steps on one channel share its multiplier-free matrices, and a step
+    read from that cache computes bit for bit what a step on a fresh copy of
+    the channel computes."""
+    ch = build_bpsk_mac(1.5, 4.5, 128)
+    q = np.random.default_rng(5).dirichlet(np.ones(32), size=ch.num_bins).T
+    first = _FusedStep(ch, 0.5, 0.2)
+    log_t, _ = first.evaluate(q, 0.3)
+    first.update(log_t)
+    cached = _FusedStep(ch, 0.1, 0.4)
+    fresh = _FusedStep(build_bpsk_mac(1.5, 4.5, 128), 0.1, 0.4)
+    assert cached.num is first.num and cached.sums is first.sums
+    assert fresh.num is not first.num
+    assert np.array_equal(cached.k, fresh.k)
+    (log_c, value_c), (log_f, value_f) = cached.evaluate(q, 0.3), fresh.evaluate(q, 0.3)
+    assert np.array_equal(log_c, log_f) and value_c == value_f
+    (q_c, h_c), (q_f, h_f) = cached.update(log_c), fresh.update(log_f)
+    assert np.array_equal(q_c, q_f) and h_c == h_f
