@@ -266,6 +266,19 @@ def _cmd_channel(args) -> int:
     return EXIT_OK
 
 
+def _solver_telemetry(res) -> dict:
+    """How one solve ran: map evaluations, convergence, extrapolation cycles
+    tried and kept, and the final remaining-gap estimate (None when the last
+    steps were not shrinking)."""
+    return {
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "extrapolations_tried": res.extrapolations_tried,
+        "extrapolations_accepted": res.extrapolations_accepted,
+        "gap_estimate_bits": res.gap_estimate,
+    }
+
+
 def _cmd_optimize(args) -> int:
     cfg = _config_from_args(args)
     if not _pair(cfg.lam1, cfg.lam2, LAMBDA_PAIR):
@@ -284,8 +297,7 @@ def _cmd_optimize(args) -> int:
         "levels": cfg.levels,
         "restarts": cfg.restarts,
         "seed": res.seed,
-        "iterations": res.iterations,
-        "converged": res.converged,
+        **_solver_telemetry(res),
         "lagrangian_bits": res.lagrangian_trace[-1],
         "i_rd_bits": rep.j_value,
         "r1_bits": rep.r1,
@@ -451,7 +463,7 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
                        max_iter=cfg.max_iter, seed=seed)
         _write_trace_csv(res.lagrangian_trace, path("fig3_trace.csv"))
         written.append(path("fig3_trace.csv"))
-        extra = {"iterations": res.iterations, "converged": res.converged}
+        extra = _solver_telemetry(res)
     else:
         params.update({k: DEFAULTS[k] for k in ("lambda_min", "lambda_max",
                                                 "lambda_count", "restarts")})

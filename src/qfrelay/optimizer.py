@@ -1,11 +1,16 @@
 """Iterative fixed-point search for a stationary quantizer of the Lagrangian.
 
-Each iteration holds the four posteriors induced by the current Q fixed,
-minimizes the surrogate functional over Q in closed form (a column softmax),
-then refreshes the posteriors.  Both half-steps are exact coordinate
-minimizations, so the Lagrangian trace never decreases.
+Each plain step (one application of the map F) holds the four posteriors
+induced by the current Q fixed, minimizes the surrogate functional over Q in
+closed form (a column softmax), then refreshes the posteriors.  Both
+half-steps are exact coordinate minimizations, so no plain step lowers the
+Lagrangian.
 
-optimize() runs each iteration as one fused step on raw arrays (_FusedStep)
+F converges linearly, with a rate near 1 at small multipliers, so once its
+steps slow down optimize() accelerates it with squared extrapolation and
+stops on an estimate of the gap left to the limit (see optimize()).
+
+optimize() runs each plain step as one fused step on raw arrays (_FusedStep)
 made of constant-matrix products.  With P = p(x1, x2, y) viewed as a
 |X1||X2| x |Yr| matrix, the step stacks every posterior it needs as rows:
 t1 and t2 (one row per input pair), t3 (per x1) and t4 (per x2).
@@ -60,6 +65,12 @@ LOG_FLOOR = 1e-300
 # on the default BPSK channel) normal floats; log(LOG_FLOOR) = -690.8 would not.
 EXP_FLOOR = -600.0
 
+# The extrapolation engages at the first plain step, from the
+# SQUAREM_MIN_STEPS-th on, that is larger than SQUAREM_GATE_RATIO times the one
+# before: a solve still shrinking its steps fast gains nothing from it.
+SQUAREM_MIN_STEPS = 10
+SQUAREM_GATE_RATIO = 0.5
+
 INIT_STRATEGIES = ("perturbed-uniform", "random", "identity")
 
 
@@ -89,9 +100,17 @@ class OptimizerResult:
     q_final: QuantizerPmf
     report: RateReport
     lagrangian_trace: list
-    iterations: int
+    iterations: int  # map evaluations
     converged: bool
     seed: int
+    # Extrapolated points whose map step was evaluated, and those kept.  Every
+    # evaluation but the rejected ones adds one trace value, so
+    # len(lagrangian_trace) - 1 == iterations - (tried - accepted).
+    extrapolations_tried: int
+    extrapolations_accepted: int
+    # The last Aitken estimate of the gap left to the limit, in bits; None
+    # when the last two steps were not shrinking or fewer than two were taken.
+    gap_estimate: float | None
 
 
 def induced_posteriors(ch: ChannelModel, q: QuantizerPmf) -> Posteriors:
@@ -236,7 +255,8 @@ class _FusedStep:
 
     evaluate(q, h) gives the (R, L) floored log-posteriors of q, rows t1 | t2
     | t3 | t4 with R = 2|X1||X2| + |X1| + |X2|, and the Lagrangian of q;
-    update(log_t) gives the next quantizer and its H(Yhat|Yr).
+    update(log_t) gives the next quantizer, its H(Yhat|Yr) and its softmax
+    exponents; advance(log_t) is update then evaluate.
     update(evaluate(q, h)[0])[0] is the q of
     update_q(delta_matrix(ch, induced_posteriors(ch, q), lam1, lam2)), and
     evaluate(q, h)[1] is lagrangian(ch, q, lam1, lam2), both up to rounding.
@@ -257,16 +277,21 @@ class _FusedStep:
         self.finite_k = bool(np.isfinite(self.k).all())
         self.lam1, self.lam2 = lam1, lam2
 
-    def evaluate(self, q: np.ndarray, h_i_given_y: float) -> tuple:
-        """(log_t, Lagrangian in bits) of the (L, |Yr|) quantizer q, given its
-        H(Yhat|Yr) in nats, with the placeholder and floor rules of
-        induced_posteriors and delta_matrix."""
+    def log_posteriors(self, q: np.ndarray) -> tuple:
+        """(num, log_t): the numerators N @ q.T and the (R, L) floored
+        log-posteriors of the (L, |Yr|) quantizer q, with the placeholder and
+        floor rules of induced_posteriors and delta_matrix."""
         num = self.num @ q.T
         den = self.sums @ num
         mask = den == 0
         t = num + mask * self.fill
         t /= den + mask
-        log_t = np.log(np.maximum(t, LOG_FLOOR, out=t), out=t)
+        return num, np.log(np.maximum(t, LOG_FLOOR, out=t), out=t)
+
+    def evaluate(self, q: np.ndarray, h_i_given_y: float) -> tuple:
+        """(log_t, Lagrangian in bits) of the (L, |Yr|) quantizer q, given its
+        H(Yhat|Yr) in nats."""
+        num, log_t = self.log_posteriors(q)
         # sum g log t1, sum g log t2, sum p(x1, yhat) log t3, sum p(x2, yhat) log t4
         s1, s2, s3, s4 = self.weights @ np.einsum("ri,ri->r", num, log_t)
         r1 = max(0.0, self.h_x1 + s1)
@@ -277,46 +302,140 @@ class _FusedStep:
         return log_t, value
 
     def update(self, log_t: np.ndarray) -> tuple:
-        """(q, H(Yhat|Yr) in nats) of the column softmax of delta = log_t.T @ K."""
+        """(q, H(Yhat|Yr) in nats, exponents) of the column softmax of
+        delta = log_t.T @ K (see softmax).  A -inf left in delta gets
+        q = e**EXP_FLOOR / z > 0 and makes h infinite, so h is finite exactly
+        when delta is."""
         if self.finite_k:
             s = log_t.T @ self.k
-            m = s.max(axis=0)
-            if math.isfinite(m.max()):
-                s -= m
-                q = np.exp(np.maximum(s, EXP_FLOOR))
-                z = q.sum(axis=0)
-                q /= z
+            out = self.softmax(s)
+            if out is not None:
+                q, exponents, z = out
                 h_i_given_y = float(self.p_yr @ (np.log(z) - np.einsum("ij,ij->j", q, s)))
                 if math.isfinite(h_i_given_y):
-                    return q, h_i_given_y
-        # The softmax runs only on a finite K and when no column maximum is NaN
-        # or +inf, so the shift makes no inf - inf.  A -inf left in delta gets
-        # q = e**EXP_FLOOR / z > 0 and makes h infinite, so h is finite exactly
-        # when delta is.  Finite deltas are <= 0 up to rounding (log t <= 0,
-        # K >= 0), so the shift cannot overflow.  The failure path recomputes
-        # the unshifted delta, quietly, to name its first non-finite entry.
+                    return q, h_i_given_y, exponents
+        # The softmax runs only on a finite K.  Finite deltas are <= 0 up to
+        # rounding (log t <= 0, K >= 0), so its shift cannot overflow.  The
+        # failure path recomputes the unshifted delta, quietly, to name its
+        # first non-finite entry.
         with np.errstate(over="ignore", invalid="ignore"):
             i, j = np.argwhere(~np.isfinite(log_t.T @ self.k))[0]
         raise FloatingPointError(f"delta has non-finite entry at ({i}, {j})")
 
+    def advance(self, log_t: np.ndarray) -> tuple:
+        """One plain step from the iterate whose log-posteriors are log_t:
+        (q, its exponents, its log_t, its Lagrangian in bits)."""
+        q, h_i_given_y, exponents = self.update(log_t)
+        return (q, exponents, *self.evaluate(q, h_i_given_y))
 
-def _stopped(l_now: float, l_prev: float, eps: float) -> bool:
-    diff = l_now - l_prev
+    @staticmethod
+    def softmax(s: np.ndarray):
+        """(q, exponents, z) of the column softmax of s, or None where a
+        column maximum is not finite: exponents are s shifted by its column
+        maxima (in place) and raised to EXP_FLOOR, q = exp(exponents) / z.
+        The shift runs only on finite maxima, so it makes no inf - inf."""
+        m = s.max(axis=0)
+        if not (math.isfinite(m.max()) and math.isfinite(m.min())):
+            return None
+        s -= m
+        exponents = np.maximum(s, EXP_FLOOR)
+        q = np.exp(exponents)
+        z = q.sum(axis=0)
+        q /= z
+        return q, exponents, z
+
+
+def _fisher_sq(x: np.ndarray, q: np.ndarray, w: np.ndarray) -> float:
+    """sum_j p(y_j) Var_{q[:, j]}(x[:, j]), with w = q p(y): the squared
+    length of the log-domain move x in the Fisher metric of the channel
+    q(yhat|y) p(y).  Levels q leaves dead weigh nothing, and neither does a
+    column constant in x, which the softmax normalization absorbs."""
+    c = x - np.einsum("ij,ij->j", q, x)
+    return float(np.einsum("ij,ij,ij->", w, c, c))
+
+
+def _squarem_exponents(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray,
+                       q2: np.ndarray, p_yr: np.ndarray) -> np.ndarray:
+    """s0 - 2 alpha r + alpha**2 v, the squared extrapolation (SQUAREM,
+    Varadhan & Roland 2008) of three consecutive iterates q1 = F(q0),
+    q2 = F(q1) given as their floored softmax exponents s0, s1, s2 (log q up
+    to a column constant, raised to EXP_FLOOR), with r = s1 - s0,
+    v = s2 - 2 s1 + s0 and alpha = min(-|r|/|v|, -1); -1 where v = 0.
+
+    The lengths are taken in the Fisher metric of q2 (_fisher_sq).  In plain
+    Euclidean lengths, r and v are dominated by dying levels sinking through
+    log q = -500 towards the floor, which carry no probability; alpha then
+    follows how fast they sink and amplifies their rounding.
+
+    alpha = -1 gives s2 itself.  A huge alpha can overflow: the softmax
+    refuses a NaN or infinite column maximum, and a -inf entry below a finite
+    one only sits at the floor.
+    """
+    r = s1 - s0
+    v = s2 - s1
+    v -= r
+    w = q2 * p_yr
+    rr, vv = _fisher_sq(r, q2, w), _fisher_sq(v, q2, w)
+    alpha = min(-math.sqrt(rr / vv), -1.0) if vv > 0 else -1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        r *= -2.0 * alpha
+        r += s0
+        v *= alpha * alpha
+        r += v
+    return r
+
+
+def _remaining_gap(step: float, prev_step: float) -> float:
+    """Aitken estimate |step| rho / (1 - rho) of how far L still has to climb
+    after two consecutive steps, with rho = |step / prev_step| their ratio;
+    inf while rho >= 1, where the steps are not shrinking."""
+    step, prev_step = abs(step), abs(prev_step)
+    if step == 0.0:
+        return 0.0
+    if step >= prev_step:
+        return math.inf
+    rho = step / prev_step
+    return step * rho / (1.0 - rho)
+
+
+def _stopped(l_now: float, step: float, gap: float, eps: float) -> bool:
+    """Both the last step and its remaining-gap estimate are below
+    eps * (1 + |L|)."""
     tol = eps * (1.0 + abs(l_now))
-    return diff < tol if l_now > 0 else abs(diff) < tol
+    return abs(step) < tol and gap < tol
 
 
 def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
              init: str = "perturbed-uniform", eps: float = 1e-8,
              max_iter: int = 5000, seed: int = 0) -> OptimizerResult:
-    """Run the alternating update from one seeded start.
+    """Run the alternating update from one seeded start, accelerated by
+    squared extrapolation once it slows down.
 
     Both multipliers must be strictly positive; the unpenalized objective is
     approached with small multipliers instead of zero ones because the update
-    divides by lam1 + lam2.  A run converges once its Lagrangian L rises by
-    less than eps * (1 + |L|) in one step; while L > 0 any fall counts as
-    converged too, while L <= 0 the step's magnitude is compared instead.
-    Hitting max_iter returns converged=False rather than raising.
+    divides by lam1 + lam2.
+
+    A plain step is one application of the map F (posteriors, then softmax).
+    Plain steps that shrink fast need no help, so the squared extrapolation
+    (SQUAREM) engages at the first plain step, from the SQUAREM_MIN_STEPS-th
+    on, that is larger than SQUAREM_GATE_RATIO times the one before.  From
+    then on the solve runs in cycles: from q0, two plain steps give q1 and
+    q2; the floored column softmax of _squarem_exponents over their softmax
+    exponents, and one plain step from it, give a candidate that is kept
+    only if its Lagrangian is at least L(q2).  Otherwise the cycle ends at
+    q2.
+
+    A step is a plain step before engagement and a whole cycle after.  A run
+    converges once its last step changes L by less than eps * (1 + |L|) and
+    so does the Aitken estimate step * rho / (1 - rho) of the gap left to the
+    limit, rho being the ratio of the last two steps; it never stops while
+    rho >= 1.  iterations counts map evaluations, plain steps and steps from
+    extrapolated points alike, and max_iter caps them: a cycle that would
+    pass it is not started, and the run returns converged=False rather than
+    raising.  lagrangian_trace holds the start and every accepted iterate, so
+    it never decreases (up to rounding) and
+    len(lagrangian_trace) - 1 == iterations - (extrapolations_tried -
+    extrapolations_accepted) <= iterations.
     """
     if not (lam1 > 0 and lam2 > 0):
         raise ValueError(f"multipliers must be strictly positive, got ({lam1}, {lam2})")
@@ -335,15 +454,44 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     trace = [value]
 
     converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        q, h_i_given_y = step.update(log_t)
-        log_t, value = step.evaluate(q, h_i_given_y)
-        trace.append(value)
-        iterations += 1
-        if _stopped(trace[-1], trace[-2], eps):
-            converged = True
+    iterations = tried = accepted = 0
+    prev = None  # L gain of the previous step: a plain step, or a cycle once engaged
+    gap = math.inf
+    engaged = False
+    while iterations < max_iter:
+        start = value
+        if not engaged:
+            q, exponents, log_t, value = step.advance(log_t)
+            iterations += 1
+            trace.append(value)
+        elif iterations + 3 > max_iter:
             break
+        else:
+            chain = [exponents]
+            for _ in range(2):
+                q, exponents, log_t, value = step.advance(log_t)
+                chain.append(exponents)
+                trace.append(value)
+            iterations += 2
+            x = step.softmax(_squarem_exponents(*chain, q, ch.p_yr))
+            if x is not None:
+                q_x, exponents_x, log_t_x, value_x = step.advance(step.log_posteriors(x[0])[1])
+                iterations += 1
+                tried += 1
+                if value_x >= value:
+                    accepted += 1
+                    q, exponents, log_t, value = q_x, exponents_x, log_t_x, value_x
+                    trace.append(value)
+        diff = value - start
+        if prev is not None:
+            gap = _remaining_gap(diff, prev)
+            if _stopped(value, diff, gap, eps):
+                converged = True
+                break
+            if (not engaged and iterations >= SQUAREM_MIN_STEPS
+                    and abs(diff) > SQUAREM_GATE_RATIO * abs(prev)):
+                engaged, diff = True, None
+        prev = diff
 
     q_final = QuantizerPmf(q)
     return OptimizerResult(
@@ -353,6 +501,9 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
         iterations=iterations,
         converged=converged,
         seed=int(seed),
+        extrapolations_tried=tried,
+        extrapolations_accepted=accepted,
+        gap_estimate=float(gap) if math.isfinite(gap) else None,
     )
 
 

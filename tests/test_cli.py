@@ -167,6 +167,8 @@ def test_optimize_subcommand_full_outputs(inline_cfg, tmp_path):
     vals = [float(r.split(",")[1]) for r in lines[1:]]
     assert len(vals) == payload["iterations"] + 1
     assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
+    assert 0 <= payload["extrapolations_accepted"] <= payload["extrapolations_tried"]
+    assert 0 <= payload["gap_estimate_bits"] < 1e-8 * (1 + abs(payload["lagrangian_bits"]))
 
     q = np.array(json.loads(qdump.read_text())["q"])
     assert q.shape == (2, 3)
@@ -376,6 +378,13 @@ def test_repro_fig3_outputs_and_manifest(tmp_path):
     assert meta["parameters"]["snr1_db"] == 1.5
     assert "git_describe" in meta and "wall_time_s" in meta
     assert "fig3_trace.csv" in meta["files"]
+    extra = meta["extra"]
+    assert extra["converged"] is True
+    # the trace holds every evaluation but the rejected extrapolations
+    assert len(vals) - 1 == extra["iterations"] - (
+        extra["extrapolations_tried"] - extra["extrapolations_accepted"])
+    assert extra["extrapolations_accepted"] > 0
+    assert 0 <= extra["gap_estimate_bits"] < 1e-8 * (1 + abs(vals[-1]))
 
 
 def test_repro_fig3_deterministic(tmp_path):

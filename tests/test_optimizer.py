@@ -19,7 +19,15 @@ from qfrelay import (
     optimize_restarts,
     update_q,
 )
-from qfrelay.optimizer import _FusedStep, _stopped
+from qfrelay.optimizer import (
+    EXP_FLOOR,
+    SQUAREM_GATE_RATIO,
+    SQUAREM_MIN_STEPS,
+    _FusedStep,
+    _remaining_gap,
+    _squarem_exponents,
+    _stopped,
+)
 
 FIXED_Q = np.array([[0.9, 0.3, 0.25], [0.1, 0.7, 0.75]])
 
@@ -253,6 +261,43 @@ def test_optimize_iterates_are_valid_pmfs(fx):
     assert np.max(np.abs(q.sum(axis=0) - 1.0)) < 1e-12
 
 
+def test_optimize_converges_at_slow_small_multiplier_point(bpsk):
+    """A point whose plain iteration converges slowly: the accelerated solve
+    converges, keeps its trace non-decreasing and stops where one more plain
+    step barely moves L."""
+    eps, lam = 1e-8, 0.0123
+    res = optimize(bpsk, lam, lam, 32, eps=eps, seed=3)
+    assert res.converged
+    assert res.extrapolations_accepted > 0
+    tol = eps * (1 + abs(res.lagrangian_trace[-1]))
+    assert res.gap_estimate is not None and res.gap_estimate < tol
+    trace = np.asarray(res.lagrangian_trace)
+    slack = 1e-10 * np.maximum(1.0, np.abs(trace[:-1]))
+    assert np.all(np.diff(trace) >= -slack)
+    q_next = update_q(delta_matrix(bpsk, induced_posteriors(bpsk, res.q_final), lam, lam))
+    assert abs(lagrangian(bpsk, q_next, lam, lam) - lagrangian(bpsk, res.q_final, lam, lam)) \
+        < 10 * eps
+
+
+def test_optimize_max_iter_caps_map_evaluations(bpsk, monkeypatch):
+    """Every map evaluation goes through _FusedStep.advance; max_iter = k
+    allows at most k of them, and iterations counts them exactly."""
+    calls = []
+    advance = _FusedStep.advance
+
+    def counted(self, log_t):
+        calls.append(1)
+        return advance(self, log_t)
+
+    monkeypatch.setattr(_FusedStep, "advance", counted)
+    for k in list(range(1, 40)) + [57, 58, 59, 60]:
+        calls.clear()
+        res = optimize(bpsk, 0.0123, 0.0123, 32, eps=1e-12, max_iter=k, seed=3)
+        assert len(calls) == res.iterations <= k
+        assert not res.converged
+    assert res.extrapolations_tried > 0
+
+
 def test_optimize_rejects_bad_arguments(fx):
     with pytest.raises(ValueError):
         optimize(fx, 0.0, 0.5, 2)
@@ -271,11 +316,21 @@ def test_optimize_max_iter_flagged_not_fatal(fx):
 
 
 def test_stopped_rule_decisions():
-    # a rising step under eps * (1 + |L|) stops, even where it exceeds eps * L
-    assert _stopped(1.4, 1.4 - 2.28e-8, 1e-8)
-    assert not _stopped(1.4, 1.4 - 3e-8, 1e-8)
+    # a rising step under eps * (1 + |L|) stops, even where it exceeds eps * L,
+    # when the steps shrink fast (rho = 0.5: the gap estimate is the step itself)
+    assert _stopped(1.4, 2.28e-8, _remaining_gap(2.28e-8, 4.56e-8), 1e-8)
+    assert not _stopped(1.4, 3e-8, _remaining_gap(3e-8, 6e-8), 1e-8)
+    # the same step with rho = 0.99 leaves about 100 steps to climb: no stop
+    assert not _stopped(1.4, 2.28e-8, _remaining_gap(2.28e-8, 2.28e-8 / 0.99), 1e-8)
+    # a shrinking step (rho = 0.5) under tol stops
+    assert _stopped(1.4, 1e-8, _remaining_gap(1e-8, 2e-8), 1e-8)
+    # steps that are not shrinking (rho >= 1) never stop, however small
+    assert _remaining_gap(1e-15, 1e-15) == math.inf
+    assert not _stopped(1.4, 1e-15, _remaining_gap(1e-15, 5e-16), 1e-8)
     # at L <= 0 a large fall is compared by magnitude and does not stop
-    assert not _stopped(-0.5, 0.5, 1e-8)
+    assert not _stopped(-0.5, -1.0, _remaining_gap(-1.0, -2.0), 1e-8)
+    # a step of exactly zero leaves nothing to climb
+    assert _stopped(0.0, 0.0, _remaining_gap(0.0, 0.0), 1e-8)
 
 
 def test_restarts_winner_is_replayable(fx):
@@ -326,7 +381,7 @@ def _fused_step_errors(ch, qm, lam1, lam2):
 
     step = _FusedStep(ch, lam1, lam2)
     log_t, value = step.evaluate(q.q, float(ch.p_yr @ -xlogy(q.q, q.q).sum(axis=0)))
-    got_q, h_next = step.update(log_t)
+    got_q, h_next, _ = step.update(log_t)
     _, value_next = step.evaluate(got_q, h_next)
 
     got_delta = log_t.T @ step.k
@@ -380,17 +435,59 @@ def test_fused_step_reports_nonfinite_delta(fx):
             step.update(log_t)
 
 
+def _floored_exponents(delta):
+    """delta shifted by its column maxima and raised to EXP_FLOOR."""
+    return np.maximum(delta - delta.max(axis=0, keepdims=True), EXP_FLOOR)
+
+
 def _reference_run(ch, lam1, lam2, levels, init="perturbed-uniform", eps=1e-8,
                    max_iter=5000, seed=0):
-    """optimize() spelled with the unfused functions: (final q, trace)."""
+    """optimize() spelled with the unfused functions, the same extrapolation
+    and the same stopping rule: (final q, trace, map evaluations, cycles tried,
+    cycles accepted)."""
+    def plain(q):
+        delta = delta_matrix(ch, induced_posteriors(ch, q), lam1, lam2)
+        q = update_q(delta)
+        return q, _floored_exponents(delta), lagrangian(ch, q, lam1, lam2)
+
     q = initial_quantizer(levels, ch.num_bins, init=init, rng=np.random.default_rng(seed))
     trace = [lagrangian(ch, q, lam1, lam2)]
-    for _ in range(max_iter):
-        q = update_q(delta_matrix(ch, induced_posteriors(ch, q), lam1, lam2))
-        trace.append(lagrangian(ch, q, lam1, lam2))
-        if _stopped(trace[-1], trace[-2], eps):
+    evals = tried = accepted = 0
+    prev, engaged = None, False
+    while evals < max_iter:
+        start = trace[-1]
+        if not engaged:
+            q, s, value = plain(q)
+            evals += 1
+            trace.append(value)
+        elif evals + 3 > max_iter:
             break
-    return q, trace
+        else:
+            chain = [s]
+            for _ in range(2):
+                q, s, value = plain(q)
+                chain.append(s)
+                trace.append(value)
+            evals += 2
+            x = _squarem_exponents(*chain, q.q, ch.p_yr)
+            if np.isfinite(x).all():
+                e = np.exp(_floored_exponents(x))
+                q_x, s_x, value_x = plain(QuantizerPmf(e / e.sum(axis=0)))
+                evals += 1
+                tried += 1
+                if value_x >= value:
+                    accepted += 1
+                    q, s, value = q_x, s_x, value_x
+                    trace.append(value)
+        diff = value - start
+        if prev is not None:
+            if _stopped(value, diff, _remaining_gap(diff, prev), eps):
+                break
+            if not engaged and evals >= SQUAREM_MIN_STEPS and \
+                    abs(diff) > SQUAREM_GATE_RATIO * abs(prev):
+                engaged, diff = True, None
+        prev = diff
+    return q, trace, evals, tried, accepted
 
 
 @pytest.mark.parametrize("case", ["fixture-a", "fixture-b", "fixture-dead-level", "bpsk",
@@ -407,8 +504,13 @@ def test_optimize_trajectory_matches_reference(case, fx, bpsk):
     }[case]
     levels = kwargs.pop("levels")
     res = optimize(ch, lam1, lam2, levels, **kwargs)
-    want_q, want_trace = _reference_run(ch, lam1, lam2, levels, **kwargs)
-    assert res.iterations == len(want_trace) - 1
+    want_q, want_trace, evals, tried, accepted = _reference_run(ch, lam1, lam2, levels,
+                                                                **kwargs)
+    assert (res.iterations, res.extrapolations_tried, res.extrapolations_accepted) == \
+        (evals, tried, accepted)
+    assert len(res.lagrangian_trace) - 1 == res.iterations - (tried - accepted)
+    if case.startswith("bpsk"):
+        assert accepted > 0  # the extrapolation is exercised
     assert np.max(np.abs(np.subtract(res.lagrangian_trace, want_trace))) < 1e-9
     assert np.max(np.abs(res.q_final.q - want_q.q)) < 1e-9
     if case == "fixture-dead-level":
@@ -438,5 +540,5 @@ def test_fused_step_reuses_channel_matrices():
     assert np.array_equal(cached.k, fresh.k)
     (log_c, value_c), (log_f, value_f) = cached.evaluate(q, 0.3), fresh.evaluate(q, 0.3)
     assert np.array_equal(log_c, log_f) and value_c == value_f
-    (q_c, h_c), (q_f, h_f) = cached.update(log_c), fresh.update(log_f)
-    assert np.array_equal(q_c, q_f) and h_c == h_f
+    (q_c, h_c, s_c), (q_f, h_f, s_f) = cached.update(log_c), fresh.update(log_f)
+    assert np.array_equal(q_c, q_f) and h_c == h_f and np.array_equal(s_c, s_f)
