@@ -4,13 +4,14 @@ Runs the default 12x12 multiplier grid (BPSK 1.5/4.5 dB, 128 bins, 32
 levels, 4 restarts, seed 0) twice, serially, and writes a JSON record:
 
 - every point's winning Lagrangian (i_rd - lambda1 c1 - lambda2 c2, bits);
-- the winners' map evaluations, the count of unconverged winners and the wall
+- the map evaluations and the count of unconverged solves over every solve
+  (all restarts of all points), the winners' map evaluations and the wall
   time of each run;
 - whether the two runs wrote byte-identical surface CSVs.
 
 With --against OLD.json it then reports, per grid point, how far each winning
-Lagrangian fell or rose against OLD, and exits 1 if any fell by more than
---tol.  --load NEW.json compares an existing record instead of running.
+Lagrangian fell or rose against OLD, and exits 1 if any fell by more than TOL
+bits.  --load NEW.json compares an existing record instead of running.
 
 Usage (from the repository root; pin one CPU for comparable wall times):
 
@@ -33,12 +34,32 @@ import tempfile
 import time
 from importlib import metadata
 
-from qfrelay import LambdaGrid, build_bpsk_mac, surface_to_csv, sweep_grid
+from qfrelay import LambdaGrid, build_bpsk_mac, optimizer, surface_to_csv, sweep_grid
 from qfrelay.cli import DEFAULTS
 
 SETTINGS = ("snr1_db", "snr2_db", "num_bins", "span_sigmas", "levels", "restarts",
             "lambda_min", "lambda_max", "lambda_count", "eps", "max_iter")
 RUNS = 2
+# The parity bar: no winning Lagrangian may fall by more than this (bits).
+TOL = 1e-9
+
+
+def counted_sweep(*args, **kwargs):
+    """sweep_grid(*args, **kwargs) and the (iterations, converged) of every
+    solve it ran.  optimize_restarts calls optimizer.optimize by name, so
+    rebinding it for the sweep sees each restart, not only the winners."""
+    solve, solves = optimizer.optimize, []
+
+    def counted(*a, **kw):
+        res = solve(*a, **kw)
+        solves.append((res.iterations, res.converged))
+        return res
+
+    optimizer.optimize = counted
+    try:
+        return sweep_grid(*args, **kwargs), solves
+    finally:
+        optimizer.optimize = solve
 
 
 def record(seed: int) -> dict:
@@ -50,8 +71,9 @@ def record(seed: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for k in range(RUNS):
             t0 = time.perf_counter()
-            surface = sweep_grid(ch, d["levels"], grid=grid, restarts=d["restarts"],
-                                 eps=d["eps"], max_iter=d["max_iter"], seed=seed)
+            surface, solves = counted_sweep(ch, d["levels"], grid=grid,
+                                            restarts=d["restarts"], eps=d["eps"],
+                                            max_iter=d["max_iter"], seed=seed)
             wall.append(time.perf_counter() - t0)
             csvs.append(os.path.join(tmp, f"surface-{k}.csv"))
             surface_to_csv(surface, csvs[-1])
@@ -70,17 +92,19 @@ def record(seed: int) -> dict:
             else os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         },
+        "solves": len(solves),
+        "map_evaluations": sum(n for n, _ in solves),
+        "nonconverged": sum(1 for _, ok in solves if not ok),
         "winner_map_evaluations": sum(p["iterations"] for p in points),
-        "nonconverged": sum(1 for p in points if not p["converged"]),
         "wall_s": wall,
         "csv_identical": identical,
         "points": points,
     }
 
 
-def compare(new: dict, old: dict, tol: float) -> int:
-    """Print each point whose winner moved by more than tol and a summary;
-    the number of points that fell by more than tol."""
+def compare(new: dict, old: dict) -> int:
+    """Print each point whose winner moved by more than TOL and a summary;
+    the number of points that fell by more than TOL."""
     if len(new["points"]) != len(old["points"]):
         raise SystemExit("the two records cover different grids")
     falls, rises = [], []
@@ -88,16 +112,17 @@ def compare(new: dict, old: dict, tol: float) -> int:
         if (a["lambda1"], a["lambda2"]) != (b["lambda1"], b["lambda2"]):
             raise SystemExit("the two records cover different grids")
         diff = a["lagrangian_bits"] - b["lagrangian_bits"]
-        if abs(diff) > tol:
+        if abs(diff) > TOL:
             (falls if diff < 0 else rises).append(diff)
             print(f"{'fell' if diff < 0 else 'rose'} {abs(diff):.3e} bits at "
                   f"({a['lambda1']:.4g}, {a['lambda2']:.4g})")
-    print(f"{len(falls)} points fell by more than {tol:g} (largest "
-          f"{-min(falls, default=0.0):.3e}), {len(rises)} rose (largest "
-          f"{max(rises, default=0.0):.3e}); winner map evaluations "
-          f"{old['winner_map_evaluations']} -> {new['winner_map_evaluations']}, "
-          f"nonconverged {old['nonconverged']} -> {new['nonconverged']}, "
-          f"wall {min(old['wall_s']):.2f} -> {min(new['wall_s']):.2f} s")
+    print(f"{len(falls)} points fell by more than {TOL:g} (largest "
+          f"{max((-f for f in falls), default=0.0):.3e}), {len(rises)} rose (largest "
+          f"{max(rises, default=0.0):.3e}); map evaluations "
+          f"{old['map_evaluations']} -> {new['map_evaluations']} (winners "
+          f"{old['winner_map_evaluations']} -> {new['winner_map_evaluations']}), "
+          f"unconverged solves {old['nonconverged']} -> {new['nonconverged']} of "
+          f"{new['solves']}, wall {min(old['wall_s']):.2f} -> {min(new['wall_s']):.2f} s")
     return len(falls)
 
 
@@ -107,8 +132,6 @@ def main(argv=None) -> int:
     src.add_argument("--out", help="run the sweep and write its record here")
     src.add_argument("--load", help="compare this existing record instead of running")
     ap.add_argument("--against", help="an earlier record to compare with")
-    ap.add_argument("--tol", type=float, default=1e-9,
-                    help="bits a winner may move before it is reported (default 1e-9)")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     if args.load:
@@ -119,14 +142,14 @@ def main(argv=None) -> int:
         with open(args.out, "w") as f:
             json.dump(new, f, indent=1)
             f.write("\n")
-        print(f"wrote {args.out}: {new['winner_map_evaluations']} winner map evaluations, "
-              f"{new['nonconverged']} unconverged, wall {min(new['wall_s']):.2f} s, "
-              f"CSVs identical: {new['csv_identical']}")
+        print(f"wrote {args.out}: {new['map_evaluations']} map evaluations over "
+              f"{new['solves']} solves, {new['nonconverged']} unconverged, wall "
+              f"{min(new['wall_s']):.2f} s, CSVs identical: {new['csv_identical']}")
     if not args.against:
         return 0
     with open(args.against) as f:
         old = json.load(f)
-    return 1 if compare(new, old, args.tol) else 0
+    return 1 if compare(new, old) else 0
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ half-steps are exact coordinate minimizations, so no plain step lowers the
 Lagrangian.
 
 F converges linearly, with a rate near 1 at small multipliers, so once its
-steps slow down optimize() accelerates it with squared extrapolation and
-stops on an estimate of the gap left to the limit (see optimize()).
+steps slow down optimize() accelerates it with squared extrapolation (SQUAREM
+cycles with a capped step length) and stops on an estimate of the gap left to
+the limit (see optimize()).
 
 optimize() runs each plain step as one fused step on raw arrays (_FusedStep)
 made of constant-matrix products.  With P = p(x1, x2, y) viewed as a
@@ -70,6 +71,14 @@ EXP_FLOOR = -600.0
 # before: a solve still shrinking its steps fast gains nothing from it.
 SQUAREM_MIN_STEPS = 10
 SQUAREM_GATE_RATIO = 0.5
+# The extrapolation's step length |alpha| is capped, as by step.max in
+# Varadhan & Roland's SQUAREM package.  The cap starts at 1; a kept step at
+# the cap multiplies it by SQUAREM_STEP_FACTOR, a rejected one at the cap
+# divides it, and a rejected step counts as a unit step, so once grown the cap
+# stays at SQUAREM_STEP_FACTOR or above.  Uncapped, a solve crawling at a
+# plain-step ratio of 0.997 proposed |alpha| near 300 and had the candidate
+# rejected in most cycles: the jump also blows up the faster modes.
+SQUAREM_STEP_FACTOR = 4.0
 
 INIT_STRATEGIES = ("perturbed-uniform", "random", "identity")
 
@@ -308,9 +317,11 @@ class _FusedStep:
         when delta is."""
         if self.finite_k:
             s = log_t.T @ self.k
-            out = self.softmax(s)
-            if out is not None:
-                q, exponents, z = out
+            m = s.max(axis=0)
+            # log_t >= log(LOG_FLOOR) or NaN, so with a finite K a column
+            # maximum is finite, NaN or +inf, never -inf.
+            if math.isfinite(m.max()):
+                q, exponents, z = self.softmax(s, m)
                 h_i_given_y = float(self.p_yr @ (np.log(z) - np.einsum("ij,ij->j", q, s)))
                 if math.isfinite(h_i_given_y):
                     return q, h_i_given_y, exponents
@@ -328,15 +339,20 @@ class _FusedStep:
         q, h_i_given_y, exponents = self.update(log_t)
         return (q, exponents, *self.evaluate(q, h_i_given_y))
 
-    @staticmethod
-    def softmax(s: np.ndarray):
-        """(q, exponents, z) of the column softmax of s, or None where a
-        column maximum is not finite: exponents are s shifted by its column
-        maxima (in place) and raised to EXP_FLOOR, q = exp(exponents) / z.
-        The shift runs only on finite maxima, so it makes no inf - inf."""
+    def jump(self, s: np.ndarray):
+        """The log-posteriors of the floored column softmax of the exponents
+        s (overwritten), or None where a column maximum of s is not finite:
+        an extrapolation can overflow to a NaN, an inf or a column of -inf."""
         m = s.max(axis=0)
         if not (math.isfinite(m.max()) and math.isfinite(m.min())):
             return None
+        return self.log_posteriors(self.softmax(s, m)[0])[1]
+
+    @staticmethod
+    def softmax(s: np.ndarray, m: np.ndarray) -> tuple:
+        """(q, exponents, z) of the column softmax of s given its finite
+        column maxima m: exponents are s - m (in place) raised to EXP_FLOOR,
+        and q = exp(exponents) / z."""
         s -= m
         exponents = np.maximum(s, EXP_FLOOR)
         q = np.exp(exponents)
@@ -345,57 +361,68 @@ class _FusedStep:
         return q, exponents, z
 
 
-def _fisher_sq(x: np.ndarray, q: np.ndarray, w: np.ndarray) -> float:
-    """sum_j p(y_j) Var_{q[:, j]}(x[:, j]), with w = q p(y): the squared
-    length of the log-domain move x in the Fisher metric of the channel
-    q(yhat|y) p(y).  Levels q leaves dead weigh nothing, and neither does a
-    column constant in x, which the softmax normalization absorbs."""
-    c = x - np.einsum("ij,ij->j", q, x)
-    return float(np.einsum("ij,ij,ij->", w, c, c))
+def _fisher_sq(x: np.ndarray, q: np.ndarray, w: np.ndarray, p_yr: np.ndarray) -> float:
+    """sum_j p(y_j) Var_{q[:, j]}(x[:, j]) = sum w x**2 - sum_j p(y_j) m_j**2,
+    with w = q p(y) and m_j the q[:, j]-mean of x[:, j]: the squared length
+    of the log-domain move x in the Fisher metric of the channel
+    q(yhat|y) p(y), raised to 0 where rounding takes it below.  Levels q
+    leaves dead weigh nothing, and neither does a column constant in x, which
+    the softmax normalization absorbs."""
+    m = np.einsum("ij,ij->j", q, x)
+    return max(0.0, float(np.vdot(w * x, x) - p_yr @ (m * m)))
 
 
 def _squarem_exponents(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray,
-                       q2: np.ndarray, p_yr: np.ndarray) -> np.ndarray:
-    """s0 - 2 alpha r + alpha**2 v, the squared extrapolation (SQUAREM,
-    Varadhan & Roland 2008) of three consecutive iterates q1 = F(q0),
-    q2 = F(q1) given as their floored softmax exponents s0, s1, s2 (log q up
-    to a column constant, raised to EXP_FLOOR), with r = s1 - s0,
-    v = s2 - 2 s1 + s0 and alpha = min(-|r|/|v|, -1); -1 where v = 0.
+                       q2: np.ndarray, p_yr: np.ndarray, max_step: float) -> tuple:
+    """(s0 - 2 alpha r + alpha**2 v, -alpha), the squared extrapolation
+    (SQUAREM, Varadhan & Roland 2008) of three consecutive iterates
+    q1 = F(q0), q2 = F(q1) given as their floored softmax exponents s0, s1,
+    s2 (log q up to a column constant, raised to EXP_FLOOR), with
+    r = s1 - s0, v = s2 - 2 s1 + s0 and the step length
+    -alpha = |r|/|v| clipped to [1, max_step]; 1 where v = 0.  A unit step
+    gives s2 itself.
 
     The lengths are taken in the Fisher metric of q2 (_fisher_sq).  In plain
     Euclidean lengths, r and v are dominated by dying levels sinking through
     log q = -500 towards the floor, which carry no probability; alpha then
     follows how fast they sink and amplifies their rounding.
 
-    alpha = -1 gives s2 itself.  A huge alpha can overflow: the softmax
-    refuses a NaN or infinite column maximum, and a -inf entry below a finite
-    one only sits at the floor.
+    A huge alpha can overflow: _FusedStep.jump refuses a NaN or infinite
+    column maximum, and a -inf entry below a finite one only sits at the
+    floor.
     """
     r = s1 - s0
     v = s2 - s1
     v -= r
     w = q2 * p_yr
-    rr, vv = _fisher_sq(r, q2, w), _fisher_sq(v, q2, w)
-    alpha = min(-math.sqrt(rr / vv), -1.0) if vv > 0 else -1.0
+    rr, vv = _fisher_sq(r, q2, w, p_yr), _fisher_sq(v, q2, w, p_yr)
+    alpha = max(min(-math.sqrt(rr / vv), -1.0) if vv > 0 else -1.0, -max_step)
     with np.errstate(over="ignore", invalid="ignore"):
         r *= -2.0 * alpha
         r += s0
         v *= alpha * alpha
         r += v
-    return r
+    return r, -alpha
 
 
-def _remaining_gap(step: float, prev_step: float) -> float:
-    """Aitken estimate |step| rho / (1 - rho) of how far L still has to climb
-    after two consecutive steps, with rho = |step / prev_step| their ratio;
-    inf while rho >= 1, where the steps are not shrinking."""
+def _ratio(step: float, prev_step: float) -> float:
+    """|step / prev_step|: 0 for a zero step, inf for a nonzero one after a
+    zero one."""
     step, prev_step = abs(step), abs(prev_step)
     if step == 0.0:
         return 0.0
-    if step >= prev_step:
+    return step / prev_step if prev_step > 0.0 else math.inf
+
+
+def _remaining_gap(step: float, rho: float) -> float:
+    """Aitken estimate |step| rho / (1 - rho) of how far L still has to climb
+    after a step when later steps shrink by rho each; inf while rho >= 1,
+    where the steps are not shrinking."""
+    if step == 0.0:
+        return 0.0
+    if rho >= 1.0:
         return math.inf
-    rho = step / prev_step
-    return step * rho / (1.0 - rho)
+    return abs(step) * rho / (1.0 - rho)
 
 
 def _stopped(l_now: float, step: float, gap: float, eps: float) -> bool:
@@ -423,13 +450,15 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     q2; the floored column softmax of _squarem_exponents over their softmax
     exponents, and one plain step from it, give a candidate that is kept
     only if its Lagrangian is at least L(q2).  Otherwise the cycle ends at
-    q2.
+    q2.  The step length |alpha| is capped (see SQUAREM_STEP_FACTOR).
 
     A step is a plain step before engagement and a whole cycle after.  A run
     converges once its last step changes L by less than eps * (1 + |L|) and
     so does the Aitken estimate step * rho / (1 - rho) of the gap left to the
-    limit, rho being the ratio of the last two steps; it never stops while
-    rho >= 1.  iterations counts map evaluations, plain steps and steps from
+    limit; it never stops while rho >= 1.  Before engagement rho is the ratio
+    of the last two plain steps; after it, the larger of the ratio of the
+    last two cycle gains and that of the cycle's two plain steps.
+    iterations counts map evaluations, plain steps and steps from
     extrapolated points alike, and max_iter caps them: a cycle that would
     pass it is not started, and the run returns converged=False rather than
     raising.  lagrangian_trace holds the start and every accepted iterate, so
@@ -458,12 +487,14 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     prev = None  # L gain of the previous step: a plain step, or a cycle once engaged
     gap = math.inf
     engaged = False
+    max_step = 1.0
     while iterations < max_iter:
         start = value
         if not engaged:
             q, exponents, log_t, value = step.advance(log_t)
             iterations += 1
             trace.append(value)
+            plain_rho = 0.0
         elif iterations + 3 > max_iter:
             break
         else:
@@ -473,23 +504,33 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
                 chain.append(exponents)
                 trace.append(value)
             iterations += 2
-            x = step.softmax(_squarem_exponents(*chain, q, ch.p_yr))
-            if x is not None:
-                q_x, exponents_x, log_t_x, value_x = step.advance(step.log_posteriors(x[0])[1])
+            plain_rho = _ratio(trace[-1] - trace[-2], trace[-2] - start)
+            x, step_len = _squarem_exponents(*chain, q, ch.p_yr, max_step)
+            log_t_x = step.jump(x)
+            kept = False
+            if log_t_x is not None:
+                q_x, exponents_x, log_t_x, value_x = step.advance(log_t_x)
                 iterations += 1
                 tried += 1
-                if value_x >= value:
+                kept = value_x >= value
+                if kept:
                     accepted += 1
                     q, exponents, log_t, value = q_x, exponents_x, log_t_x, value_x
                     trace.append(value)
+            if not kept:
+                if step_len == max_step:
+                    max_step = max(max_step / SQUAREM_STEP_FACTOR, 1.0)
+                step_len = 1.0
+            if step_len == max_step:
+                max_step *= SQUAREM_STEP_FACTOR
         diff = value - start
         if prev is not None:
-            gap = _remaining_gap(diff, prev)
+            rho = max(_ratio(diff, prev), plain_rho)
+            gap = _remaining_gap(diff, rho)
             if _stopped(value, diff, gap, eps):
                 converged = True
                 break
-            if (not engaged and iterations >= SQUAREM_MIN_STEPS
-                    and abs(diff) > SQUAREM_GATE_RATIO * abs(prev)):
+            if not engaged and iterations >= SQUAREM_MIN_STEPS and rho > SQUAREM_GATE_RATIO:
                 engaged, diff = True, None
         prev = diff
 

@@ -19,11 +19,11 @@ from qfrelay import (
     optimize_restarts,
     update_q,
 )
+from qfrelay import optimizer
 from qfrelay.optimizer import (
     EXP_FLOOR,
-    SQUAREM_GATE_RATIO,
-    SQUAREM_MIN_STEPS,
     _FusedStep,
+    _ratio,
     _remaining_gap,
     _squarem_exponents,
     _stopped,
@@ -279,6 +279,27 @@ def test_optimize_converges_at_slow_small_multiplier_point(bpsk):
         < 10 * eps
 
 
+def test_optimize_does_not_stop_on_a_lull_between_jumps(bpsk):
+    """A restart of the default sweep at (0.005337, 0.001) whose cycle gains
+    can drop from 4.1e-7 to 2.4e-8 in one cycle while its plain steps still
+    shrink by only 0.73: it goes on past that lull and ends above where the
+    plain map stops from the same start (1.4006865 bits)."""
+    res = optimize(bpsk, 0.005336699231206312, 0.001, 32, seed=2900726253)
+    assert res.converged
+    assert res.lagrangian_trace[-1] > 1.4006865082416593
+
+
+def test_optimize_stops_near_its_limit(bpsk):
+    """A solve whose cycle gains shrink faster than its plain steps ends
+    within 1e-6 bits of where the same start ends at eps 1e-13; a rho taken
+    from the cycle gains alone leaves it 3.5e-6 bits short."""
+    args = (bpsk, 0.02848035868435802, 0.06579332246575682, 32)
+    res = optimize(*args, seed=449443241)
+    limit = optimize(*args, seed=449443241, eps=1e-13)
+    assert res.converged and limit.converged
+    assert 0.0 <= limit.lagrangian_trace[-1] - res.lagrangian_trace[-1] < 1e-6
+
+
 def test_optimize_max_iter_caps_map_evaluations(bpsk, monkeypatch):
     """Every map evaluation goes through _FusedStep.advance; max_iter = k
     allows at most k of them, and iterations counts them exactly."""
@@ -296,6 +317,27 @@ def test_optimize_max_iter_caps_map_evaluations(bpsk, monkeypatch):
         assert len(calls) == res.iterations <= k
         assert not res.converged
     assert res.extrapolations_tried > 0
+
+
+def test_squarem_step_length_is_capped(bpsk):
+    """The extrapolation's step length is |r|/|v| clipped to [1, max_step],
+    and a unit step gives the last iterate's exponents back."""
+    step = _FusedStep(bpsk, 0.0123, 0.0123)
+    q = initial_quantizer(32, bpsk.num_bins, rng=np.random.default_rng(3)).q
+    log_t, _ = step.evaluate(q, float(bpsk.p_yr @ -xlogy(q, q).sum(axis=0)))
+    for _ in range(20):
+        q, s, log_t, _ = step.advance(log_t)
+    chain = [s]
+    for _ in range(2):
+        q, s, log_t, _ = step.advance(log_t)
+        chain.append(s)
+    x_free, free = _squarem_exponents(*chain, q, bpsk.p_yr, math.inf)
+    assert free > 4.0
+    x_capped, capped = _squarem_exponents(*chain, q, bpsk.p_yr, 4.0)
+    assert capped == 4.0 and not np.array_equal(x_capped, x_free)
+    x_unit, unit = _squarem_exponents(*chain, q, bpsk.p_yr, 1.0)
+    assert unit == 1.0
+    assert np.max(np.abs(x_unit - chain[2])) < 1e-9
 
 
 def test_optimize_rejects_bad_arguments(fx):
@@ -318,19 +360,29 @@ def test_optimize_max_iter_flagged_not_fatal(fx):
 def test_stopped_rule_decisions():
     # a rising step under eps * (1 + |L|) stops, even where it exceeds eps * L,
     # when the steps shrink fast (rho = 0.5: the gap estimate is the step itself)
-    assert _stopped(1.4, 2.28e-8, _remaining_gap(2.28e-8, 4.56e-8), 1e-8)
-    assert not _stopped(1.4, 3e-8, _remaining_gap(3e-8, 6e-8), 1e-8)
+    assert _stopped(1.4, 2.28e-8, _remaining_gap(2.28e-8, _ratio(2.28e-8, 4.56e-8)), 1e-8)
+    assert not _stopped(1.4, 3e-8, _remaining_gap(3e-8, _ratio(3e-8, 6e-8)), 1e-8)
     # the same step with rho = 0.99 leaves about 100 steps to climb: no stop
-    assert not _stopped(1.4, 2.28e-8, _remaining_gap(2.28e-8, 2.28e-8 / 0.99), 1e-8)
+    assert not _stopped(1.4, 2.28e-8, _remaining_gap(2.28e-8, 0.99), 1e-8)
     # a shrinking step (rho = 0.5) under tol stops
-    assert _stopped(1.4, 1e-8, _remaining_gap(1e-8, 2e-8), 1e-8)
+    assert _stopped(1.4, 1e-8, _remaining_gap(1e-8, _ratio(1e-8, 2e-8)), 1e-8)
     # steps that are not shrinking (rho >= 1) never stop, however small
-    assert _remaining_gap(1e-15, 1e-15) == math.inf
-    assert not _stopped(1.4, 1e-15, _remaining_gap(1e-15, 5e-16), 1e-8)
+    assert _remaining_gap(1e-15, _ratio(1e-15, 1e-15)) == math.inf
+    assert not _stopped(1.4, 1e-15, _remaining_gap(1e-15, _ratio(1e-15, 5e-16)), 1e-8)
+    # a nonzero step after a zero one is not shrinking either
+    assert _ratio(1e-15, 0.0) == math.inf
     # at L <= 0 a large fall is compared by magnitude and does not stop
-    assert not _stopped(-0.5, -1.0, _remaining_gap(-1.0, -2.0), 1e-8)
+    assert not _stopped(-0.5, -1.0, _remaining_gap(-1.0, _ratio(-1.0, -2.0)), 1e-8)
     # a step of exactly zero leaves nothing to climb
-    assert _stopped(0.0, 0.0, _remaining_gap(0.0, 0.0), 1e-8)
+    assert _ratio(0.0, 0.0) == 0.0
+    assert _stopped(0.0, 0.0, _remaining_gap(0.0, _ratio(0.0, 0.0)), 1e-8)
+    # once cycles run, rho is the larger of the cycle ratio and the ratio of
+    # the cycle's two plain steps: a cycle gain of 2.3e-8 at L = 1.4 after one
+    # of 4.1e-7 (cycle ratio 0.056) stops on the cycle ratio alone, but not
+    # with plain steps shrinking by 0.73
+    cycle_rho = _ratio(2.3e-8, 4.1e-7)
+    assert _stopped(1.4, 2.3e-8, _remaining_gap(2.3e-8, cycle_rho), 1e-8)
+    assert not _stopped(1.4, 2.3e-8, _remaining_gap(2.3e-8, max(cycle_rho, 0.73)), 1e-8)
 
 
 def test_restarts_winner_is_replayable(fx):
@@ -440,59 +492,37 @@ def _floored_exponents(delta):
     return np.maximum(delta - delta.max(axis=0, keepdims=True), EXP_FLOOR)
 
 
-def _reference_run(ch, lam1, lam2, levels, init="perturbed-uniform", eps=1e-8,
-                   max_iter=5000, seed=0):
-    """optimize() spelled with the unfused functions, the same extrapolation
-    and the same stopping rule: (final q, trace, map evaluations, cycles tried,
-    cycles accepted)."""
-    def plain(q):
-        delta = delta_matrix(ch, induced_posteriors(ch, q), lam1, lam2)
-        q = update_q(delta)
-        return q, _floored_exponents(delta), lagrangian(ch, q, lam1, lam2)
+class _UnfusedStep:
+    """The step interface optimize() drives (evaluate, advance, jump),
+    spelled with the unfused induced_posteriors, delta_matrix, update_q and
+    lagrangian.  Its state in place of the fused log-posteriors is the
+    quantizer itself."""
 
-    q = initial_quantizer(levels, ch.num_bins, init=init, rng=np.random.default_rng(seed))
-    trace = [lagrangian(ch, q, lam1, lam2)]
-    evals = tried = accepted = 0
-    prev, engaged = None, False
-    while evals < max_iter:
-        start = trace[-1]
-        if not engaged:
-            q, s, value = plain(q)
-            evals += 1
-            trace.append(value)
-        elif evals + 3 > max_iter:
-            break
-        else:
-            chain = [s]
-            for _ in range(2):
-                q, s, value = plain(q)
-                chain.append(s)
-                trace.append(value)
-            evals += 2
-            x = _squarem_exponents(*chain, q.q, ch.p_yr)
-            if np.isfinite(x).all():
-                e = np.exp(_floored_exponents(x))
-                q_x, s_x, value_x = plain(QuantizerPmf(e / e.sum(axis=0)))
-                evals += 1
-                tried += 1
-                if value_x >= value:
-                    accepted += 1
-                    q, s, value = q_x, s_x, value_x
-                    trace.append(value)
-        diff = value - start
-        if prev is not None:
-            if _stopped(value, diff, _remaining_gap(diff, prev), eps):
-                break
-            if not engaged and evals >= SQUAREM_MIN_STEPS and \
-                    abs(diff) > SQUAREM_GATE_RATIO * abs(prev):
-                engaged, diff = True, None
-        prev = diff
-    return q, trace, evals, tried, accepted
+    def __init__(self, ch, lam1, lam2):
+        self.ch, self.lam1, self.lam2 = ch, lam1, lam2
+
+    def evaluate(self, q, h_i_given_y):
+        q = QuantizerPmf(q)
+        return q, lagrangian(self.ch, q, self.lam1, self.lam2)
+
+    def advance(self, q):
+        delta = delta_matrix(self.ch, induced_posteriors(self.ch, q), self.lam1, self.lam2)
+        q = update_q(delta)
+        return q.q, _floored_exponents(delta), q, lagrangian(self.ch, q, self.lam1, self.lam2)
+
+    def jump(self, s):
+        if not np.isfinite(s.max(axis=0)).all():
+            return None
+        e = np.exp(_floored_exponents(s))
+        return QuantizerPmf(e / e.sum(axis=0))
 
 
 @pytest.mark.parametrize("case", ["fixture-a", "fixture-b", "fixture-dead-level", "bpsk",
                                   "bpsk-small-multiplier"])
-def test_optimize_trajectory_matches_reference(case, fx, bpsk):
+def test_optimize_trajectory_matches_reference(case, fx, bpsk, monkeypatch):
+    """optimize() with its fused step against optimize() driving the unfused
+    functions: the same extrapolation and stopping rule, so the same map
+    evaluations, every trace entry and the final q within 1e-9."""
     ch, lam1, lam2, kwargs = {
         "fixture-a": (fx, 0.3, 0.8, {"levels": 2}),
         "fixture-b": (fx, 0.1, 0.1, {"levels": 3, "seed": 4}),
@@ -504,20 +534,22 @@ def test_optimize_trajectory_matches_reference(case, fx, bpsk):
     }[case]
     levels = kwargs.pop("levels")
     res = optimize(ch, lam1, lam2, levels, **kwargs)
-    want_q, want_trace, evals, tried, accepted = _reference_run(ch, lam1, lam2, levels,
-                                                                **kwargs)
-    assert (res.iterations, res.extrapolations_tried, res.extrapolations_accepted) == \
-        (evals, tried, accepted)
+    monkeypatch.setattr(optimizer, "_FusedStep", _UnfusedStep)
+    want = optimize(ch, lam1, lam2, levels, **kwargs)
+    counts = ("iterations", "converged", "extrapolations_tried", "extrapolations_accepted")
+    assert [getattr(res, k) for k in counts] == [getattr(want, k) for k in counts]
+    tried, accepted = res.extrapolations_tried, res.extrapolations_accepted
     assert len(res.lagrangian_trace) - 1 == res.iterations - (tried - accepted)
     if case.startswith("bpsk"):
         assert accepted > 0  # the extrapolation is exercised
-    assert np.max(np.abs(np.subtract(res.lagrangian_trace, want_trace))) < 1e-9
-    assert np.max(np.abs(res.q_final.q - want_q.q)) < 1e-9
+    assert len(res.lagrangian_trace) == len(want.lagrangian_trace)
+    assert np.max(np.abs(np.subtract(res.lagrangian_trace, want.lagrangian_trace))) < 1e-9
+    assert np.max(np.abs(res.q_final.q - want.q_final.q)) < 1e-9
     if case == "fixture-dead-level":
         assert res.q_final.q[3].max() < 1e-250
     if case == "bpsk-small-multiplier":
         tiny = np.finfo(float).tiny  # the smallest normal float
-        assert np.count_nonzero((want_q.q > 0) & (want_q.q < tiny)) > 0
+        assert np.count_nonzero((want.q_final.q > 0) & (want.q_final.q < tiny)) > 0
         assert np.count_nonzero(res.q_final.q < tiny) == 0
         # and its products with N, the left factor of num = N @ q.T, stay normal too
         products = _FusedStep(ch, lam1, lam2).num[:, None, :] * res.q_final.q
