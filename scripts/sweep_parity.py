@@ -103,20 +103,23 @@ def record(seed: int) -> dict:
 
 
 def compare(new: dict, old: dict) -> int:
-    """Print each point whose winner moved by more than TOL and a summary;
-    the number of points that fell by more than TOL."""
+    """Print each point whose winner moved by more than TOL and a summary
+    that also counts the winners that moved at all; the number of points
+    that fell by more than TOL."""
     if len(new["points"]) != len(old["points"]):
         raise SystemExit("the two records cover different grids")
-    falls, rises = [], []
+    falls, rises, moved = [], [], 0
     for a, b in zip(new["points"], old["points"]):
         if (a["lambda1"], a["lambda2"]) != (b["lambda1"], b["lambda2"]):
             raise SystemExit("the two records cover different grids")
         diff = a["lagrangian_bits"] - b["lagrangian_bits"]
+        moved += diff != 0.0
         if abs(diff) > TOL:
             (falls if diff < 0 else rises).append(diff)
             print(f"{'fell' if diff < 0 else 'rose'} {abs(diff):.3e} bits at "
                   f"({a['lambda1']:.4g}, {a['lambda2']:.4g})")
-    print(f"{len(falls)} points fell by more than {TOL:g} (largest "
+    print(f"{moved} of {len(new['points'])} winners moved at all; "
+          f"{len(falls)} points fell by more than {TOL:g} (largest "
           f"{max((-f for f in falls), default=0.0):.3e}), {len(rises)} rose (largest "
           f"{max(rises, default=0.0):.3e}); map evaluations "
           f"{old['map_evaluations']} -> {new['map_evaluations']} (winners "

@@ -134,6 +134,16 @@ def _validated_pmf(p: np.ndarray, name: str, axis: int = -1) -> np.ndarray:
     return p / s
 
 
+def db_to_power(snr_db: float) -> float:
+    """10**(snr_db / 10); a ValueError where snr_db or that power is not finite."""
+    try:
+        if math.isfinite(snr_db):
+            return math.pow(10.0, snr_db / 10.0)  # raises on overflow, numpy floats too
+    except OverflowError:
+        pass
+    raise ValueError(f"SNR {snr_db!r} dB is not finite or overflows as a power")
+
+
 def build_bpsk_mac(snr1_db: float, snr2_db: float, num_bins: int = 128,
                    span_sigmas: float = 4.0) -> ChannelModel:
     """Discretized BPSK multiple-access uplink with unit-variance Gaussian noise.
@@ -144,15 +154,12 @@ def build_bpsk_mac(snr1_db: float, snr2_db: float, num_bins: int = 128,
     `span_sigmas` noise deviations on each side; the outermost bins absorb the
     Gaussian tails so each conditional pmf sums to one.
     """
-    if not (math.isfinite(snr1_db) and math.isfinite(snr2_db)):
-        raise ValueError("SNRs must be finite")
+    amp1, amp2 = math.sqrt(db_to_power(snr1_db)), math.sqrt(db_to_power(snr2_db))
     if not isinstance(num_bins, (int, np.integer)) or num_bins < 4:
         raise ValueError(f"num_bins must be an integer >= 4, got {num_bins!r}")
     if not (math.isfinite(span_sigmas) and span_sigmas > 0):
         raise ValueError(f"span_sigmas must be positive, got {span_sigmas!r}")
 
-    amp1 = math.sqrt(10.0 ** (snr1_db / 10.0))
-    amp2 = math.sqrt(10.0 ** (snr2_db / 10.0))
     x1 = np.array([-amp1, amp1])
     x2 = np.array([-amp2, amp2])
 

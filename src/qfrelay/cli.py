@@ -435,8 +435,7 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
 
     fig3: Lagrangian trace of a single run (iteration, value).
     fig4: multiplier-sweep surface CSV over the 12x12 default grid.
-    fig5: scalar-quantizer diagnostic pairs, reusing an existing fig4 surface
-    in outdir when present.
+    fig5: scalar-quantizer diagnostic pairs of that surface, swept anew.
 
     All figures use the BPSK setup with uplink SNRs 1.5 and 4.5 dB, unit
     noise, 128 output bins, and 32 quantizer levels.  Returns the list of
@@ -467,17 +466,12 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
     else:
         params.update({k: DEFAULTS[k] for k in ("lambda_min", "lambda_max",
                                                 "lambda_count", "restarts")})
-        surface_csv = path("fig4_surface.csv")
-        if figure_id == "fig5" and os.path.exists(surface_csv):
-            surface = surface_from_csv(surface_csv)
-            extra = {"surface_source": surface_csv}
-        else:
-            surface = sweep_grid(cfg.build_channel(), cfg.levels, grid=cfg.lambda_grid(),
-                                 restarts=cfg.restarts, eps=cfg.eps, max_iter=cfg.max_iter,
-                                 seed=seed, workers=workers)
-            surface_to_csv(surface, surface_csv)
-            written.append(surface_csv)
-            extra = {"surface_source": "computed", "sweep_warnings": list(surface.warnings)}
+        surface = sweep_grid(cfg.build_channel(), cfg.levels, grid=cfg.lambda_grid(),
+                             restarts=cfg.restarts, eps=cfg.eps, max_iter=cfg.max_iter,
+                             seed=seed, workers=workers)
+        surface_to_csv(surface, path("fig4_surface.csv"))
+        written.append(path("fig4_surface.csv"))
+        extra = {"surface_source": "computed", "sweep_warnings": list(surface.warnings)}
         if figure_id == "fig5":
             _write_csv(path("fig5_scalar.csv"), "h_scalar_bits,i_rd_bits",
                        scalar_diagnostic(surface), "fig5 diagnostic")

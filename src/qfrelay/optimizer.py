@@ -72,12 +72,12 @@ EXP_FLOOR = -600.0
 SQUAREM_MIN_STEPS = 10
 SQUAREM_GATE_RATIO = 0.5
 # The extrapolation's step length |alpha| is capped, as by step.max in
-# Varadhan & Roland's SQUAREM package.  The cap starts at 1; a kept step at
-# the cap multiplies it by SQUAREM_STEP_FACTOR, a rejected one at the cap
-# divides it, and a rejected step counts as a unit step, so once grown the cap
-# stays at SQUAREM_STEP_FACTOR or above.  Uncapped, a solve crawling at a
-# plain-step ratio of 0.997 proposed |alpha| near 300 and had the candidate
-# rejected in most cycles: the jump also blows up the faster modes.
+# Varadhan & Roland's SQUAREM package.  The cap is 1 for the first cycle; a
+# step at the cap multiplies it by SQUAREM_STEP_FACTOR if kept and divides it
+# by SQUAREM_STEP_FACTOR, never below SQUAREM_STEP_FACTOR, if rejected.
+# Uncapped, a solve crawling at a plain-step ratio of 0.997 proposed |alpha|
+# near 300 and had the candidate rejected in most cycles: the jump also blows
+# up the faster modes.
 SQUAREM_STEP_FACTOR = 4.0
 
 INIT_STRATEGIES = ("perturbed-uniform", "random", "identity")
@@ -264,11 +264,11 @@ class _FusedStep:
 
     evaluate(q, h) gives the (R, L) floored log-posteriors of q, rows t1 | t2
     | t3 | t4 with R = 2|X1||X2| + |X1| + |X2|, and the Lagrangian of q;
-    update(log_t) gives the next quantizer, its H(Yhat|Yr) and its softmax
-    exponents; advance(log_t) is update then evaluate.
-    update(evaluate(q, h)[0])[0] is the q of
-    update_q(delta_matrix(ch, induced_posteriors(ch, q), lam1, lam2)), and
-    evaluate(q, h)[1] is lagrangian(ch, q, lam1, lam2), both up to rounding.
+    advance(evaluate(q, h)[0]) takes one plain step and gives the next
+    quantizer q', its softmax exponents and evaluate(q', H(q')).  Up to
+    rounding, q' is update_q(delta_matrix(ch, induced_posteriors(ch, q), lam1,
+    lam2)) and the Lagrangians are lagrangian(ch, q, lam1, lam2) and
+    lagrangian(ch, q', lam1, lam2).
     """
 
     def __init__(self, ch: ChannelModel, lam1: float, lam2: float):
@@ -276,7 +276,7 @@ class _FusedStep:
         self.num, self.sums, self.weights, self.fill = m.num, m.sums, m.weights, m.fill
         self.h_x1, self.h_x2, self.p_yr = m.h_x1, m.h_x2, ch.p_yr
         # Dead bins get a zero column of K, so the softmax leaves them uniform.
-        # Multipliers near the smallest float overflow 1/scale; update then
+        # Multipliers near the smallest float overflow 1/scale; advance then
         # reports the non-finite delta instead of running the softmax.
         scale = (lam1 + lam2) * ch.p_yr
         with np.errstate(over="ignore", invalid="ignore"):
@@ -310,21 +310,21 @@ class _FusedStep:
         value = (r1 + r2) / LN2 - self.lam1 * (c1 / LN2) - self.lam2 * (c2 / LN2)
         return log_t, value
 
-    def update(self, log_t: np.ndarray) -> tuple:
-        """(q, H(Yhat|Yr) in nats, exponents) of the column softmax of
-        delta = log_t.T @ K (see softmax).  A -inf left in delta gets
-        q = e**EXP_FLOOR / z > 0 and makes h infinite, so h is finite exactly
-        when delta is."""
+    def advance(self, log_t: np.ndarray) -> tuple:
+        """One plain step from the iterate whose log-posteriors are log_t:
+        (q, its exponents, its log_t, its Lagrangian in bits), q the column
+        softmax of delta = log_t.T @ K.  A -inf left in delta gets
+        q = e**EXP_FLOOR / z > 0 and makes H(Yhat|Yr) infinite, so that
+        entropy is finite exactly when delta is; a non-finite delta raises
+        FloatingPointError naming its first non-finite entry."""
         if self.finite_k:
             s = log_t.T @ self.k
-            m = s.max(axis=0)
-            # log_t >= log(LOG_FLOOR) or NaN, so with a finite K a column
-            # maximum is finite, NaN or +inf, never -inf.
-            if math.isfinite(m.max()):
-                q, exponents, z = self.softmax(s, m)
+            out = self.softmax(s)
+            if out is not None:
+                q, exponents, z = out
                 h_i_given_y = float(self.p_yr @ (np.log(z) - np.einsum("ij,ij->j", q, s)))
                 if math.isfinite(h_i_given_y):
-                    return q, h_i_given_y, exponents
+                    return (q, exponents, *self.evaluate(q, h_i_given_y))
         # The softmax runs only on a finite K.  Finite deltas are <= 0 up to
         # rounding (log t <= 0, K >= 0), so its shift cannot overflow.  The
         # failure path recomputes the unshifted delta, quietly, to name its
@@ -333,26 +333,21 @@ class _FusedStep:
             i, j = np.argwhere(~np.isfinite(log_t.T @ self.k))[0]
         raise FloatingPointError(f"delta has non-finite entry at ({i}, {j})")
 
-    def advance(self, log_t: np.ndarray) -> tuple:
-        """One plain step from the iterate whose log-posteriors are log_t:
-        (q, its exponents, its log_t, its Lagrangian in bits)."""
-        q, h_i_given_y, exponents = self.update(log_t)
-        return (q, exponents, *self.evaluate(q, h_i_given_y))
-
     def jump(self, s: np.ndarray):
         """The log-posteriors of the floored column softmax of the exponents
-        s (overwritten), or None where a column maximum of s is not finite:
-        an extrapolation can overflow to a NaN, an inf or a column of -inf."""
-        m = s.max(axis=0)
-        if not (math.isfinite(m.max()) and math.isfinite(m.min())):
-            return None
-        return self.log_posteriors(self.softmax(s, m)[0])[1]
+        s (overwritten), or None where softmax refuses s."""
+        out = self.softmax(s)
+        return None if out is None else self.log_posteriors(out[0])[1]
 
     @staticmethod
-    def softmax(s: np.ndarray, m: np.ndarray) -> tuple:
-        """(q, exponents, z) of the column softmax of s given its finite
-        column maxima m: exponents are s - m (in place) raised to EXP_FLOOR,
-        and q = exp(exponents) / z."""
+    def softmax(s: np.ndarray):
+        """(q, exponents, z) of the column softmax of s: exponents are s minus
+        its column maxima (in place) raised to EXP_FLOOR, and
+        q = exp(exponents) / z.  None where a column maximum is NaN or +-inf,
+        as a non-finite delta or an overflowed extrapolation gives."""
+        m = s.max(axis=0)
+        if not np.logical_and.reduce(np.isfinite(m)):  # isfinite(m).all() minus a wrapper call
+            return None
         s -= m
         exponents = np.maximum(s, EXP_FLOOR)
         q = np.exp(exponents)
@@ -387,7 +382,7 @@ def _squarem_exponents(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray,
     log q = -500 towards the floor, which carry no probability; alpha then
     follows how fast they sink and amplifies their rounding.
 
-    A huge alpha can overflow: _FusedStep.jump refuses a NaN or infinite
+    A huge alpha can overflow: _FusedStep.softmax refuses a NaN or infinite
     column maximum, and a -inf entry below a finite one only sits at the
     floor.
     """
@@ -450,7 +445,9 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     q2; the floored column softmax of _squarem_exponents over their softmax
     exponents, and one plain step from it, give a candidate that is kept
     only if its Lagrangian is at least L(q2).  Otherwise the cycle ends at
-    q2.  The step length |alpha| is capped (see SQUAREM_STEP_FACTOR).
+    q2.  The step length |alpha| is capped.  The cap is 1 for the first cycle;
+    a step at the cap multiplies it by SQUAREM_STEP_FACTOR if kept and divides
+    it by SQUAREM_STEP_FACTOR, never below SQUAREM_STEP_FACTOR, if rejected.
 
     A step is a plain step before engagement and a whole cycle after.  A run
     converges once its last step changes L by less than eps * (1 + |L|) and
@@ -468,8 +465,8 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     """
     if not (lam1 > 0 and lam2 > 0):
         raise ValueError(f"multipliers must be strictly positive, got ({lam1}, {lam2})")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if num_levels < 1:
         raise ValueError(f"num_levels must be at least 1, got {num_levels}")
     if max_iter < 1:
@@ -517,12 +514,9 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
                     accepted += 1
                     q, exponents, log_t, value = q_x, exponents_x, log_t_x, value_x
                     trace.append(value)
-            if not kept:
-                if step_len == max_step:
-                    max_step = max(max_step / SQUAREM_STEP_FACTOR, 1.0)
-                step_len = 1.0
             if step_len == max_step:
-                max_step *= SQUAREM_STEP_FACTOR
+                max_step = (max_step * SQUAREM_STEP_FACTOR if kept
+                            else max(max_step / SQUAREM_STEP_FACTOR, SQUAREM_STEP_FACTOR))
         diff = value - start
         if prev is not None:
             rho = max(_ratio(diff, prev), plain_rho)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qfrelay.channel import db_to_power
 from qfrelay.sweep import Surface, query_lower_envelope
 
 # Time shares are kept in [ALPHA_MARGIN, 1 - ALPHA_MARGIN]; the endpoints are
@@ -47,9 +48,7 @@ def downlink_rate(snr_db: float) -> float:
 
     Callers with a different downlink model pass their capacities directly.
     """
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
-    return 0.5 * math.log2(1.0 + 10.0 ** (snr_db / 10.0))
+    return 0.5 * math.log2(1.0 + db_to_power(snr_db))
 
 
 def _targets(i1: float, i2: float, alpha):

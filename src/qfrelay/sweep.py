@@ -213,23 +213,24 @@ def _point_rows(s: Surface, path) -> list:
 
 def _row_to_point(values: list, where: str, q: QuantizerPmf | None = None) -> SurfacePoint:
     """The point of one file row, values in CSV_HEADER order as JSON gives
-    them.  Refuses what no solve produces: non-numbers or booleans in the
+    them.  Refuses what no solve produces: other than int or float in the
     numeric columns, non-finite numbers, multipliers <= 0, negative rates,
     iterations or seed that are not integers >= 0 and a non-boolean
     converged flag."""
-    try:
-        numbers = list(map(float, values[:6]))
-    except (TypeError, ValueError):
-        raise ValueError(f"{where}: non-numeric value in {dict(zip(_COLUMNS, values))}") from None
+    numbers = values[:6]
+    if {*map(type, numbers)} != {float}:  # CSV rows are all floats already
+        if not {int, float}.issuperset(map(type, numbers)):
+            raise ValueError(f"{where}: non-numeric value in {dict(zip(_COLUMNS, values))}")
+        numbers = list(map(float, map(str, numbers)))  # str: a huge int parses as inf
     lam1, lam2, c1, c2, i_rd, h_scalar = numbers
     iterations, converged, seed = values[6:]
     inf = math.inf
     if not (0 < lam1 < inf and 0 < lam2 < inf and 0 <= c1 < inf and 0 <= c2 < inf
-            and 0 <= i_rd < inf and 0 <= h_scalar < inf and bool not in map(type, values[:6])
+            and 0 <= i_rd < inf and 0 <= h_scalar < inf
             and type(iterations) is int and iterations >= 0 and type(seed) is int and seed >= 0
             and type(converged) is bool):
-        raise ValueError(f"{where}: multipliers must be finite non-boolean numbers > 0, rates "
-                         f"finite non-boolean numbers >= 0, iterations and seed integers >= 0 "
+        raise ValueError(f"{where}: multipliers must be finite numbers > 0, rates finite "
+                         f"numbers >= 0, iterations and seed integers >= 0 "
                          f"and converged a boolean, got {dict(zip(_COLUMNS, values))}")
     return SurfacePoint(*numbers, iterations, converged, seed, q=q)
 
@@ -255,9 +256,13 @@ def surface_from_csv(path) -> Surface:
         cells = ln.split(",")
         if len(cells) != 9:
             raise ValueError(f"{path}: malformed row {ln!r}")
-        # the JSON value each tail cell stands for, kept as text if none
+        # the JSON value each cell stands for, kept as text if none
+        try:
+            head = list(map(float, cells[:6]))
+        except ValueError:
+            head = cells[:6]
         tail = [int(c) if c.isdecimal() else _CSV_BOOLEANS.get(c, c) for c in cells[6:]]
-        points.append(_row_to_point(cells[:6] + tail, f"{path}: row {k}"))
+        points.append(_row_to_point(head + tail, f"{path}: row {k}"))
     return Surface(points=tuple(points), channel_fingerprint="", num_levels=0)
 
 

@@ -138,6 +138,23 @@ def test_channel_defaults_to_bpsk_setup(capsys):
     assert payload["num_bins"] == 128
 
 
+@pytest.mark.parametrize("command", [
+    ["channel", "--snr1-db", "4000", "--snr2-db", "0", "--bins", "8"],
+    ["sumrate", "--dl-snr1-db", "4000", "--dl-snr2-db", "0"]])
+def test_overflowing_snr_is_config_error(tmp_path, capsys, command):
+    """An SNR whose power 10**400 overflows a float is refused like a
+    non-finite one."""
+    if command[0] == "sumrate":
+        surface = tmp_path / "surface.csv"
+        surface_to_csv(sweep_grid(fixture_channel(), 2, grid=LambdaGrid.log_spaced(0.1, 1.0, 2),
+                                  restarts=1), surface)
+        command = command + ["--surface", str(surface)]
+    code = main(command)
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: SNR 4000.0 dB")
+
+
 def test_channel_flag_conflicts_with_inline_config(inline_cfg, capsys):
     code = main(["channel", "--config", inline_cfg, "--snr1-db", "1.5"])
     assert code == EXIT_CONFIG
@@ -508,23 +525,32 @@ def test_repro_writes_manifest_when_git_hangs(tmp_path, monkeypatch):
     assert meta["git_describe"] == "unknown"
 
 
-def test_repro_fig5_reuses_existing_surface(fx, tmp_path, monkeypatch):
+def test_repro_fig5_sweeps_despite_existing_surface(fx, tmp_path, monkeypatch):
+    """A surface CSV records no channel, level count or seed, so fig5 sweeps
+    anew even where one lies in outdir, and its pairs come from that sweep."""
     surface_csv = tmp_path / "fig4_surface.csv"
-    surface_to_csv(sweep_grid(fx, 2, grid=LambdaGrid.log_spaced(0.05, 2.0, 3),
-                              restarts=1, seed=0), surface_csv)
+    foreign = sweep_grid(fx, 2, grid=LambdaGrid.log_spaced(0.05, 2.0, 3), restarts=1, seed=0)
+    surface_to_csv(foreign, surface_csv)
+    swept = []
 
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("fig5 swept although a fig4 surface exists")
+    def small_sweep(ch, levels, grid=None, **kwargs):
+        kwargs.update(restarts=1, workers=None)
+        swept.append(sweep_grid(fx, 2, grid=LambdaGrid.log_spaced(0.1, 1.0, 2), **kwargs))
+        return swept[-1]
 
-    monkeypatch.setattr(cli, "sweep_grid", no_sweep)
+    monkeypatch.setattr(cli, "sweep_grid", small_sweep)
     files = run_repro("fig5", outdir=str(tmp_path), seed=0)
-    assert files == [str(tmp_path / "fig5_scalar.csv"), str(tmp_path / "fig5_manifest.json")]
+    assert len(swept) == 1
+    assert files == [str(surface_csv), str(tmp_path / "fig5_scalar.csv"),
+                     str(tmp_path / "fig5_manifest.json")]
+    assert len(surface_from_csv(surface_csv).points) == len(swept[0].points) == 4
     meta = json.loads((tmp_path / "fig5_manifest.json").read_text())
-    assert meta["extra"]["surface_source"] == str(surface_csv)
+    assert meta["extra"]["surface_source"] == "computed"
     rows = (tmp_path / "fig5_scalar.csv").read_text().splitlines()
     assert rows[0] == "h_scalar_bits,i_rd_bits"
     pairs = [tuple(map(float, r.split(","))) for r in rows[1:]]
-    assert pairs == scalar_diagnostic(surface_from_csv(surface_csv))
+    assert pairs == scalar_diagnostic(swept[0])
+    assert pairs != scalar_diagnostic(foreign)
 
 
 def test_repro_subcommand_prints_written_paths(tmp_path, capsys):

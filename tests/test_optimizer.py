@@ -340,13 +340,33 @@ def test_squarem_step_length_is_capped(bpsk):
     assert np.max(np.abs(x_unit - chain[2])) < 1e-9
 
 
+def test_squarem_step_cap_sequence(bpsk, monkeypatch):
+    """The cap on the step length is 1 for the first cycle, then a power of 4
+    that is at least 4, and from cycle to cycle it stays or moves by one
+    factor of 4."""
+    caps = []
+    squarem = optimizer._squarem_exponents
+
+    def recorded(*args):
+        caps.append(args[-1])
+        return squarem(*args)
+
+    monkeypatch.setattr(optimizer, "_squarem_exponents", recorded)
+    optimize(bpsk, 0.0123, 0.0123, 32, seed=3)
+    assert caps[0] == 1.0 and len(caps) > 2
+    powers = {4.0 ** k for k in range(1, 64)}
+    assert all(cap in powers for cap in caps[1:])
+    assert all(b in (a, 4.0 * a, a / 4.0) for a, b in zip(caps, caps[1:]))
+
+
 def test_optimize_rejects_bad_arguments(fx):
     with pytest.raises(ValueError):
         optimize(fx, 0.0, 0.5, 2)
     with pytest.raises(ValueError):
         optimize(fx, 0.5, -0.1, 2)
-    with pytest.raises(ValueError):
-        optimize(fx, 0.5, 0.5, 2, eps=0.0)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            optimize(fx, 0.5, 0.5, 2, eps=eps)
     with pytest.raises(ValueError):
         optimize(fx, 0.5, 0.5, 0)
 
@@ -433,8 +453,7 @@ def _fused_step_errors(ch, qm, lam1, lam2):
 
     step = _FusedStep(ch, lam1, lam2)
     log_t, value = step.evaluate(q.q, float(ch.p_yr @ -xlogy(q.q, q.q).sum(axis=0)))
-    got_q, h_next, _ = step.update(log_t)
-    _, value_next = step.evaluate(got_q, h_next)
+    got_q, _, _, value_next = step.advance(log_t)
 
     got_delta = log_t.T @ step.k
     return (np.max(np.abs(got_delta - want_delta)) / max(1.0, np.max(np.abs(want_delta))),
@@ -484,7 +503,19 @@ def test_fused_step_reports_nonfinite_delta(fx):
         log_t = np.zeros((len(step.k), 2))
         log_t[1, 1] = bad
         with pytest.raises(FloatingPointError, match=r"\(1, 0\)"):
-            step.update(log_t)
+            step.advance(log_t)
+
+
+def test_softmax_refuses_nonfinite_column_maxima(fx):
+    """softmax, and so jump, refuses exponents with a NaN, +inf or all -inf
+    column, quietly; -inf below a finite maximum only sits at the floor."""
+    step = _FusedStep(fx, 0.5, 0.5)
+    for column in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, -np.inf]):
+        s = np.array([[0.0, -1.0], [-2.0, 0.0]])
+        s[:, 1] = column
+        assert step.softmax(s.copy()) is None and step.jump(s) is None
+    q, exponents, z = step.softmax(np.array([[0.0, -np.inf], [-np.inf, 0.0]]))
+    assert np.array_equal(exponents, [[0.0, EXP_FLOOR], [EXP_FLOOR, 0.0]])
 
 
 def _floored_exponents(delta):
@@ -564,7 +595,7 @@ def test_fused_step_reuses_channel_matrices():
     q = np.random.default_rng(5).dirichlet(np.ones(32), size=ch.num_bins).T
     first = _FusedStep(ch, 0.5, 0.2)
     log_t, _ = first.evaluate(q, 0.3)
-    first.update(log_t)
+    first.advance(log_t)
     cached = _FusedStep(ch, 0.1, 0.4)
     fresh = _FusedStep(build_bpsk_mac(1.5, 4.5, 128), 0.1, 0.4)
     assert cached.num is first.num and cached.sums is first.sums
@@ -572,5 +603,8 @@ def test_fused_step_reuses_channel_matrices():
     assert np.array_equal(cached.k, fresh.k)
     (log_c, value_c), (log_f, value_f) = cached.evaluate(q, 0.3), fresh.evaluate(q, 0.3)
     assert np.array_equal(log_c, log_f) and value_c == value_f
-    (q_c, h_c, s_c), (q_f, h_f, s_f) = cached.update(log_c), fresh.update(log_f)
-    assert np.array_equal(q_c, q_f) and h_c == h_f and np.array_equal(s_c, s_f)
+    # the whole step (q, exponents, log_t, Lagrangian), and the softmax
+    # output (q, exponents, z) that its H(Yhat|Yr) comes from
+    for got, want in [(cached.advance(log_c), fresh.advance(log_f)),
+                      (cached.softmax(log_c.T @ cached.k), fresh.softmax(log_f.T @ fresh.k))]:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))

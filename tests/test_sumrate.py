@@ -41,6 +41,8 @@ def test_downlink_rate_rejects_nonfinite():
         downlink_rate(float("nan"))
     with pytest.raises(ValueError):
         downlink_rate(float("inf"))
+    with pytest.raises(ValueError):
+        downlink_rate(4000.0)  # finite, but its power 10**400 is not
 
 
 def test_sum_rate_alpha_near_one(fx_surface_dense):

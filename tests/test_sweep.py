@@ -254,6 +254,8 @@ def test_csv_reader_refuses_impossible_values(tmp_path, column, value):
 
 @pytest.mark.parametrize("column, value", IMPOSSIBLE + [
     ("c1_bits", None), ("c2_bits", "x"), ("c1_bits", True), ("iterations", "five"),
+    ("lambda1", "0.5"), ("c1_bits", "1e-1"),
+    pytest.param("lambda2", 10 ** 400, id="lambda2-int-beyond-float-range"),
     ("iterations", 2.5), ("iterations", -3), ("seed", None), ("seed", False),
     ("converged", "true"), ("converged", 1)])
 def test_json_reader_refuses_impossible_values(tmp_path, column, value):

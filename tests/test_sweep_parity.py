@@ -37,6 +37,8 @@ def test_compare_counts_falls_beyond_the_bar(parity, capsys):
     new = _record([1.0 - 0.5 * parity.TOL, 1.0 - 2 * parity.TOL, 1.0 + 2 * parity.TOL, 1.0])
     assert parity.compare(new, old) == 1
     out = capsys.readouterr().out
+    # the 0.5 TOL fall is within the bar but counts as moved
+    assert "3 of 4 winners moved at all" in out
     assert "1 points fell by more than 1e-09" in out and "1 rose" in out
     with pytest.raises(SystemExit):
         parity.compare(_record([1.0, 1.0]), old)
