@@ -14,6 +14,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -28,8 +29,7 @@ from qfrelay.infotheory import uplink_sum_rate_bound, yr_conditional_entropies
 from qfrelay.optimizer import INIT_STRATEGIES, optimize, optimize_restarts
 from qfrelay.oracle import (DEFAULT_MAX_CELLS, OracleBudgetError, RateTable,
                             check_boundary_optimality, fixture_channel)
-from qfrelay.sumrate import (alpha_objective_curve, downlink_rate,
-                             optimize_alpha, unimodality_report)
+from qfrelay.sumrate import alpha_objective_curve, downlink_rate, optimize_alpha
 from qfrelay.sweep import (LambdaGrid, _check_finite, surface_from_csv, surface_from_json,
                            surface_to_csv, surface_to_json, scalar_diagnostic,
                            sweep_grid)
@@ -178,7 +178,12 @@ def _resolve(cfg: dict, overrides: dict, defaults: dict | None = None) -> RunCon
         if value is None:
             value = (defaults or {}).get(p.field, p.default)
         convert = _TYPES.get(p.kind)
-        values[p.field] = value if value is None or convert is None else convert(value)
+        if value is not None and convert is not None:
+            try:
+                value = convert(value)
+            except OverflowError:  # a JSON integer beyond the float range
+                value = math.inf
+        values[p.field] = value
         if p.kind == "number" and value is not None and not math.isfinite(value):
             source = f"flag {p.flag}" if flag is not None else f"config key {p.key!r}"
             raise ConfigError(f"{source} must be finite, got {value!r}")
@@ -358,7 +363,6 @@ def _cmd_sumrate(args) -> int:
         "c1_at_star_bits": res.c1_at_star,
         "c2_at_star_bits": res.c2_at_star,
         "i_rd_at_star_bits": res.i_rd_at_star,
-        "unimodality": unimodality_report(surface, i1, i2),
     }
     if args.alpha_curve:
         _write_csv(args.alpha_curve, "alpha,sum_rate_bits",
@@ -520,7 +524,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qfrelay argument parser, built on the first call and shared by every
+    later one; parse_args keeps no state on it between calls."""
     parser = _Parser(
         prog="qfrelay",
         description="Quantizer design and sum-rate evaluation for "

@@ -43,6 +43,16 @@ class QuantizerPmf:
             raise ValueError("q must be a 2-D matrix")
         object.__setattr__(self, "q", _readonly(_validated_pmf(q, "q column", axis=0)))
 
+    @classmethod
+    def _renormalized(cls, q: np.ndarray) -> "QuantizerPmf":
+        """The QuantizerPmf of a finite, nonnegative 2-D float q whose columns
+        already sum to 1 within 1e-9, as the solver builds them: the same
+        renormalization q / q.sum(axis=0) as the constructor, without its
+        input checks."""
+        pmf = object.__new__(cls)
+        object.__setattr__(pmf, "q", _readonly(q / q.sum(axis=0, keepdims=True)))
+        return pmf
+
     @property
     def num_levels(self) -> int:
         return self.q.shape[0]

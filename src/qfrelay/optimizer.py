@@ -206,8 +206,14 @@ def initial_quantizer(num_levels: int, num_bins: int, init: str = "perturbed-uni
     Exact uniform Q is a stationary point of the update, so the default mixes
     a small Dirichlet perturbation into each uniform column.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
+    return QuantizerPmf(_initial_draw(num_levels, num_bins, init,
+                                      np.random.default_rng(0) if rng is None else rng))
+
+
+def _initial_draw(num_levels: int, num_bins: int, init: str,
+                  rng: np.random.Generator) -> np.ndarray:
+    """initial_quantizer's (num_levels, num_bins) matrix before its columns
+    are renormalized."""
     if init == "perturbed-uniform":
         q = 0.9 / num_levels + 0.1 * rng.dirichlet(np.ones(num_levels), size=num_bins).T
     elif init == "random":
@@ -221,7 +227,7 @@ def initial_quantizer(num_levels: int, num_bins: int, init: str = "perturbed-uni
         q[:num_bins, :] = np.eye(num_bins)
     else:
         raise ValueError(f"unknown init strategy {init!r}; choose from {INIT_STRATEGIES}")
-    return QuantizerPmf(q)
+    return q
 
 
 class _ChannelMatrices:
@@ -472,8 +478,10 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
-    rng = np.random.default_rng(seed)
-    q = initial_quantizer(num_levels, ch.num_bins, init=init, rng=rng).q
+    # The start and the result are renormalized without QuantizerPmf's input
+    # checks: the solver builds both itself.
+    q = QuantizerPmf._renormalized(_initial_draw(num_levels, ch.num_bins, init,
+                                                 np.random.default_rng(seed))).q
     step = _FusedStep(ch, lam1, lam2)
     # The start is not a softmax output, so its H(Yhat|Yr) is computed directly.
     log_t, value = step.evaluate(q, float(ch.p_yr @ -xlogy(q, q).sum(axis=0)))
@@ -528,7 +536,7 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
                 engaged, diff = True, None
         prev = diff
 
-    q_final = QuantizerPmf(q)
+    q_final = QuantizerPmf._renormalized(q)
     return OptimizerResult(
         q_final=q_final,
         report=rate_report(ch, q_final),

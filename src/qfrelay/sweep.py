@@ -211,28 +211,60 @@ def _point_rows(s: Surface, path) -> list:
     return rows
 
 
-def _row_to_point(values: list, where: str, q: QuantizerPmf | None = None) -> SurfacePoint:
-    """The point of one file row, values in CSV_HEADER order as JSON gives
-    them.  Refuses what no solve produces: other than int or float in the
-    numeric columns, non-finite numbers, multipliers <= 0, negative rates,
-    iterations or seed that are not integers >= 0 and a non-boolean
-    converged flag."""
-    numbers = values[:6]
-    if {*map(type, numbers)} != {float}:  # CSV rows are all floats already
-        if not {int, float}.issuperset(map(type, numbers)):
-            raise ValueError(f"{where}: non-numeric value in {dict(zip(_COLUMNS, values))}")
-        numbers = list(map(float, map(str, numbers)))  # str: a huge int parses as inf
-    lam1, lam2, c1, c2, i_rd, h_scalar = numbers
-    iterations, converged, seed = values[6:]
-    inf = math.inf
-    if not (0 < lam1 < inf and 0 < lam2 < inf and 0 <= c1 < inf and 0 <= c2 < inf
-            and 0 <= i_rd < inf and 0 <= h_scalar < inf
-            and type(iterations) is int and iterations >= 0 and type(seed) is int and seed >= 0
-            and type(converged) is bool):
-        raise ValueError(f"{where}: multipliers must be finite numbers > 0, rates finite "
-                         f"numbers >= 0, iterations and seed integers >= 0 "
-                         f"and converged a boolean, got {dict(zip(_COLUMNS, values))}")
-    return SurfacePoint(*numbers, iterations, converged, seed, q=q)
+def _multiplier(v) -> bool:
+    return type(v) is float and 0 < v < math.inf
+
+
+def _rate(v) -> bool:
+    return type(v) is float and 0 <= v < math.inf
+
+
+def _count(v) -> bool:
+    return type(v) is int and v >= 0
+
+
+def _flag(v) -> bool:
+    return type(v) is bool
+
+
+# What a solve can produce in each CSV_HEADER column, as a test of one value.
+_VALID = (_multiplier, _multiplier, _rate, _rate, _rate, _rate, _count, _flag, _count)
+
+
+def _as_float(v):
+    """An int as a float, through str so that a huge int parses as inf; any
+    other value as it is."""
+    return float(str(v)) if type(v) is int else v
+
+
+def _points(columns: list, where: str, qs=None) -> list:
+    """The points of a surface file's rows, given as its columns in
+    CSV_HEADER order with each value as JSON gives it, and qs the rows'
+    quantizers (None: no quantizers).  Refuses what no solve produces:
+    other than int or float in the numeric columns, non-finite numbers,
+    multipliers <= 0, negative rates, iterations or seed that are not
+    integers >= 0 and a non-boolean converged flag.  Each column is checked
+    whole; a refusal names the first row that breaks a rule, as
+    `{where} {k}`."""
+    raw = list(columns) or [()] * len(_COLUMNS)
+    columns = [col if {*map(type, col)} <= {float} else list(map(_as_float, col))
+               for col in raw[:6]] + raw[6:]
+    bad = [next(k for k, v in enumerate(col) if not valid(v))
+           for col, valid in zip(columns, _VALID) if not all(map(valid, col))]
+    if bad:
+        k = min(bad)
+        raise ValueError(f"{where} {k}: multipliers must be finite numbers > 0, rates finite "
+                         f"numbers >= 0, iterations and seed integers >= 0 and converged "
+                         f"a boolean, got {dict(zip(_COLUMNS, (col[k] for col in raw)))}")
+    return list(map(SurfacePoint, *columns, qs or [None] * len(columns[0])))
+
+
+def _csv_number(cell: str):
+    """The float a CSV cell spells, or the cell itself when it spells none."""
+    try:
+        return float(cell)
+    except ValueError:
+        return cell
 
 
 def surface_to_csv(s: Surface, path) -> None:
@@ -248,22 +280,20 @@ def surface_to_csv(s: Surface, path) -> None:
 
 def surface_from_csv(path) -> Surface:
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+        lines = [ln for ln in map(str.strip, f) if ln]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
-    points = []
-    for k, ln in enumerate(lines[1:]):
-        cells = ln.split(",")
-        if len(cells) != 9:
-            raise ValueError(f"{path}: malformed row {ln!r}")
-        # the JSON value each cell stands for, kept as text if none
-        try:
-            head = list(map(float, cells[:6]))
-        except ValueError:
-            head = cells[:6]
-        tail = [int(c) if c.isdecimal() else _CSV_BOOLEANS.get(c, c) for c in cells[6:]]
-        points.append(_row_to_point(head + tail, f"{path}: row {k}"))
-    return Surface(points=tuple(points), channel_fingerprint="", num_levels=0)
+    rows = [ln.split(",") for ln in lines[1:]]
+    if {*map(len, rows)} - {len(_COLUMNS)}:
+        k = next(k for k, cells in enumerate(rows) if len(cells) != len(_COLUMNS))
+        raise ValueError(f"{path}: row {k}: malformed row {lines[k + 1]!r}")
+    columns = list(zip(*rows))
+    # the JSON value each cell stands for, kept as text if none
+    numbers = [list(map(_csv_number, col)) for col in columns[:6]]
+    tail = [[int(c) if c.isdecimal() else _CSV_BOOLEANS.get(c, c) for c in col]
+            for col in columns[6:]]
+    return Surface(points=tuple(_points(numbers + tail, f"{path}: row")),
+                   channel_fingerprint="", num_levels=0)
 
 
 def surface_to_json(s: Surface, path, include_q: bool = False) -> None:
@@ -288,13 +318,14 @@ def surface_from_json(path) -> Surface:
         d = json.load(f)
     if not isinstance(d, dict) or not isinstance(d.get("points"), list):
         raise ValueError(f"{path}: expected a JSON object with a 'points' list")
-    points = []
+    rows, qs = [], []
     for k, row in enumerate(d["points"]):
         missing = [c for c in _COLUMNS if c not in row] if isinstance(row, dict) else _COLUMNS
         if missing:
             raise ValueError(f"{path}: point {k} lacks the columns {missing}")
-        q = QuantizerPmf(np.asarray(row["q"], dtype=float)) if "q" in row else None
-        points.append(_row_to_point([row[c] for c in _COLUMNS], f"{path}: point {k}", q))
+        rows.append([row[c] for c in _COLUMNS])
+        qs.append(QuantizerPmf(np.asarray(row["q"], dtype=float)) if "q" in row else None)
+    points = _points(list(zip(*rows)), f"{path}: point", qs)
     return Surface(
         points=tuple(points),
         channel_fingerprint=d.get("channel_fingerprint", ""),

@@ -231,7 +231,7 @@ def test_sumrate_subcommand_payload(inline_cfg, tmp_path):
     assert 0 < payload["alpha_star"] < 1
     assert payload["sum_rate_bits"] == pytest.approx(
         payload["alpha_star"] * payload["i_rd_at_star_bits"], abs=1e-12)
-    assert payload["unimodality"]["num_alphas"] == 100
+    assert "unimodality" not in payload
     lines = curve.read_text().splitlines()
     assert lines[0] == "alpha,sum_rate_bits"
     assert len(lines) == 1 + 1000
@@ -272,6 +272,32 @@ def test_sumrate_rejects_mixed_capacity_sources(inline_cfg, tmp_path, capsys):
                  "--dl-snr2-db", "0.0"])
     assert code == EXIT_CONFIG
     assert "not both" in capsys.readouterr().err
+
+
+def test_reused_parser_keeps_no_state_between_calls(inline_cfg, tmp_path):
+    """main parses with one parser per process.  Each call sees only its own
+    flags and config: a leftover capacity pair, from a flag or from the
+    config file, would make the next request's downlink SNRs a second
+    capacity source and exit 2."""
+    assert build_parser() is build_parser()
+    surface = tmp_path / "surface.csv"
+    main(["sweep", "--config", inline_cfg, "--lambda-min", "0.1", "--lambda-max", "1.0",
+          "--lambda-count", "2", "--restarts", "1", "--out", str(surface)])
+    capacities = tmp_path / "capacities.json"
+    capacities.write_text(json.dumps({"sumrate": {"i1_bits": 0.4, "i2_bits": 0.6}}))
+    out = tmp_path / "sumrate.json"
+    snr_request = ["sumrate", "--surface", str(surface), "--dl-snr1-db", "0.0",
+                   "--dl-snr2-db", "0.0", "--out", str(out)]
+    for first in (["--i1-bits", "0.4", "--i2-bits", "0.6"], ["--config", str(capacities)]):
+        assert main(["sumrate", "--surface", str(surface), *first, "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["i1_bits"] == 0.4
+        assert main(snr_request) == EXIT_OK
+        assert json.loads(out.read_text())["i1_bits"] == downlink_rate(0.0)
+    with pytest.raises(SystemExit) as usage_error:
+        main(["sumrate", "--surface", str(surface), "--i1-bits"])
+    assert usage_error.value.code == EXIT_CONFIG
+    assert main(snr_request) == EXIT_OK
+    assert json.loads(out.read_text())["i2_bits"] == downlink_rate(0.0)
 
 
 POINT = {"lambda1": 0.1, "lambda2": 0.1, "c1_bits": 0.1, "c2_bits": 0.1,
@@ -494,6 +520,14 @@ def test_nonfinite_config_value_is_config_error(tmp_path):
     path.write_text('{"solver": {"eps": NaN}}')
     with pytest.raises(ConfigError, match="'solver.eps' must be finite"):
         parse_config(str(path))
+
+
+def test_config_integer_beyond_float_range_is_config_error(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"channel": {"snr1_db": 10 ** 400, "snr2_db": 0.0}}))
+    assert main(["channel", "--config", str(path)]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: config key 'channel.snr1_db' must be finite")
 
 
 def test_solver_overflow_is_numeric_error(inline_cfg, capsys):

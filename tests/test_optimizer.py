@@ -202,6 +202,25 @@ def test_initial_quantizer_strategies():
         initial_quantizer(2, 3, "no-such-strategy")
 
 
+@pytest.mark.parametrize("init, num_bins", [("perturbed-uniform", 128), ("random", 128),
+                                            ("identity", 32)])
+def test_optimize_starts_at_initial_quantizer_and_returns_a_readonly_pmf(init, num_bins):
+    """optimize renormalizes its start and its result without QuantizerPmf's
+    checks.  Its start is still bitwise initial_quantizer's C-ordered matrix
+    (on BPSK L=32 an F-ordered copy of it rounds N @ q.T differently), and
+    q_final is C-contiguous, read-only and column-stochastic."""
+    ch = build_bpsk_mac(1.5, 4.5, num_bins)
+    lam1, lam2, seed = 0.1, 0.4, 3
+    q0 = initial_quantizer(32, num_bins, init, rng=np.random.default_rng(seed)).q
+    step = _FusedStep(ch, lam1, lam2)
+    log_t, value = step.evaluate(q0, float(ch.p_yr @ -xlogy(q0, q0).sum(axis=0)))
+    res = optimize(ch, lam1, lam2, 32, init=init, max_iter=5, seed=seed)
+    assert res.lagrangian_trace[:2] == [value, step.advance(log_t)[3]]
+    q = res.q_final.q
+    assert q.flags.c_contiguous and not q.flags.writeable
+    assert np.max(np.abs(q.sum(axis=0) - 1.0)) <= 1e-15
+
+
 def test_uniform_q_is_a_fixed_point(fx):
     q0 = QuantizerPmf.uniform(2, 3)
     post = induced_posteriors(fx, q0)

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -279,3 +280,52 @@ def test_csv_malformed_header_rejected(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         surface_from_csv(path)
+
+
+def _write_csv_rows(path, rows):
+    path.write_text("\n".join([CSV_HEADER] + [
+        ",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in r.values())
+        for r in rows]) + "\n")
+
+
+@pytest.mark.parametrize("column, value", IMPOSSIBLE)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_reader_names_the_first_bad_row_by_its_index(tmp_path, fmt, column, value):
+    """The columns are checked whole, yet the refusal names the first bad
+    row, not the first row nor a later bad one."""
+    rows = [dict(GOOD_ROW, lambda1=0.1 + k, iterations=k) for k in range(45)]
+    rows[37] = rows[40] = dict(GOOD_ROW, **{column: value})
+    path = tmp_path / f"surface.{fmt}"
+    if fmt == "csv":
+        _write_csv_rows(path, rows)
+        read, where = surface_from_csv, "row"
+    else:
+        path.write_text(json.dumps({"points": rows}))
+        read, where = surface_from_json, "point"
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {where} 37: .*{column}"):
+        read(path)
+
+
+def test_csv_reader_names_a_short_row_by_its_index(tmp_path):
+    rows = [GOOD_ROW] * 45
+    rows[37] = {k: v for k, v in GOOD_ROW.items() if k != "seed"}
+    path = tmp_path / "surface.csv"
+    _write_csv_rows(path, rows)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: row 37: malformed row"):
+        surface_from_csv(path)
+
+
+@pytest.mark.parametrize("write, read", [(surface_to_csv, surface_from_csv),
+                                         (surface_to_json, surface_from_json)])
+def test_surface_file_round_trip_is_bitwise(tmp_path, write, read):
+    points = (SurfacePoint(0.001, 10.0, 0.7530348300875424, 0.0, 0.40633433942036395,
+                           1e-237, 0, False, 2 ** 32 - 1),
+              SurfacePoint(0.1, 0.30000000000000004, 5e-324, 2.5, 1.7976931348623157e308,
+                           1.2983545326488541e-166, 5000, True, 0))
+    path = tmp_path / "surface.out"
+    write(Surface(points=points, channel_fingerprint="", num_levels=2), path)
+
+    def bits(p):
+        return [(type(v), repr(v)) for v in astuple(p)]
+
+    assert list(map(bits, read(path).points)) == list(map(bits, points))
