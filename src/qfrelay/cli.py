@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
@@ -30,9 +29,9 @@ from qfrelay.optimizer import INIT_STRATEGIES, optimize, optimize_restarts
 from qfrelay.oracle import (DEFAULT_MAX_CELLS, OracleBudgetError, RateTable,
                             check_boundary_optimality, fixture_channel)
 from qfrelay.sumrate import alpha_objective_curve, downlink_rate, optimize_alpha
-from qfrelay.sweep import (LambdaGrid, _check_finite, surface_from_csv, surface_from_json,
-                           surface_to_csv, surface_to_json, scalar_diagnostic,
-                           sweep_grid)
+from qfrelay.sweep import (LambdaGrid, _read_json, _write_csv, _write_json, surface_from_csv,
+                           surface_from_json, surface_to_csv, surface_to_json,
+                           scalar_diagnostic, sweep_grid)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,10 +156,9 @@ def _flatten(body: dict, prefix: str = "") -> dict:
 def _load_config_file(path: str) -> dict:
     """Validated config values by dotted key."""
     try:
-        with open(path) as f:
-            raw = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path}: not valid JSON ({e})")
+        raw = _read_json(path)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return _flatten(raw)
@@ -228,28 +226,6 @@ def _pair(a, b, flags: str) -> bool:
     return a is not None
 
 
-def _emit_json(payload: dict, path: str | None, context: str):
-    """Write `payload` as JSON; NaN or infinity anywhere in it is refused."""
-    try:
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise FloatingPointError(f"non-finite value in {context}") from None
-    if path:
-        with open(path, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_csv(path: str, header: str, rows, context: str):
-    """A header line and one line per row, each value in its shortest
-    round-trip repr; non-finite values are refused."""
-    rows = list(rows)
-    _check_finite((v for row in rows for v in row), context)
-    with open(path, "w") as f:
-        f.write("\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n")
-
-
 def _write_trace_csv(trace, path: str):
     _write_csv(path, "iteration,lagrangian_bits", enumerate(map(float, trace)),
                f"trace file {path}")
@@ -267,7 +243,7 @@ def _cmd_channel(args) -> int:
         "uplink_sum_rate_bound_bits": uplink_sum_rate_bound(ch),
         "model": ch.to_dict(),
     }
-    _emit_json(payload, cfg.out, "channel description")
+    _write_json(payload, cfg.out, "channel description")
     return EXIT_OK
 
 
@@ -321,8 +297,8 @@ def _cmd_optimize(args) -> int:
             "channel_fingerprint": ch.fingerprint(),
             "q": res.q_final.q.tolist(),
         }
-        _emit_json(qdump, str(cfg.dump_q), "quantizer dump")
-    _emit_json(payload, cfg.out, "optimize result")
+        _write_json(qdump, str(cfg.dump_q), "quantizer dump")
+    _write_json(payload, cfg.out, "optimize result")
     return EXIT_OK
 
 
@@ -368,7 +344,7 @@ def _cmd_sumrate(args) -> int:
         _write_csv(args.alpha_curve, "alpha,sum_rate_bits",
                    alpha_objective_curve(surface, i1, i2),
                    f"alpha curve file {args.alpha_curve}")
-    _emit_json(payload, cfg.out, "sumrate result")
+    _write_json(payload, cfg.out, "sumrate result")
     return EXIT_OK
 
 
@@ -415,7 +391,7 @@ def _cmd_oracle(args) -> int:
             "argmax_c1_bits": float(table.c1_bits[k]),
             "argmax_c2_bits": float(table.c2_bits[k]),
         }
-    _emit_json(payload, cfg.out, "oracle values")
+    _write_json(payload, cfg.out, "oracle values")
     return EXIT_OK
 
 
@@ -491,7 +467,7 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
         "created_unix": time.time(),
     }
     written.append(path(f"{figure_id}_manifest.json"))
-    _emit_json(manifest, written[-1], "manifest")
+    _write_json(manifest, written[-1], "manifest")
     return written
 
 

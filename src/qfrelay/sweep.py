@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -195,20 +196,46 @@ _COLUMNS = CSV_HEADER.split(",")
 _CSV_BOOLEANS = {"true": True, "false": False}
 
 
-def _check_finite(values, context: str):
-    """Refuse to write NaN or infinity: `values` are the numbers bound for
-    one output file."""
-    if not all(map(math.isfinite, values)):
+def _read_json(path):
+    """The value the JSON file at `path` holds; bytes that do not decode as
+    UTF-8 JSON are a ValueError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError, int-digit limit
+        raise ValueError(f"{path}: not valid JSON ({e})") from None
+
+
+def _write_json(doc, path, context: str):
+    """Write `doc` as indented JSON to `path` (stdout when there is none);
+    NaN or infinity anywhere in it is refused, naming `context`."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise FloatingPointError(f"non-finite value in {context}") from None
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _write_csv(path, header: str, rows, context: str):
+    """A header line, then one line per row: booleans as true/false, the rest
+    as str; NaN or infinity is refused before opening, naming `context`."""
+    rows = list(rows)
+    if not all(math.isfinite(v) for row in rows for v in row):
         raise FloatingPointError(f"non-finite value in {context}")
+    lines = [header] + [",".join([("true" if v else "false") if type(v) is bool else str(v)
+                                  for v in row]) for row in rows]
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
 
 
-def _point_rows(s: Surface, path) -> list:
-    """Each point's nine scalar columns, by CSV_HEADER name, bound for the
-    surface file at `path`; NaN or infinity in any of them is refused."""
-    rows = [dict(zip(_COLUMNS, (p.lam1, p.lam2, p.c1, p.c2, p.i_rd, p.h_scalar,
-                                p.iterations, p.converged, p.seed))) for p in s.points]
-    _check_finite([v for row in rows for v in row.values()], f"surface file {path}")
-    return rows
+def _point_rows(s: Surface) -> list:
+    """Each point's nine scalar columns, in CSV_HEADER order."""
+    return [(p.lam1, p.lam2, p.c1, p.c2, p.i_rd, p.h_scalar, p.iterations, p.converged,
+             p.seed) for p in s.points]
 
 
 def _multiplier(v) -> bool:
@@ -270,12 +297,7 @@ def _csv_number(cell: str):
 def surface_to_csv(s: Surface, path) -> None:
     """One row per point; floats use shortest round-trip repr for bytewise
     reproducibility across runs."""
-    lines = [CSV_HEADER]
-    for row in _point_rows(s, path):
-        row["converged"] = "true" if row["converged"] else "false"
-        lines.append(",".join(map(str, row.values())))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_csv(path, CSV_HEADER, _point_rows(s), f"surface file {path}")
 
 
 def surface_from_csv(path) -> Surface:
@@ -298,24 +320,22 @@ def surface_from_csv(path) -> Surface:
 
 def surface_to_json(s: Surface, path, include_q: bool = False) -> None:
     points = []
-    for p, row in zip(s.points, _point_rows(s, path)):
+    for p, row in zip(s.points, _point_rows(s)):
+        point = dict(zip(_COLUMNS, row))
         if include_q and p.q is not None:
-            row["q"] = p.q.q.tolist()
-        points.append(row)
+            point["q"] = p.q.q.tolist()
+        points.append(point)
     doc = {
         "channel_fingerprint": s.channel_fingerprint,
         "num_levels": s.num_levels,
         "warnings": list(s.warnings),
         "points": points,
     }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    _write_json(doc, path, f"surface file {path}")
 
 
 def surface_from_json(path) -> Surface:
-    with open(path) as f:
-        d = json.load(f)
+    d = _read_json(path)
     if not isinstance(d, dict) or not isinstance(d.get("points"), list):
         raise ValueError(f"{path}: expected a JSON object with a 'points' list")
     rows, qs = [], []

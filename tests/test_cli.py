@@ -22,6 +22,7 @@ from qfrelay.cli import (
     parse_config,
     run_repro,
 )
+from qfrelay.sweep import _write_csv, _write_json
 
 FIXTURE_W = [
     [[0.80, 0.15, 0.05], [0.10, 0.70, 0.20]],
@@ -543,9 +544,9 @@ def test_solver_overflow_is_numeric_error(inline_cfg, capsys):
 def test_writers_refuse_nonfinite_output(tmp_path):
     out = tmp_path / "out.json"
     with pytest.raises(FloatingPointError, match="non-finite value in payload"):
-        cli._emit_json({"ok": [1.0], "bad": {"x": math.nan}}, str(out), "payload")
+        _write_json({"ok": [1.0], "bad": {"x": math.nan}}, str(out), "payload")
     with pytest.raises(FloatingPointError, match="non-finite value in rows"):
-        cli._write_csv(str(tmp_path / "out.csv"), "a,b", [(0, 1.0), (1, math.nan)], "rows")
+        _write_csv(str(tmp_path / "out.csv"), "a,b", [(0, 1.0), (1, math.nan)], "rows")
     assert list(tmp_path.iterdir()) == []
 
 
