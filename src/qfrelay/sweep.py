@@ -286,10 +286,10 @@ def _points(columns: list, where: str, qs=None) -> list:
     return list(map(SurfacePoint, *columns, qs or [None] * len(columns[0])))
 
 
-def _csv_number(cell: str):
-    """The float a CSV cell spells, or the cell itself when it spells none."""
+def _csv_number(cell: str, parse=float):
+    """The number `parse` reads in a CSV cell, or the cell itself when it reads none."""
     try:
-        return float(cell)
+        return parse(cell)
     except ValueError:
         return cell
 
@@ -312,19 +312,17 @@ def surface_from_csv(path) -> Surface:
     columns = list(zip(*rows))
     # the JSON value each cell stands for, kept as text if none
     numbers = [list(map(_csv_number, col)) for col in columns[:6]]
-    tail = [[int(c) if c.isdecimal() else _CSV_BOOLEANS.get(c, c) for c in col]
+    tail = [[_csv_number(c, int) if c.isdecimal() else _CSV_BOOLEANS.get(c, c) for c in col]
             for col in columns[6:]]
     return Surface(points=tuple(_points(numbers + tail, f"{path}: row")),
                    channel_fingerprint="", num_levels=0)
 
 
 def surface_to_json(s: Surface, path, include_q: bool = False) -> None:
-    points = []
-    for p, row in zip(s.points, _point_rows(s)):
-        point = dict(zip(_COLUMNS, row))
+    points = [dict(zip(_COLUMNS, row)) for row in _point_rows(s)]
+    for p, point in zip(s.points, points):
         if include_q and p.q is not None:
             point["q"] = p.q.q.tolist()
-        points.append(point)
     doc = {
         "channel_fingerprint": s.channel_fingerprint,
         "num_levels": s.num_levels,
@@ -344,7 +342,10 @@ def surface_from_json(path) -> Surface:
         if missing:
             raise ValueError(f"{path}: point {k} lacks the columns {missing}")
         rows.append([row[c] for c in _COLUMNS])
-        qs.append(QuantizerPmf(np.asarray(row["q"], dtype=float)) if "q" in row else None)
+        try:
+            qs.append(QuantizerPmf(np.asarray(row["q"], dtype=float)) if "q" in row else None)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: point {k}: q is not a quantizer pmf ({e})") from None
     points = _points(list(zip(*rows)), f"{path}: point", qs)
     return Surface(
         points=tuple(points),

@@ -531,6 +531,20 @@ def test_config_integer_beyond_float_range_is_config_error(tmp_path, capsys):
     assert line.startswith("error: config key 'channel.snr1_db' must be finite")
 
 
+@pytest.mark.parametrize("content", [b"{not json", b'{"channel": "\xff"}',
+                                     b'{"channel": ' + b"9" * 5000 + b"}"],
+                         ids=["invalid-json", "not-utf8", "5000-digit-integer"])
+@pytest.mark.parametrize("command", [["channel", "--config"],
+                                     ["sumrate", "--i1-bits", "1", "--i2-bits", "1", "--surface"]],
+                         ids=["config", "surface"])
+def test_unreadable_json_file_is_config_error_naming_it(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    assert main(command + [str(path)]) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: not valid JSON (")
+
+
 def test_solver_overflow_is_numeric_error(inline_cfg, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -242,7 +242,8 @@ IMPOSSIBLE = [("c1_bits", math.nan), ("c1_bits", -0.5), ("c2_bits", math.inf),
 
 @pytest.mark.parametrize("column, value", IMPOSSIBLE + [
     ("converged", "True"), ("converged", "yes"), ("converged", 1),
-    ("iterations", -3), ("iterations", "five")])
+    ("iterations", -3), ("iterations", "five"),
+    pytest.param("seed", "9" * 5000, id="seed-5000-digits")])
 def test_csv_reader_refuses_impossible_values(tmp_path, column, value):
     path = tmp_path / "surface.csv"
     rows = [GOOD_ROW, dict(GOOD_ROW, **{column: value})]
@@ -258,7 +259,10 @@ def test_csv_reader_refuses_impossible_values(tmp_path, column, value):
     ("lambda1", "0.5"), ("c1_bits", "1e-1"),
     pytest.param("lambda2", 10 ** 400, id="lambda2-int-beyond-float-range"),
     ("iterations", 2.5), ("iterations", -3), ("seed", None), ("seed", False),
-    ("converged", "true"), ("converged", 1)])
+    ("converged", "true"), ("converged", 1),
+    pytest.param("q", ["a"], id="q-strings"), pytest.param("q", [[0.5, 0.5], [0.5]], id="q-ragged"),
+    pytest.param("q", [[1.0, 0.0]], id="q-dead-column"), ("q", "x"),
+    pytest.param("q", {"a": 1}, id="q-object")])
 def test_json_reader_refuses_impossible_values(tmp_path, column, value):
     path = tmp_path / "surface.json"
     path.write_text(json.dumps({"points": [GOOD_ROW, dict(GOOD_ROW, **{column: value})]}))
