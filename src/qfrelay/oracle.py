@@ -5,8 +5,9 @@ p(x1, x2, y_r, yhat_r) = p(x1, x2, y_r) * q(yhat_r | y_r), with no Markov-chain
 shortcuts such as H(Yhat|Yr), so it certifies the factored formulas used by
 the fast path.  The enumeration walks every column-stochastic Q whose columns
 live on a uniform simplex grid; instances beyond the cell budget are refused,
-not attempted.  RateTable forms each relay bin's slice of the joint once per
-grid column rather than once per candidate (see its docstring).
+not attempted.  RateTable groups the joint's entries by quantizer level: each
+level's entries depend only on that row of Q, so it forms every possible row's
+entries once rather than every candidate's joint (see its docstring).
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ import math
 import numpy as np
 from scipy.special import xlogy
 
-from qfrelay.channel import ChannelModel, from_pmfs
+from qfrelay.channel import ChannelModel, _readonly, from_pmfs
 from qfrelay.infotheory import LN2, QuantizerPmf, yr_conditional_entropies
 
 DEFAULT_MAX_CELLS = 2_000_000
-# Most candidates per vectorized run of the table build; a run is never
-# shorter than one relay bin's grid columns, however many those are.
+# Most rows or candidates per vectorized run of the table build; a run is never
+# shorter than one relay bin's grid values or columns, however many those are.
 RUN_CELLS = 1 << 14
 
 
@@ -106,25 +107,65 @@ def _digit_sums(tables: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tail_digits(radix: int, digits: int) -> int:
+    """How many trailing digits one run of the build covers: as many as keep
+    it within RUN_CELLS, and at least one."""
+    tail = 1
+    while tail < digits and radix ** (tail + 1) <= RUN_CELLS:
+        tail += 1
+    return tail
+
+
+def _row_table(p_abj: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each possible quantizer row's share of the entropy differences, in
+    nats, laid out (3, V, ..., V) with one axis of grid values per relay bin.
+
+    Row w (w_j = q(yhat = i | y_j)) makes the joint's entries with yhat = i,
+    p(a, b, i) = sum_j P[a, b, j] w_j, and its shares are [H(X1,Yhat) +
+    H(X2,Yhat) - 2 H(X1,X2,Yhat), H(X1,Yhat) - H(X1,Yr,Yhat), H(X2,Yhat) -
+    H(X2,Yr,Yhat)] over those entries alone.  V is the number of grid values
+    that occur, so there are never more rows than candidates.  Built in runs
+    of rows that share their leading values.
+    """
+    n_cols, n_vals = p_abj.shape[2], len(values)
+    # per (bin, value): the bin's slice of the joint at that value, its sums
+    # over x2 and over x1, and the p log p sums of those two marginals
+    blocks = np.einsum("abj,v->jvab", p_abj, values)
+    flat = [x.reshape(n_cols, n_vals, -1) for x in (blocks, blocks.sum(3), blocks.sum(2))]
+    marginals = np.concatenate(flat, axis=2)
+    bin_sums = np.stack([(x * np.log(x + (x == 0))).sum(axis=2) for x in flat[1:]], axis=2)
+    # each entry's weights on the p log p of [p(x1,x2,yhat) | p(x1,yhat) | p(x2,yhat)]
+    weights = np.repeat([[2.0, -1.0, -1.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
+                        [x.shape[2] for x in flat], axis=1)
+
+    tail = _tail_digits(n_vals, n_cols)
+    run_marg, run_sums = _digit_sums(marginals[-tail:]).T, _digit_sums(bin_sums[-tail:]).T
+    lead_marg, lead_sums = _digit_sums(marginals[:-tail]), _digit_sums(bin_sums[:-tail])
+    run = run_marg.shape[1]
+    rows = np.empty((3, n_vals ** n_cols))
+    for r in range(lead_marg.shape[0]):
+        p = run_marg + lead_marg[r][:, None]
+        out = rows[:, r * run:(r + 1) * run]
+        np.matmul(weights, p * np.log(p + (p == 0)), out=out)
+        out[1:] += run_sums + lead_sums[r][:, None]
+    return rows.reshape((3,) + (n_vals,) * n_cols)
+
+
 class RateTable:
     """Exhaustive (j, c1, c2) evaluation over every grid quantizer.
 
     Candidate k gives relay bin j the grid column d_j, the j-th mixed-radix
-    digit of k, so bin j's slice p(x1, x2, y_j, yhat) of the joint depends on
-    d_j alone.  Per (bin, column) the build forms that block once, with its
-    marginals p(x1, y_j, yhat) and p(x2, y_j, yhat) and their sums of p log p.
-    It then walks runs of candidates that share their leading digits: the
-    leading digits' block sum plus a table of trailing-digit block sums gives
-    each candidate's [p(x1,x2,yhat) | p(x1,yhat) | p(x2,yhat)], and one
-    p log p over those gives H(X1,X2,Yhat), H(X1,Yhat) and H(X2,Yhat);
-    H(X1,Yr,Yhat) and H(X2,Yr,Yhat) are sums of per-bin terms.  So every
-    entropy is still a sum of p log p over entries of the explicit joint, only
-    grouped by bin; p log p is taken as p * log(p + (p == 0)), which is
-    0 * log 1 = 0 at p = 0.
+    digit of k.  The joint's entries with yhat = i depend only on row i of Q,
+    so the build tabulates each possible row's share of the entropies once
+    (_row_table), then gives each candidate the sum of its L rows' shares,
+    gathered axis by axis with np.take over its digits, plus the channel's
+    own entropies.  Every entropy is still a sum of p log p over entries of
+    the explicit joint, only grouped by level; p log p is taken as
+    p * log(p + (p == 0)), which is 0 * log 1 = 0 at p = 0.
 
-    Constrained maxima, penalized maxima, and boundary checks are then array
-    reductions over the cached columns, so one table serves many targets and
-    multiplier pairs.
+    `rates` is one read-only (3, N) block with rows j_bits, c1_bits and
+    c2_bits.  The queries are array reductions over it, so one table serves
+    many targets and multiplier pairs.
     """
 
     def __init__(self, ch: ChannelModel, num_levels: int, grid_step: float,
@@ -139,33 +180,28 @@ class RateTable:
         m = self.columns.shape[0]
         self._shape = (m,) * n_cols
 
-        # per (bin, column): the block, its sums over x2 and over x1, and the
-        # xlogy sums of those two marginals
-        blocks = np.einsum("abj,ci->jcabi", ch.p_x1x2_yr, self.columns)
-        flat = [x.reshape(n_cols, m, -1) for x in (blocks, blocks.sum(3), blocks.sum(2))]
-        marginals = np.concatenate(flat, axis=2)
-        segments = np.cumsum([0] + [x.shape[2] for x in flat[:-1]])
-        bin_sums = np.stack([(x * np.log(x + (x == 0))).sum(axis=2) for x in flat[1:]], axis=2)
-
-        # trailing digits per run: as many as fit in RUN_CELLS, at least one
-        tail = 1
-        while tail < n_cols and m ** (tail + 1) <= RUN_CELLS:
-            tail += 1
-        run_marg, run_sums = _digit_sums(marginals[-tail:]), _digit_sums(bin_sums[-tail:])
-        lead_marg, lead_sums = _digit_sums(marginals[:-tail]), _digit_sums(bin_sums[:-tail])
-        run = run_marg.shape[0]
+        # codes[i, d]: which grid value column d puts at level i
+        values, codes = np.unique(self.columns, return_inverse=True)
+        codes = codes.reshape(self.columns.shape).T
+        rows = _row_table(ch.p_x1x2_yr, values)
 
         h_ab, h_aj, h_bj, h_a, h_b = _marginal_entropies_nats(ch.p_x1x2_yr)
-        self.j_bits, self.c1_bits, self.c2_bits = rates = np.empty((3, total))
-        for r in range(lead_marg.shape[0]):
-            p = run_marg + lead_marg[r]
-            h_abi, h_ai, h_bi = -np.add.reduceat(p * np.log(p + (p == 0)), segments, axis=1).T
-            h_aji, h_bji = -(run_sums + lead_sums[r]).T
-            r1 = h_ab + h_bi - h_b - h_abi
-            r2 = h_ab + h_ai - h_a - h_abi
-            c1 = h_aj + h_ai - h_a - h_aji
-            c2 = h_bj + h_bi - h_b - h_bji
-            rates[:, r * run:(r + 1) * run] = np.maximum(0.0, [r1 + r2, c1, c2]) / LN2
+        const = np.array([2 * h_ab - h_a - h_b, h_aj - h_a, h_bj - h_b])[:, None]
+        tail = _tail_digits(m, n_cols)
+        rates = np.empty((3, total))
+        runs = rates.reshape(3, -1, m ** tail)
+        for r, lead in enumerate(np.ndindex(self._shape[:-tail])):
+            out = runs[:, r]
+            out[:] = const
+            for c in codes:
+                g = rows[(slice(None), *c[list(lead)])]
+                for axis in range(1, tail + 1):
+                    g = g.take(c, axis=axis)
+                out += g.reshape(3, -1)
+        np.maximum(rates, 0.0, out=rates)
+        rates /= LN2
+        self.rates = _readonly(rates)
+        self.j_bits, self.c1_bits, self.c2_bits = self.rates
 
     def __len__(self) -> int:
         return self.num_candidates
@@ -189,7 +225,7 @@ class RateTable:
         """(max j - lam1*c1 - lam2*c2, argmax index) over all candidates."""
         if lam1 < 0 or lam2 < 0:
             raise ValueError("multipliers must be nonnegative")
-        vals = self.j_bits - lam1 * self.c1_bits - lam2 * self.c2_bits
+        vals = np.array([1.0, -lam1, -lam2]) @ self.rates
         k = int(np.argmax(vals))
         return float(vals[k]), k
 

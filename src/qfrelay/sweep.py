@@ -301,8 +301,11 @@ def surface_to_csv(s: Surface, path) -> None:
 
 
 def surface_from_csv(path) -> Surface:
-    with open(path) as f:
-        lines = [ln for ln in map(str.strip, f) if ln]
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = [ln for ln in map(str.strip, f) if ln]
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not valid UTF-8 ({e})") from None
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: expected header {CSV_HEADER!r}")
     rows = [ln.split(",") for ln in lines[1:]]
@@ -332,6 +335,16 @@ def surface_to_json(s: Surface, path, include_q: bool = False) -> None:
     _write_json(doc, path, f"surface file {path}")
 
 
+# A JSON surface's other keys: (key, default, rule, check).  JSON holds no
+# int subclass but bool, so `type(v) is int` refuses true and false.
+_JSON_HEADER = (
+    ("channel_fingerprint", "", "a string", lambda v: type(v) is str),
+    ("num_levels", 0, "an integer >= 0", lambda v: type(v) is int and v >= 0),
+    ("warnings", [], "a list of strings",
+     lambda v: type(v) is list and all(type(w) is str for w in v)),
+)
+
+
 def surface_from_json(path) -> Surface:
     d = _read_json(path)
     if not isinstance(d, dict) or not isinstance(d.get("points"), list):
@@ -346,10 +359,11 @@ def surface_from_json(path) -> Surface:
             qs.append(QuantizerPmf(np.asarray(row["q"], dtype=float)) if "q" in row else None)
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: point {k}: q is not a quantizer pmf ({e})") from None
+    header = {}
+    for key, default, rule, valid in _JSON_HEADER:
+        header[key] = d.get(key, default)
+        if not valid(header[key]):
+            raise ValueError(f"{path}: '{key}' must be {rule}, got {header[key]!r}")
     points = _points(list(zip(*rows)), f"{path}: point", qs)
-    return Surface(
-        points=tuple(points),
-        channel_fingerprint=d.get("channel_fingerprint", ""),
-        num_levels=d.get("num_levels", 0),
-        warnings=tuple(d.get("warnings", ())),
-    )
+    return Surface(points=tuple(points), channel_fingerprint=header["channel_fingerprint"],
+                   num_levels=header["num_levels"], warnings=tuple(header["warnings"]))

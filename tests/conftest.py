@@ -66,7 +66,7 @@ def fx_surface_dense(fx):
 
 @pytest.fixture(scope="session")
 def fx_table_l2(fx):
-    """Brute-force rate table, L=2, step 0.02 (21^3 columns -> 9261 cells)."""
+    """Brute-force rate table, L=2, step 0.02 (51 columns per bin -> 51^3 = 132,651 cells)."""
     return RateTable(fx, 2, grid_step=0.02)
 
 

@@ -312,6 +312,8 @@ POINT = {"lambda1": 0.1, "lambda2": 0.1, "c1_bits": 0.1, "c2_bits": 0.1,
     {"points": [{"lambda1": 0.1, "lambda2": 0.1, "c2_bits": 0.2}]},
     {"points": [POINT, dict(POINT, c1_bits=float("nan"))]},
     {"points": [POINT, dict(POINT, c1_bits=-0.5)]},
+    {"points": [POINT], "warnings": 5},
+    {"points": [POINT], "num_levels": "x"},
 ])
 def test_sumrate_malformed_json_surface_is_config_error(tmp_path, capsys, content):
     surface = tmp_path / "surface.json"
@@ -543,6 +545,16 @@ def test_unreadable_json_file_is_config_error_naming_it(tmp_path, capsys, comman
     assert main(command + [str(path)]) == EXIT_CONFIG
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {path}: not valid JSON (")
+
+
+def test_undecodable_csv_surface_is_config_error_naming_it(tmp_path, capsys):
+    path = tmp_path / "surface.csv"
+    path.write_bytes(b"lambda1,lambda2,c1_bits,c2_bits,i_rd_bits,h_scalar_bits,"
+                     b"iterations,converged,seed\n0.1,0.1,0.1,0.1,0.3,0.0,1,true,\xff\n")
+    command = ["sumrate", "--i1-bits", "1", "--i2-bits", "1", "--surface", str(path)]
+    assert main(command) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: not valid UTF-8 (")
 
 
 def test_solver_overflow_is_numeric_error(inline_cfg, capsys):

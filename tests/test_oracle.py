@@ -189,7 +189,8 @@ def test_budget_refusal_on_table_construction(fx):
 
 @settings(max_examples=50, deadline=None)
 # small run lengths split even these tiny tables into several runs
-@given(ch=tiny_channels(), levels=st.integers(1, 3), n=st.integers(1, 4),
+# from L=3 up the row table is smaller than the candidate set; L=1 has one grid value
+@given(ch=tiny_channels(), levels=st.integers(1, 4), n=st.integers(1, 4),
        run_cells=st.sampled_from([1, 4, 16, oracle.RUN_CELLS]))
 def test_table_matches_per_candidate_reference(ch, levels, n, run_cells):
     budget = 5000
@@ -217,3 +218,23 @@ def test_session_tables_match_per_candidate_reference(fx, fx_table_l2, fx_table_
         np.testing.assert_allclose(tab.j_bits[ks], j, rtol=0, atol=1e-12)
         np.testing.assert_allclose(tab.c1_bits[ks], c1, rtol=0, atol=1e-12)
         np.testing.assert_allclose(tab.c2_bits[ks], c2, rtol=0, atol=1e-12)
+
+
+def test_penalized_query_is_the_max_of_the_penalized_rates(fx, fx_table_l3, rng):
+    # level-permuted twins tie, so the argmax may be either: compare values only
+    tab = fx_table_l3
+    for lam1, lam2 in 10.0 ** rng.uniform(-2, 1, size=(6, 2)):
+        val, k = tab.best_penalized(lam1, lam2)
+        want = (tab.j_bits - lam1 * tab.c1_bits - lam2 * tab.c2_bits).max()
+        assert val == pytest.approx(want, abs=1e-12)
+        rep = rate_report(fx, tab.quantizer_at(k))
+        got = rep.j_value - lam1 * rep.c1_achieved - lam2 * rep.c2_achieved
+        assert got == pytest.approx(val, abs=1e-12)
+
+
+def test_table_rates_are_read_only(fx_table_l2_coarse):
+    tab = fx_table_l2_coarse
+    assert tab.rates.shape == (3, len(tab))
+    for rates in (tab.rates, tab.j_bits, tab.c1_bits, tab.c2_bits):
+        with pytest.raises(ValueError, match="read-only"):
+            rates[0] = 1.0

@@ -270,6 +270,17 @@ def test_json_reader_refuses_impossible_values(tmp_path, column, value):
         surface_from_json(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("warnings", 5), ("warnings", "late"), ("warnings", ["ok", 3]),
+    ("num_levels", "x"), ("num_levels", True), ("num_levels", -1), ("num_levels", 2.0),
+    ("channel_fingerprint", 7), ("channel_fingerprint", None)])
+def test_json_reader_refuses_bad_header_fields(tmp_path, key, value):
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps({"points": [GOOD_ROW], key: value}))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: '{key}' must be "):
+        surface_from_json(path)
+
+
 @pytest.mark.parametrize("write", [surface_to_csv, surface_to_json])
 def test_surface_writers_refuse_nonfinite(tmp_path, write):
     bad = SurfacePoint(0.1, 0.1, math.nan, 0.2, 0.3, 0.0, 5, True, 7)
