@@ -44,6 +44,15 @@ RUNS = 2
 TOL = 1e-9
 
 
+def installed_version(package: str) -> str | None:
+    """The installed version of `package`, or None where it is not installed
+    (scipy is a test dependency only)."""
+    try:
+        return metadata.version(package)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def counted_sweep(*args, **kwargs):
     """sweep_grid(*args, **kwargs) and the (iterations, converged) of every
     solve it ran.  optimize_restarts calls optimizer.optimize by name, so
@@ -87,7 +96,7 @@ def record(seed: int) -> dict:
         "environment": {
             "python": platform.python_version(),
             "numpy": metadata.version("numpy"),
-            "scipy": metadata.version("scipy"),
+            "scipy": installed_version("scipy"),
             "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count(),
             "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),

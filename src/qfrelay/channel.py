@@ -13,11 +13,36 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 # Stored pmfs are renormalized to machine precision; inputs only need to be
 # normalized to within INPUT_ATOL.
 INPUT_ATOL = 1e-9
+
+# Cephes' ndtr (S. L. Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the normal CDF that scipy.special.ndtr computes: its constants and
+# the coefficients of its rational erf and erfc, highest degree first.  A
+# leading 1.0 is Cephes' implicit monic term (p1evl).
+SQRTH = 0.70710678118654752440
+MAXLOG = 7.09782712893383996843e2
+# erf(t) = t T(t^2) / U(t^2) for |t| <= 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+# erfc(z) = exp(-z^2) P(z) / Q(z) for 1 <= z < 8
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+# erfc(z) = exp(-z^2) R(z) / S(z) for z >= 8
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# Above this z, z^2 > MAXLOG and erfc(z) underflows to 0 (sqrt(MAXLOG) = 26.6).
+_ERFC_ZMAX = 27.0
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -144,6 +169,39 @@ def db_to_power(snr_db: float) -> float:
     raise ValueError(f"SNR {snr_db!r} dB is not finite or overflows as a power")
 
 
+def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """The polynomial with these coefficients, highest degree first, at x.
+    Same operations as Cephes' polevl; with a leading 1.0 also as its p1evl,
+    since 1.0 * x is exact."""
+    acc = coefs[0]
+    for c in coefs[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise, bit for bit Cephes' ndtr.
+
+    Both rational branches are evaluated everywhere and selected after, with
+    their arguments clipped to the ranges where they are used so that no
+    input overflows.  exp is libm's (math.exp) per element, as in Cephes;
+    numpy's exp rounds differently on some inputs.
+    """
+    x = a * SQRTH
+    z = np.abs(x)
+    t = np.clip(x, -1.0, 1.0)
+    tt = t * t
+    erf = t * _horner(tt, _ERF_T) / _horner(tt, _ERF_U)
+    zc = np.clip(z, 1.0, _ERFC_ZMAX)
+    e = np.fromiter(map(math.exp, (-zc * zc).ravel().tolist()), float, zc.size).reshape(zc.shape)
+    tail = np.where(zc < 8.0, e * _horner(zc, _ERFC_P) / _horner(zc, _ERFC_Q),
+                    e * _horner(zc, _ERFC_R) / _horner(zc, _ERFC_S))
+    # erfc(z) = 1 - erf(z) below 1, and erf(|x|) = |erf(x)| exactly
+    erfc = np.where(z < 1.0, 1.0 - np.abs(erf), np.where(zc * zc > MAXLOG, 0.0, tail))
+    half = 0.5 * erfc
+    return np.where(z < SQRTH, 0.5 + 0.5 * erf, np.where(x > 0, 1.0 - half, half))
+
+
 def build_bpsk_mac(snr1_db: float, snr2_db: float, num_bins: int = 128,
                    span_sigmas: float = 4.0) -> ChannelModel:
     """Discretized BPSK multiple-access uplink with unit-variance Gaussian noise.
@@ -171,12 +229,8 @@ def build_bpsk_mac(snr1_db: float, snr2_db: float, num_bins: int = 128,
 
     # Tail-absorbing bin probabilities: CDF at the interior edges, padded with
     # 0 and 1, then differenced.
-    inner = edges[1:-1]
-    w = np.empty((2, 2, num_bins))
-    for a in range(2):
-        for b in range(2):
-            cdf = np.concatenate(([0.0], ndtr(inner - means[a, b]), [1.0]))
-            w[a, b] = np.diff(cdf)
+    cdf = _ndtr(edges[1:-1] - means[:, :, None])
+    w = np.diff(cdf, axis=2, prepend=0.0, append=1.0)
 
     return ChannelModel(
         x1_alphabet=x1,

@@ -53,10 +53,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from qfrelay.channel import ChannelModel, _readonly
-from qfrelay.infotheory import LN2, QuantizerPmf, RateReport, _entropy_nats, rate_report
+from qfrelay.infotheory import (LN2, QuantizerPmf, RateReport, _entropy_nats, _plogp,
+                                 rate_report)
 
 # Posterior entries of exactly zero are clamped here before the log; the
 # resulting -690 nat penalty keeps dead levels dead without producing inf.
@@ -484,7 +484,7 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
                                                  np.random.default_rng(seed))).q
     step = _FusedStep(ch, lam1, lam2)
     # The start is not a softmax output, so its H(Yhat|Yr) is computed directly.
-    log_t, value = step.evaluate(q, float(ch.p_yr @ -xlogy(q, q).sum(axis=0)))
+    log_t, value = step.evaluate(q, float(ch.p_yr @ -_plogp(q).sum(axis=0)))
     trace = [value]
 
     converged = False

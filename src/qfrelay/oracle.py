@@ -16,10 +16,9 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 from qfrelay.channel import ChannelModel, _readonly, from_pmfs
-from qfrelay.infotheory import LN2, QuantizerPmf, yr_conditional_entropies
+from qfrelay.infotheory import LN2, QuantizerPmf, _plogp, yr_conditional_entropies
 
 DEFAULT_MAX_CELLS = 2_000_000
 # Most rows or candidates per vectorized run of the table build; a run is never
@@ -95,7 +94,7 @@ def _marginal_entropies_nats(joint3: np.ndarray) -> list:
     """H(X1,X2), H(X1,Yr), H(X2,Yr), H(X1) and H(X2) of the fixed joint, in nats."""
     p_ab = joint3.sum(axis=2)
     parts = (p_ab, joint3.sum(axis=1), joint3.sum(axis=0), p_ab.sum(axis=1), p_ab.sum(axis=0))
-    return [float(-xlogy(p, p).sum()) for p in parts]
+    return [float(-_plogp(p).sum()) for p in parts]
 
 
 def _digit_sums(tables: np.ndarray) -> np.ndarray:
@@ -133,7 +132,7 @@ def _row_table(p_abj: np.ndarray, values: np.ndarray) -> np.ndarray:
     blocks = np.einsum("abj,v->jvab", p_abj, values)
     flat = [x.reshape(n_cols, n_vals, -1) for x in (blocks, blocks.sum(3), blocks.sum(2))]
     marginals = np.concatenate(flat, axis=2)
-    bin_sums = np.stack([(x * np.log(x + (x == 0))).sum(axis=2) for x in flat[1:]], axis=2)
+    bin_sums = np.stack([_plogp(x).sum(axis=2) for x in flat[1:]], axis=2)
     # each entry's weights on the p log p of [p(x1,x2,yhat) | p(x1,yhat) | p(x2,yhat)]
     weights = np.repeat([[2.0, -1.0, -1.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
                         [x.shape[2] for x in flat], axis=1)
@@ -146,7 +145,7 @@ def _row_table(p_abj: np.ndarray, values: np.ndarray) -> np.ndarray:
     for r in range(lead_marg.shape[0]):
         p = run_marg + lead_marg[r][:, None]
         out = rows[:, r * run:(r + 1) * run]
-        np.matmul(weights, p * np.log(p + (p == 0)), out=out)
+        np.matmul(weights, _plogp(p), out=out)
         out[1:] += run_sums + lead_sums[r][:, None]
     return rows.reshape((3,) + (n_vals,) * n_cols)
 
@@ -160,8 +159,8 @@ class RateTable:
     (_row_table), then gives each candidate the sum of its L rows' shares,
     gathered axis by axis with np.take over its digits, plus the channel's
     own entropies.  Every entropy is still a sum of p log p over entries of
-    the explicit joint, only grouped by level; p log p is taken as
-    p * log(p + (p == 0)), which is 0 * log 1 = 0 at p = 0.
+    the explicit joint, only grouped by level, each p log p taken by
+    infotheory._plogp.
 
     `rates` is one read-only (3, N) block with rows j_bits, c1_bits and
     c2_bits.  The queries are array reductions over it, so one table serves

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +122,9 @@ def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None
 
     columns = zip(*tasks)
     if workers is not None and workers > 1:
+        # imported here: it loads multiprocessing, which serial runs never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_solve_point, *columns))
     else:

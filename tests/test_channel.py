@@ -1,5 +1,9 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from qfrelay import (
     QuantizerPmf,
@@ -9,6 +13,7 @@ from qfrelay import (
     rate_report,
     yr_conditional_entropies,
 )
+from qfrelay.channel import MAXLOG, SQRTH, _ndtr
 
 
 def test_bpsk_shapes_and_alphabets():
@@ -141,3 +146,49 @@ def test_to_dict_round_trips_tensors():
     d = fx.to_dict()
     assert np.allclose(d["p_yr_given_x1x2"], fx.p_yr_given_x1x2)
     assert np.allclose(d["p_x2"], fx.p_x2)
+
+
+def _ulps_around(v: float, n: int = 8) -> np.ndarray:
+    """The n floats below v, v and the n floats above it."""
+    below = [v]
+    above = [v]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[::-1] + above[1:])
+
+
+def test_ndtr_port_is_bit_identical_to_scipy():
+    rng = np.random.default_rng(0)
+    a = [rng.normal(0.0, 3.0, 200_000), rng.uniform(-40.0, 40.0, 200_000),
+         rng.uniform(-1.5, 1.5, 200_000), np.linspace(-40.0, 40.0, 100_000),
+         [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 5e-324, -5e-324]]
+    # Both sides of each branch split of |x| = |a| SQRTH: the erf/erfc split
+    # at SQRTH, erfc's 1.0 and 8.0 splits, and its underflow at x^2 = MAXLOG.
+    splits = (SQRTH, 1.0, 8.0, math.sqrt(MAXLOG))
+    for split in splits:
+        near = _ulps_around(split / SQRTH)
+        a += [near, -near]
+    a = np.concatenate(a)
+    z = np.minimum(np.abs(a * SQRTH), 30.0)
+    for side in (z - SQRTH, z - 1.0, z - 8.0, z * z - MAXLOG):
+        close = np.abs(side) < 1e-12
+        assert (close & (side < 0)).any() and (close & (side >= 0)).any()
+    got, want = _ndtr(a), ndtr(a)
+    bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+    assert bad.size == 0, f"{bad.size} mismatches, first at a={a[bad[0]]!r}"
+
+
+def test_ndtr_port_raises_no_warning_at_extremes():
+    mags = np.concatenate([np.logspace(-300, 300, 601), [0.0]])
+    a = np.concatenate([mags, -mags])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ndtr(a)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+
+
+def test_default_bpsk_channel_is_pinned():
+    ch = build_bpsk_mac(1.5, 4.5)
+    assert ch.fingerprint() == ("9b8202b741a6ed52adf19530c013daa8"
+                                "a030f843000dc5152b1b93c8825ba470")

@@ -2,8 +2,11 @@ import argparse
 import ast
 import json
 import math
+import os
 import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -806,3 +809,17 @@ def test_flag_and_file_set_the_same_field_and_the_flag_wins(
     assert getattr(parse_config(str(path)), field) == file_value
     args = build_parser().parse_args([cmd, "--config", str(path), *flag])
     assert getattr(_config_from_args(args), field) == flag_value
+
+
+def test_import_loads_neither_scipy_nor_multiprocessing():
+    # scipy is a test dependency only, and a serial run never starts a pool.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, qfrelay, qfrelay.cli\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from qfrelay import (
     QuantizerPmf,
@@ -10,6 +11,7 @@ from qfrelay import (
     uplink_sum_rate_bound,
     yr_conditional_entropies,
 )
+from qfrelay.infotheory import _plogp
 
 # Reference values for the fixture channel with a fixed non-degenerate Q,
 # computed by an independent straight-from-definition enumeration of the
@@ -172,3 +174,12 @@ def test_row_permutation_symmetry(fx, rng):
         rb = rate_report(fx, QuantizerPmf(q[perm]))
         for field in ("j_value", "c1_achieved", "c2_achieved", "h_yhat_given_y", "r1", "r2"):
             assert abs(getattr(ra, field) - getattr(rb, field)) <= 1e-12
+
+
+def test_plogp_is_zero_at_zero_and_within_two_ulp_of_xlogy():
+    assert _plogp(np.array([0.0]))[0] == 0.0
+    rng = np.random.default_rng(0)
+    p = np.concatenate([rng.uniform(0.0, 1.0, 100_000), np.logspace(-320, 0, 10_000),
+                        1.0 - np.logspace(-16, 0, 1_000, endpoint=False), [5e-324, 1.0]])
+    got, want = _plogp(p), xlogy(p, p)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))

@@ -42,3 +42,8 @@ def test_compare_counts_falls_beyond_the_bar(parity, capsys):
     assert "1 points fell by more than 1e-09" in out and "1 rose" in out
     with pytest.raises(SystemExit):
         parity.compare(_record([1.0, 1.0]), old)
+
+
+def test_installed_version_is_none_for_a_missing_package(parity):
+    assert parity.installed_version("numpy")
+    assert parity.installed_version("no-such-package-qfrelay") is None
