@@ -395,7 +395,9 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _git_describe() -> str:
+    """The checkout's `git describe`, or "unknown"; asked once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

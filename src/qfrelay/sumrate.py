@@ -70,7 +70,7 @@ def sum_rate_at(s: Surface, i1: float, i2: float, alpha: float) -> float:
 
 def _rates(s: Surface):
     """The surface's (c1, c2, i_rd) columns as float arrays."""
-    rows = np.array([(p.c1, p.c2, p.i_rd) for p in s.points], dtype=float)
+    rows = np.array([p[2:5] for p in s.points], dtype=float)
     return rows.reshape(-1, 3).T
 
 

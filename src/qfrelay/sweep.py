@@ -13,6 +13,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,12 +57,13 @@ class LambdaGrid:
         return cls(axis1=axis, axis2=axis.copy())
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
+class SurfacePoint(NamedTuple):
     """One solved multiplier pair: achieved rates plus provenance.
 
-    q is the winning quantizer when the point was produced in-process; points
-    reloaded from CSV carry q=None (the CSV stores only the scalar columns).
+    The first nine fields are the CSV_HEADER columns in order, so p[:-1] is
+    the point's file row.  q is the winning quantizer when the point was
+    produced in-process; points reloaded from CSV carry q=None (the CSV
+    stores only the scalar columns).
     """
 
     lam1: float
@@ -83,7 +86,7 @@ class Surface:
     warnings: tuple = ()
 
 
-def _solve_point(ch, num_levels, lam1, lam2, restarts, init, eps, max_iter, point_seed):
+def _solve_point(ch, num_levels, restarts, init, eps, max_iter, lam1, lam2, point_seed):
     res = optimize_restarts(ch, lam1, lam2, num_levels, restarts=restarts,
                             init=init, eps=eps, max_iter=max_iter, seed=point_seed)
     rep = res.report
@@ -113,22 +116,20 @@ def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None
     """
     if grid is None:
         grid = LambdaGrid.log_spaced()
-    tasks = []
-    for gi, lam1 in enumerate(grid.axis1):
-        for gj, lam2 in enumerate(grid.axis2):
-            point_seed = int(np.random.SeedSequence((seed, gi, gj)).generate_state(1)[0])
-            tasks.append((ch, num_levels, float(lam1), float(lam2), restarts,
-                          init, eps, max_iter, point_seed))
-
-    columns = zip(*tasks)
+    axis1, axis2 = grid.axis1.tolist(), grid.axis2.tolist()
+    lam1s = [lam1 for lam1 in axis1 for _ in axis2]
+    lam2s = axis2 * len(axis1)
+    seeds = [int(np.random.SeedSequence((seed, gi, gj)).generate_state(1)[0])
+             for gi in range(len(axis1)) for gj in range(len(axis2))]
+    solve = partial(_solve_point, ch, num_levels, restarts, init, eps, max_iter)
     if workers is not None and workers > 1:
         # imported here: it loads multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_solve_point, *columns))
+            points = list(pool.map(solve, lam1s, lam2s, seeds))
     else:
-        points = list(map(_solve_point, *columns))
+        points = list(map(solve, lam1s, lam2s, seeds))
 
     warnings = []
     bad = sum(1 for p in points if not p.converged)
@@ -234,12 +235,6 @@ def _write_csv(path, header: str, rows, context: str):
         f.write("\n".join(lines) + "\n")
 
 
-def _point_rows(s: Surface) -> list:
-    """Each point's nine scalar columns, in CSV_HEADER order."""
-    return [(p.lam1, p.lam2, p.c1, p.c2, p.i_rd, p.h_scalar, p.iterations, p.converged,
-             p.seed) for p in s.points]
-
-
 def _multiplier(v) -> bool:
     return type(v) is float and 0 < v < math.inf
 
@@ -299,7 +294,7 @@ def _csv_number(cell: str, parse=float):
 def surface_to_csv(s: Surface, path) -> None:
     """One row per point; floats use shortest round-trip repr for bytewise
     reproducibility across runs."""
-    _write_csv(path, CSV_HEADER, _point_rows(s), f"surface file {path}")
+    _write_csv(path, CSV_HEADER, [p[:-1] for p in s.points], f"surface file {path}")
 
 
 def surface_from_csv(path) -> Surface:
@@ -324,7 +319,7 @@ def surface_from_csv(path) -> Surface:
 
 
 def surface_to_json(s: Surface, path, include_q: bool = False) -> None:
-    points = [dict(zip(_COLUMNS, row)) for row in _point_rows(s)]
+    points = [dict(zip(_COLUMNS, p)) for p in s.points]
     for p, point in zip(s.points, points):
         if include_q and p.q is not None:
             point["q"] = p.q.q.tolist()

@@ -583,8 +583,12 @@ def test_repro_writes_manifest_when_git_hangs(tmp_path, monkeypatch):
     def hang(cmd, **kwargs):
         raise subprocess.TimeoutExpired(cmd, kwargs.get("timeout"))
 
+    cli._git_describe.cache_clear()
     monkeypatch.setattr(subprocess, "run", hang)
-    run_repro("fig3", outdir=str(tmp_path), seed=0)
+    try:
+        run_repro("fig3", outdir=str(tmp_path), seed=0)
+    finally:
+        cli._git_describe.cache_clear()
     meta = json.loads((tmp_path / "fig3_manifest.json").read_text())
     assert meta["git_describe"] == "unknown"
 

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -290,6 +289,19 @@ def test_surface_writers_refuse_nonfinite(tmp_path, write):
     assert not path.exists()
 
 
+def test_surface_point_fields_are_the_csv_columns_then_q():
+    columns = CSV_HEADER.split(",")
+    assert len(SurfacePoint._fields) == len(columns) + 1
+    assert SurfacePoint._fields[-1] == "q"
+    p = SurfacePoint(lam1=0.25, lam2=4.0, c1=0.5, c2=0.75, i_rd=1.125, h_scalar=0.0625,
+                     iterations=17, converged=True, seed=99)
+    assert dict(zip(columns, p)) == {
+        "lambda1": p.lam1, "lambda2": p.lam2, "c1_bits": p.c1, "c2_bits": p.c2,
+        "i_rd_bits": p.i_rd, "h_scalar_bits": p.h_scalar, "iterations": p.iterations,
+        "converged": p.converged, "seed": p.seed}
+    assert p[:-1] == (0.25, 4.0, 0.5, 0.75, 1.125, 0.0625, 17, True, 99)
+
+
 def test_csv_malformed_header_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -341,6 +353,6 @@ def test_surface_file_round_trip_is_bitwise(tmp_path, write, read):
     write(Surface(points=points, channel_fingerprint="", num_levels=2), path)
 
     def bits(p):
-        return [(type(v), repr(v)) for v in astuple(p)]
+        return [(type(v), repr(v)) for v in tuple(p)]
 
     assert list(map(bits, read(path).points)) == list(map(bits, points))
