@@ -106,34 +106,52 @@ def rate_report(ch: ChannelModel, q: QuantizerPmf) -> RateReport:
         raise ValueError(
             f"quantizer has {q.num_bins} columns, channel has {ch.num_bins} bins"
         )
-    qm = q.q
+    return _rate_reports(ch, q.q[None])[0]
 
-    joint_abi = np.einsum("abj,ij->abi", ch.p_x1x2_yr, qm)
-    h_abi = _entropy_nats(joint_abi)
-    h_ai = _entropy_nats(joint_abi.sum(axis=1))
-    h_bi = _entropy_nats(joint_abi.sum(axis=0))
-    h_a = _entropy_nats(ch.p_x1)
-    h_b = _entropy_nats(ch.p_x2)
-    h_ab = h_a + h_b  # inputs independent by construction
 
-    r1 = max(0.0, h_ab + h_bi - h_b - h_abi)
-    r2 = max(0.0, h_ab + h_ai - h_a - h_abi)
+def _channel_cached(ch: ChannelModel, key: str, build):
+    """build(ch), computed on ch's first request for `key` and kept on the
+    instance; a ChannelModel is frozen and its arrays are read-only, so the
+    value stays valid."""
+    value = ch.__dict__.get(key)
+    if value is None:
+        value = build(ch)
+        object.__setattr__(ch, key, value)
+    return value
 
+
+def _prior_entropies(ch: ChannelModel) -> tuple:
+    """(H(X1), H(X2)) of ch in nats."""
+    return _channel_cached(ch, "_prior_entropies",
+                           lambda ch: (_entropy_nats(ch.p_x1), _entropy_nats(ch.p_x2)))
+
+
+def _rate_reports(ch: ChannelModel, q: np.ndarray) -> list:
+    """The RateReport of each (L, |Yr|) quantizer of the stack q, (K, L, |Yr|).
+
+    Each report's arithmetic is the one-quantizer computation: every
+    entropy sums one quantizer's p log p terms, as a contiguous row, in the
+    same order, so a report does not depend on the other quantizers of q.
+    """
+    k = len(q)
+    joint = np.einsum("abj,kij->kabi", ch.p_x1x2_yr, q)  # p(x1, x2, yhat)
+    h_abi, h_ai, h_bi = (-_plogp(p).reshape(k, -1).sum(axis=1)
+                         for p in (joint, joint.sum(axis=2), joint.sum(axis=1)))
     # H(Yhat|Yr) = sum_j p(y_j) H(q[:, j])
-    col_ent = -_plogp(qm).sum(axis=0)
-    h_i_given_y = float(ch.p_yr @ col_ent)
-
-    c1 = max(0.0, (h_ai - h_a) - h_i_given_y)
-    c2 = max(0.0, (h_bi - h_b) - h_i_given_y)
-
-    return RateReport(
-        j_value=(r1 + r2) / LN2,
-        c1_achieved=c1 / LN2,
-        c2_achieved=c2 / LN2,
-        h_yhat_given_y=h_i_given_y / LN2,
-        r1=r1 / LN2,
-        r2=r2 / LN2,
-    )
+    h_i_given_y = np.vecdot(ch.p_yr, -_plogp(q).sum(axis=1))
+    h_a, h_b = _prior_entropies(ch)
+    h_ab = h_a + h_b  # inputs independent by construction
+    reports = []
+    for h_abi, h_ai, h_bi, h_iy in zip(h_abi.tolist(), h_ai.tolist(), h_bi.tolist(),
+                                       h_i_given_y.tolist()):
+        r1 = max(0.0, h_ab + h_bi - h_b - h_abi)
+        r2 = max(0.0, h_ab + h_ai - h_a - h_abi)
+        c1 = max(0.0, (h_ai - h_a) - h_iy)
+        c2 = max(0.0, (h_bi - h_b) - h_iy)
+        reports.append(RateReport(j_value=(r1 + r2) / LN2, c1_achieved=c1 / LN2,
+                                  c2_achieved=c2 / LN2, h_yhat_given_y=h_iy / LN2,
+                                  r1=r1 / LN2, r2=r2 / LN2))
+    return reports
 
 
 def lagrangian(ch: ChannelModel, q: QuantizerPmf, lam1: float, lam2: float) -> float:
@@ -146,6 +164,10 @@ def lagrangian(ch: ChannelModel, q: QuantizerPmf, lam1: float, lam2: float) -> f
 
 def yr_conditional_entropies(ch: ChannelModel) -> dict:
     """Entropies of the relay observation, in bits, keyed by conditioning."""
+    return dict(_channel_cached(ch, "_yr_entropies", _yr_entropies))
+
+
+def _yr_entropies(ch: ChannelModel) -> dict:
     h_y = _entropy_nats(ch.p_yr)
     h_y_a = float(-(ch.p_x1 @ _plogp(ch.p_yr_given_x1).sum(axis=1)))
     h_y_b = float(-(ch.p_x2 @ _plogp(ch.p_yr_given_x2).sum(axis=1)))

@@ -40,7 +40,15 @@ t1 and t2 (one row per input pair), t3 (per x1) and t4 (per x2).
 
 N, S, the row weights and the multiplier-free blocks of K depend on the
 channel alone; they are built on a channel's first solve and kept on it
-(_channel_matrices).  Each solve builds only K.
+(_channel_matrices).  Each batch of solves builds only K, one slice per
+solve.
+
+Every solve runs in a lockstep batch (_lockstep): the step's kernels take a
+leading batch axis and compute each slice as a batch of one would, so a
+solve's result does not depend on the solves batched with it.  optimize()
+is a batch of one, optimize_restarts() batches its restarts and sweep_grid
+all its solves, in batches of at most MAX_BATCH solves.  However they were
+batched, every solve is returned by a call to optimize() (_SolvedAhead).
 
 induced_posteriors, delta_matrix, update_q and lagrangian are the unfused
 definitions of the same iteration.  The tests compare the fused step with
@@ -49,14 +57,16 @@ them.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from qfrelay.channel import ChannelModel, _readonly
-from qfrelay.infotheory import (LN2, QuantizerPmf, RateReport, _entropy_nats, _plogp,
-                                 rate_report)
+from qfrelay.infotheory import (LN2, QuantizerPmf, RateReport, _channel_cached, _plogp,
+                                 _prior_entropies, _rate_reports)
 
 # Posterior entries of exactly zero are clamped here before the log; the
 # resulting -690 nat penalty keeps dead levels dead without producing inf.
@@ -239,8 +249,11 @@ class _ChannelMatrices:
         a, b, ab = ch.num_x1, ch.num_x2, ch.num_x1 * ch.num_x2
         p = ch.p_x1x2_yr.reshape(ab, -1)
         self.num = np.concatenate([p, p, ch.p_yr_given_x1, ch.p_yr_given_x2])
-        # K's rows before scaling: P twice (coefficient 1), p(x1, y), p(x2, y).
-        self.k_blocks = (self.num[:2 * ab], ch.p_x1x2_yr.sum(axis=1), ch.p_x1x2_yr.sum(axis=0))
+        # K's rows before scaling: P twice (coefficient 1), then p(x1, y) and
+        # p(x2, y), the rows with coefficients lam1 and lam2.
+        self.k_base = np.concatenate([self.num[:2 * ab], ch.p_x1x2_yr.sum(axis=1),
+                                      ch.p_x1x2_yr.sum(axis=0)])
+        self.lam_rows = slice(2 * ab, 2 * ab + a), slice(2 * ab + a, None)
         row_a, row_b = np.divmod(np.arange(ab), b)
         self.sums = np.zeros((len(self.num), len(self.num)))
         self.sums[:ab, :ab] = row_b[:, None] == row_b
@@ -250,26 +263,32 @@ class _ChannelMatrices:
         w[0, :ab] = w[1, ab:2 * ab] = 1.0
         w[2, 2 * ab:2 * ab + a], w[3, 2 * ab + a:] = ch.p_x1, ch.p_x2
         self.fill = (w[0] / a + w[1] / b)[:, None]
-        self.h_x1, self.h_x2 = _entropy_nats(ch.p_x1), _entropy_nats(ch.p_x2)
-        for arr in (self.num, *self.k_blocks, self.sums, self.weights, self.fill):
+        self.h_x1, self.h_x2 = _prior_entropies(ch)
+        for arr in (self.num, self.k_base, self.sums, self.weights, self.fill):
             arr.flags.writeable = False
 
 
 def _channel_matrices(ch: ChannelModel) -> _ChannelMatrices:
-    """ch's _ChannelMatrices, built on its first solve and kept on the instance;
-    a ChannelModel is frozen and its arrays are read-only, so they stay valid."""
-    m = ch.__dict__.get("_step_matrices")
-    if m is None:
-        m = _ChannelMatrices(ch)
-        object.__setattr__(ch, "_step_matrices", m)
-    return m
+    """ch's _ChannelMatrices, built on its first solve and kept on the instance."""
+    return _channel_cached(ch, "_step_matrices", _ChannelMatrices)
 
 
 class _FusedStep:
-    """The fixed-point iteration on raw arrays for a fixed (channel, lam1, lam2).
+    """The fixed-point iteration on raw arrays for a channel and a batch of
+    multiplier pairs.
 
-    evaluate(q, h) gives the (R, L) floored log-posteriors of q, rows t1 | t2
-    | t3 | t4 with R = 2|X1||X2| + |X1| + |X2|, and the Lagrangian of q;
+    Built from arrays lam1, lam2 of K pairs, a step takes and gives arrays
+    with a leading batch axis, one slice per pair: (K, L, |Yr|) quantizers
+    and exponents and (K, R, L) log-posteriors.  Built from two scalars, it
+    takes and gives those slices themselves, with no batch axis; _lockstep
+    runs a batch of one that way, which skips the batch axis's
+    broadcasting overhead.  Every kernel computes each slice in the same
+    order in either form, so a slice's result does not depend on the rest of
+    the batch (see _lockstep).  Entropies and Lagrangians go in and out as
+    lists, one entry per pair.
+
+    evaluate(q, h) gives the floored log-posteriors of q, rows t1 | t2 | t3 |
+    t4 with R = 2|X1||X2| + |X1| + |X2|, and the Lagrangians of q;
     advance(evaluate(q, h)[0]) takes one plain step and gives the next
     quantizer q', its softmax exponents and evaluate(q', H(q')).  Up to
     rounding, q' is update_q(delta_matrix(ch, induced_posteriors(ch, q), lam1,
@@ -277,66 +296,87 @@ class _FusedStep:
     lagrangian(ch, q', lam1, lam2).
     """
 
-    def __init__(self, ch: ChannelModel, lam1: float, lam2: float):
+    def __init__(self, ch: ChannelModel, lam1, lam2):
         m = _channel_matrices(ch)
         self.num, self.sums, self.weights, self.fill = m.num, m.sums, m.weights, m.fill
         self.h_x1, self.h_x2, self.p_yr = m.h_x1, m.h_x2, ch.p_yr
+        lam1, lam2 = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
         # Dead bins get a zero column of K, so the softmax leaves them uniform.
         # Multipliers near the smallest float overflow 1/scale; advance then
         # reports the non-finite delta instead of running the softmax.
-        scale = (lam1 + lam2) * ch.p_yr
+        scale = (lam1 + lam2)[..., None] * ch.p_yr
+        coef = np.ones(lam1.shape + (len(m.k_base), 1))
+        coef[..., m.lam_rows[0], 0], coef[..., m.lam_rows[1], 0] = lam1[..., None], lam2[..., None]
         with np.errstate(over="ignore", invalid="ignore"):
             inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
-            pp, p_ay, p_by = m.k_blocks
-            self.k = np.concatenate([pp, lam1 * p_ay, lam2 * p_by]) * inv
+            self.k = m.k_base * coef * inv[..., None, :]
         self.finite_k = bool(np.isfinite(self.k).all())
-        self.lam1, self.lam2 = lam1, lam2
+        self.lam1s, self.lam2s = lam1.ravel().tolist(), lam2.ravel().tolist()
+
+    def take(self, idx) -> "_FusedStep":
+        """The step of the pairs idx of this batch, in that order: a batch
+        for a list, the unbatched step of one pair for an int."""
+        sub = copy.copy(self)
+        sub.k = self.k[idx]
+        sub.finite_k = bool(np.isfinite(sub.k).all())
+        idx = idx if type(idx) is list else [idx]
+        sub.lam1s, sub.lam2s = [self.lam1s[i] for i in idx], [self.lam2s[i] for i in idx]
+        return sub
 
     def log_posteriors(self, q: np.ndarray) -> tuple:
         """(num, log_t): the numerators N @ q.T and the (R, L) floored
-        log-posteriors of the (L, |Yr|) quantizer q, with the placeholder and
-        floor rules of induced_posteriors and delta_matrix."""
-        num = self.num @ q.T
+        log-posteriors of each (L, |Yr|) quantizer of q, with the placeholder
+        and floor rules of induced_posteriors and delta_matrix."""
+        num = self.num @ q.mT
         den = self.sums @ num
         mask = den == 0
         t = num + mask * self.fill
         t /= den + mask
         return num, np.log(np.maximum(t, LOG_FLOOR, out=t), out=t)
 
-    def evaluate(self, q: np.ndarray, h_i_given_y: float) -> tuple:
-        """(log_t, Lagrangian in bits) of the (L, |Yr|) quantizer q, given its
-        H(Yhat|Yr) in nats."""
+    def evaluate(self, q: np.ndarray, h_i_given_y: list) -> tuple:
+        """(log_t, Lagrangians in bits) of each (L, |Yr|) quantizer of q,
+        given the list of their H(Yhat|Yr) in nats."""
         num, log_t = self.log_posteriors(q)
         # sum g log t1, sum g log t2, sum p(x1, yhat) log t3, sum p(x2, yhat) log t4
-        s1, s2, s3, s4 = self.weights @ np.einsum("ri,ri->r", num, log_t)
-        r1 = max(0.0, self.h_x1 + s1)
-        r2 = max(0.0, self.h_x2 + s2)
-        c1 = max(0.0, -s3 - h_i_given_y)
-        c2 = max(0.0, -s4 - h_i_given_y)
-        value = (r1 + r2) / LN2 - self.lam1 * (c1 / LN2) - self.lam2 * (c2 / LN2)
-        return log_t, value
+        sums = self.weights @ np.einsum("...ri,...ri->...r", num, log_t)[..., None]
+        h_x1, h_x2, values = self.h_x1, self.h_x2, []
+        for (s1, s2, s3, s4), h, lam1, lam2 in zip(sums.reshape(-1, 4).tolist(), h_i_given_y,
+                                                   self.lam1s, self.lam2s):
+            r1 = max(0.0, h_x1 + s1)
+            r2 = max(0.0, h_x2 + s2)
+            c1 = max(0.0, -s3 - h)
+            c2 = max(0.0, -s4 - h)
+            values.append((r1 + r2) / LN2 - lam1 * (c1 / LN2) - lam2 * (c2 / LN2))
+        return log_t, values
 
     def advance(self, log_t: np.ndarray) -> tuple:
-        """One plain step from the iterate whose log-posteriors are log_t:
+        """One plain step from each iterate whose log-posteriors are log_t:
         (q, its exponents, its log_t, its Lagrangian in bits), q the column
         softmax of delta = log_t.T @ K.  A -inf left in delta gets
         q = e**EXP_FLOOR / z > 0 and makes H(Yhat|Yr) infinite, so that
-        entropy is finite exactly when delta is; a non-finite delta raises
-        FloatingPointError naming its first non-finite entry."""
+        entropy is finite exactly when delta is; a non-finite delta in any
+        slice raises FloatingPointError naming the first non-finite entry of
+        the first such slice."""
         if self.finite_k:
-            s = log_t.T @ self.k
+            s = log_t.mT @ self.k
             out = self.softmax(s)
             if out is not None:
                 q, exponents, z = out
-                h_i_given_y = float(self.p_yr @ (np.log(z) - np.einsum("ij,ij->j", q, s)))
-                if math.isfinite(h_i_given_y):
+                h_i_given_y = np.vecdot(self.p_yr, np.log(z) - np.einsum(
+                    "...ij,...ij->...j", q, s)).tolist()
+                if type(h_i_given_y) is float:  # an unbatched step
+                    h_i_given_y = [h_i_given_y]
+                # the sum is finite exactly when each entry is: the
+                # entropies are far below overflow
+                if math.isfinite(sum(h_i_given_y)):
                     return (q, exponents, *self.evaluate(q, h_i_given_y))
         # The softmax runs only on a finite K.  Finite deltas are <= 0 up to
         # rounding (log t <= 0, K >= 0), so its shift cannot overflow.  The
         # failure path recomputes the unshifted delta, quietly, to name its
         # first non-finite entry.
         with np.errstate(over="ignore", invalid="ignore"):
-            i, j = np.argwhere(~np.isfinite(log_t.T @ self.k))[0]
+            i, j = np.argwhere(~np.isfinite(log_t.mT @ self.k))[0][-2:]
         raise FloatingPointError(f"delta has non-finite entry at ({i}, {j})")
 
     def jump(self, s: np.ndarray):
@@ -347,41 +387,53 @@ class _FusedStep:
 
     @staticmethod
     def softmax(s: np.ndarray):
-        """(q, exponents, z) of the column softmax of s: exponents are s minus
-        its column maxima (in place) raised to EXP_FLOOR, and
-        q = exp(exponents) / z.  None where a column maximum is NaN or +-inf,
-        as a non-finite delta or an overflowed extrapolation gives."""
-        m = s.max(axis=0)
-        if not np.logical_and.reduce(np.isfinite(m)):  # isfinite(m).all() minus a wrapper call
+        """(q, exponents, z) of the column softmax of each slice of s:
+        exponents are s minus its column maxima (in place) raised to
+        EXP_FLOOR, and q = exp(exponents) / z.  None where a column maximum of
+        any slice is NaN or +-inf, as a non-finite delta or an overflowed
+        extrapolation gives."""
+        m = s.max(axis=-2, keepdims=True)
+        # m . m is finite only when every maximum is, so the exact check runs
+        # only for a non-finite or overflowed sum of squares; the BLAS dot
+        # raises no floating-point warning on either.
+        if not math.isfinite(np.vdot(m, m)) and not np.isfinite(m).all():
             return None
         s -= m
         exponents = np.maximum(s, EXP_FLOOR)
         q = np.exp(exponents)
-        z = q.sum(axis=0)
-        q /= z
+        z = q.sum(axis=-2)
+        q /= z[..., None, :]
         return q, exponents, z
 
 
-def _fisher_sq(x: np.ndarray, q: np.ndarray, w: np.ndarray, p_yr: np.ndarray) -> float:
-    """sum_j p(y_j) Var_{q[:, j]}(x[:, j]) = sum w x**2 - sum_j p(y_j) m_j**2,
-    with w = q p(y) and m_j the q[:, j]-mean of x[:, j]: the squared length
-    of the log-domain move x in the Fisher metric of the channel
-    q(yhat|y) p(y), raised to 0 where rounding takes it below.  Levels q
-    leaves dead weigh nothing, and neither does a column constant in x, which
-    the softmax normalization absorbs."""
-    m = np.einsum("ij,ij->j", q, x)
-    return max(0.0, float(np.vdot(w * x, x) - p_yr @ (m * m)))
+def _fisher_sq(x: np.ndarray, q: np.ndarray, w: np.ndarray, p_yr: np.ndarray) -> list:
+    """Per slice k, sum_j p(y_j) Var_{q[k, :, j]}(x[k, :, j]) = sum w x**2 -
+    sum_j p(y_j) m_j**2, with w = q p(y) and m_j the q[k, :, j]-mean of
+    x[k, :, j]: the squared length of the log-domain move x[k] in the Fisher
+    metric of the channel q(yhat|y) p(y), raised to 0 where rounding takes
+    it below.  Levels q leaves dead weigh nothing, and neither does a column
+    constant in x, which the softmax normalization absorbs.  A 2-D x is one
+    slice."""
+    m = np.einsum("...ij,...ij->...j", q, x)
+    if x.ndim == 2:
+        return [max(0.0, float(np.vdot(w * x, x) - p_yr @ (m * m)))]
+    k = len(x)
+    return [max(0.0, a - b) for a, b in zip(
+        np.vecdot((w * x).reshape(k, -1), x.reshape(k, -1)).tolist(),
+        np.vecdot(p_yr, m * m).tolist())]
 
 
 def _squarem_exponents(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray,
-                       q2: np.ndarray, p_yr: np.ndarray, max_step: float) -> tuple:
+                       q2: np.ndarray, p_yr: np.ndarray, max_step: list) -> tuple:
     """(s0 - 2 alpha r + alpha**2 v, -alpha), the squared extrapolation
     (SQUAREM, Varadhan & Roland 2008) of three consecutive iterates
     q1 = F(q0), q2 = F(q1) given as their floored softmax exponents s0, s1,
     s2 (log q up to a column constant, raised to EXP_FLOOR), with
     r = s1 - s0, v = s2 - 2 s1 + s0 and the step length
     -alpha = |r|/|v| clipped to [1, max_step]; 1 where v = 0.  A unit step
-    gives s2 itself.
+    gives s2 itself.  The chains come stacked, K of them (or one, unstacked,
+    as in _FusedStep), with a list of K caps, and the step lengths go out as
+    a list of K.
 
     The lengths are taken in the Fisher metric of q2 (_fisher_sq).  In plain
     Euclidean lengths, r and v are dominated by dying levels sinking through
@@ -396,14 +448,16 @@ def _squarem_exponents(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray,
     v = s2 - s1
     v -= r
     w = q2 * p_yr
-    rr, vv = _fisher_sq(r, q2, w, p_yr), _fisher_sq(v, q2, w, p_yr)
-    alpha = max(min(-math.sqrt(rr / vv), -1.0) if vv > 0 else -1.0, -max_step)
+    alphas = [max(min(-math.sqrt(rr / vv), -1.0) if vv > 0 else -1.0, -cap)
+              for rr, vv, cap in zip(_fisher_sq(r, q2, w, p_yr), _fisher_sq(v, q2, w, p_yr),
+                                     max_step)]
+    alpha = alphas[0] if len(alphas) == 1 else np.array(alphas)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         r *= -2.0 * alpha
         r += s0
         v *= alpha * alpha
         r += v
-    return r, -alpha
+    return r, [-a for a in alphas]
 
 
 def _ratio(step: float, prev_step: float) -> float:
@@ -431,6 +485,262 @@ def _stopped(l_now: float, step: float, gap: float, eps: float) -> bool:
     eps * (1 + |L|)."""
     tol = eps * (1.0 + abs(l_now))
     return abs(step) < tol and gap < tol
+
+
+# The most solves one lockstep batch advances together; longer lists run as
+# consecutive batches, so a batch's memory is bounded whatever the grid.  A
+# solve holds about fifteen (L, |Yr|) arrays at a peak.  On the default sweep
+# (L = 32, 128 bins, 576 solves) 16 ran faster than 64 and added 9 MB to the
+# peak RSS against 24 MB.  Results do not depend on it.
+MAX_BATCH = 16
+
+
+class _Run:
+    """One solve of a lockstep batch: optimize()'s loop state."""
+
+    __slots__ = ("trace", "value", "start", "iterations", "tried", "accepted", "prev", "gap",
+                 "engaged", "max_step", "step_len", "phase", "plain_rho", "converged",
+                 "error", "q")
+
+    def __init__(self, value: float):
+        self.trace = [value]
+        self.value = self.start = value
+        self.iterations = self.tried = self.accepted = 0
+        self.prev = None  # L gain of the previous step: a plain step, or a cycle once engaged
+        self.gap = math.inf
+        self.engaged = self.converged = False
+        self.max_step = 1.0
+        # Once engaged, the next map evaluation of the cycle: 0 and 1 its plain
+        # steps, 2 its extrapolation (no evaluation), 3 the extrapolated point.
+        self.phase = 0
+        self.plain_rho = 0.0
+        self.error = self.q = None
+
+    def end_step(self, eps: float, max_iter: int) -> bool:
+        """Close a step, a plain step before engagement and a whole cycle
+        after it: the stopping rule and the engagement gate.  True when the
+        solve is over: converged, or max_iter leaves no room for its next
+        step."""
+        value = self.value
+        diff = value - self.start
+        if self.prev is not None:
+            rho = max(_ratio(diff, self.prev), self.plain_rho)
+            self.gap = _remaining_gap(diff, rho)
+            if _stopped(value, diff, self.gap, eps):
+                self.converged = True
+                return True
+            if not self.engaged and self.iterations >= SQUAREM_MIN_STEPS and rho > SQUAREM_GATE_RATIO:
+                self.engaged, diff = True, None
+        self.prev, self.start, self.phase = diff, value, 0
+        return self.iterations + (3 if self.engaged else 1) > max_iter
+
+    def end_cycle(self, kept: bool, eps: float, max_iter: int) -> bool:
+        """end_step after the step length cap follows the cycle's outcome."""
+        if self.step_len == self.max_step:
+            self.max_step = (self.max_step * SQUAREM_STEP_FACTOR if kept
+                             else max(self.max_step / SQUAREM_STEP_FACTOR, SQUAREM_STEP_FACTOR))
+        return self.end_step(eps, max_iter)
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """np.stack(arrays), as a view for one array."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _finish(done: list, active: list, q: np.ndarray) -> list:
+    """Give each solve done of the batch its final quantizer, from q; the
+    batch indices of the others."""
+    for k in done:
+        active[k].q = QuantizerPmf._renormalized(q[k] if q.ndim > 2 else q)
+    return [k for k in range(len(active)) if k not in done]
+
+
+def _keep(keep: list, active: list, step: _FusedStep, arrays: tuple) -> tuple:
+    """The batch entries keep of active, of step and of each array (None
+    stays None); a single solve left goes on unbatched."""
+    idx = keep if len(keep) > 1 else keep[0]
+    return ([active[k] for k in keep], step.take(idx),
+            [None if a is None else a[idx] for a in arrays])
+
+
+def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
+              max_iter: int) -> list:
+    """The OptimizerResult of optimize() for each (lam1, lam2, init, seed) of
+    solves, advanced together tick by tick.
+
+    Each solve keeps optimize()'s own state (_Run).  A tick takes every
+    pending extrapolation with one _squarem_exponents and one jump, then
+    every pending map evaluation, plain or from an extrapolated point, with
+    one advance.  Slice k of the batched arrays belongs to active[k]; a
+    finished solve leaves the batch, and a batch of one runs unbatched (see
+    _FusedStep).  Because the kernels compute each slice as a batch of one
+    would, every result is bit for bit that of optimize() alone.  A slice
+    that softmax refuses, or whose delta is non-finite, is found by running
+    each slice of that tick alone; a non-finite delta ends its solve, and
+    once the batch is done the first such solve in order raises its
+    FloatingPointError, as serial calls would.
+    """
+    p_yr = ch.p_yr
+    # Each start is renormalized alone: a draw's memory order sets how its
+    # column sums round.
+    starts = [QuantizerPmf._renormalized(_initial_draw(
+        num_levels, ch.num_bins, init, np.random.default_rng(seed))).q for _, _, init, seed in solves]
+    if len(solves) == 1:
+        q, step = starts[0], _FusedStep(ch, solves[0][0], solves[0][1])
+    else:
+        q, step = np.stack(starts), _FusedStep(ch, [s[0] for s in solves], [s[1] for s in solves])
+    # The starts are not softmax outputs, so their H(Yhat|Yr) is computed directly.
+    lt, values = step.evaluate(q, np.vecdot(p_yr, -_plogp(q).sum(axis=-2)).reshape(-1).tolist())
+    runs = [_Run(v) for v in values]
+    active = list(runs)
+    # the quantizers, exponents and log-posteriors of the iterates, and the
+    # exponents of one and two ticks before, kept once a solve has engaged
+    e = e1 = e2 = None
+    cycling = False
+    ext = []  # the active solves due to extrapolate
+    while True:
+        inp = lt
+        if ext:
+            every = len(ext) == len(active)
+            chain = (e2, e1, e, q) if every else (e2[ext], e1[ext], e[ext], q[ext])
+            x, lengths = _squarem_exponents(*chain, p_yr, [active[k].max_step for k in ext])
+            lt_x = step.jump(x)
+            if lt_x is not None:
+                for i, k in enumerate(ext):
+                    r = active[k]
+                    r.step_len, r.phase = lengths[i], 3
+                if every:
+                    inp = lt_x
+                else:
+                    inp = lt.copy()
+                    inp[ext] = lt_x
+            else:
+                # softmax refuses some slice: jump each alone; a refused
+                # extrapolation ends its cycle at q2
+                jumps = [step.jump(x[i:i + 1]) for i in range(len(ext))] if len(ext) > 1 else [None]
+                done = []
+                for i, k in enumerate(ext):
+                    r = active[k]
+                    r.step_len = lengths[i]
+                    if jumps[i] is not None:
+                        r.phase = 3
+                    elif r.end_cycle(False, eps, max_iter):
+                        done.append(k)
+                jumped = [j for j in jumps if j is not None]
+                lt_x = np.concatenate(jumped) if jumped else None
+                if done:
+                    keep = _finish(done, active, q)
+                    if not keep:
+                        break
+                    active, step, (q, e, lt, e1, e2) = _keep(keep, active, step, (q, e, lt, e1, e2))
+                    inp = lt
+                    if len(keep) == 1 and lt_x is not None:
+                        lt_x = lt_x[0]  # the one slice of the solve left, unbatched
+                if lt_x is not None:
+                    cand = [k for k, r in enumerate(active) if r.phase == 3]
+                    if len(cand) == len(active):
+                        inp = lt_x
+                    else:
+                        inp = lt.copy()
+                        inp[cand] = lt_x
+            # the arrays of q2, where a rejected candidate leaves its solve
+            before = q, e, lt
+        # before any cycle, a plain step's arrays are freed for the next one
+        if cycling:
+            e2, e1 = e1, e
+        try:
+            q, e, lt, vals = step.advance(inp)
+        except FloatingPointError as err:
+            if len(active) == 1:
+                active[0].error = err
+                break
+            outs = []
+            for k, r in enumerate(active):
+                try:
+                    outs.append(step.take(k).advance(inp[k]))
+                except FloatingPointError as failure:
+                    r.error = failure
+            keep = [k for k, r in enumerate(active) if r.error is None]
+            if not keep:
+                break
+            active, step, (q, e, lt, e1, e2) = _keep(keep, active, step, (q, e, lt, e1, e2))
+            before = q, e, lt
+            q, e, lt = outs[0][:3] if len(outs) == 1 else (
+                np.stack([o[i] for o in outs]) for i in range(3))
+            vals = [o[3][0] for o in outs]
+        done, rejected, ext = [], [], []
+        for k, r in enumerate(active):
+            v = vals[k]
+            phase = r.phase
+            if phase == 3:
+                r.iterations += 1
+                r.tried += 1
+                kept = v >= r.value
+                if kept:
+                    r.accepted += 1
+                    r.value = v
+                    r.trace.append(v)
+                else:
+                    rejected.append(k)
+                if r.end_cycle(kept, eps, max_iter):
+                    done.append(k)
+                continue
+            r.trace.append(v)
+            r.value = v
+            if not r.engaged:
+                r.iterations += 1
+                if r.end_step(eps, max_iter):
+                    done.append(k)
+                cycling = cycling or r.engaged
+            elif phase == 0:
+                r.phase = 1
+            else:
+                r.iterations += 2
+                r.plain_rho = _ratio(v - r.trace[-2], r.trace[-2] - r.start)
+                r.phase = 2
+                ext.append(k)
+        # a rejected extrapolated point leaves its solve at q2
+        if rejected:
+            if len(rejected) == len(active):
+                q, e, lt = before
+            else:
+                q[rejected], e[rejected], lt[rejected] = (a[rejected] for a in before)
+        if done:
+            keep = _finish(done, active, q)
+            if not keep:
+                break
+            active, step, (q, e, lt, e1, e2) = _keep(keep, active, step, (q, e, lt, e1, e2))
+            ext = [k for k, r in enumerate(active) if r.phase == 2]
+
+    for r in runs:
+        if r.error is not None:
+            raise r.error
+    reports = _rate_reports(ch, _stacked([r.q.q for r in runs]))
+    return [OptimizerResult(q_final=r.q, report=rep, lagrangian_trace=r.trace,
+                            iterations=r.iterations, converged=r.converged, seed=int(seed),
+                            extrapolations_tried=r.tried, extrapolations_accepted=r.accepted,
+                            gap_estimate=float(r.gap) if math.isfinite(r.gap) else None)
+            for r, rep, (_, _, _, seed) in zip(runs, reports, solves)]
+
+
+def _solve_batch(ch: ChannelModel, num_levels: int, solves: list, eps: float = 1e-8,
+                 max_iter: int = 5000) -> list:
+    """optimize(ch, lam1, lam2, num_levels, init, eps, max_iter, seed) for each
+    (lam1, lam2, init, seed) of solves, in order, as lockstep batches of at
+    most MAX_BATCH solves (_lockstep)."""
+    for lam1, lam2, _, _ in solves:
+        if not (lam1 > 0 and lam2 > 0):
+            raise ValueError(f"multipliers must be strictly positive, got ({lam1}, {lam2})")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    if num_levels < 1:
+        raise ValueError(f"num_levels must be at least 1, got {num_levels}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    results = []
+    for i in range(0, len(solves), MAX_BATCH):
+        results += _lockstep(ch, num_levels, solves[i:i + MAX_BATCH], eps, max_iter)
+    return results
 
 
 def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
@@ -468,86 +778,77 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     it never decreases (up to rounding) and
     len(lagrangian_trace) - 1 == iterations - (extrapolations_tried -
     extrapolations_accepted) <= iterations.
+
+    The solve runs as a lockstep batch of one (_lockstep); batches of many
+    solves give each the same result bit for bit.  Inside a _SolvedAhead
+    block, a solve its batch already ran is handed out instead.
     """
-    if not (lam1 > 0 and lam2 > 0):
-        raise ValueError(f"multipliers must be strictly positive, got ({lam1}, {lam2})")
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
-    if num_levels < 1:
-        raise ValueError(f"num_levels must be at least 1, got {num_levels}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if _ahead:
+        res = _ahead.pop(_ahead_key(ch, num_levels, eps, max_iter, lam1, lam2, init, seed), None)
+        if res is not None:
+            return res
+    return _solve_batch(ch, num_levels, [(lam1, lam2, init, seed)], eps, max_iter)[0]
 
-    # The start and the result are renormalized without QuantizerPmf's input
-    # checks: the solver builds both itself.
-    q = QuantizerPmf._renormalized(_initial_draw(num_levels, ch.num_bins, init,
-                                                 np.random.default_rng(seed))).q
-    step = _FusedStep(ch, lam1, lam2)
-    # The start is not a softmax output, so its H(Yhat|Yr) is computed directly.
-    log_t, value = step.evaluate(q, float(ch.p_yr @ -_plogp(q).sum(axis=0)))
-    trace = [value]
 
-    converged = False
-    iterations = tried = accepted = 0
-    prev = None  # L gain of the previous step: a plain step, or a cycle once engaged
-    gap = math.inf
-    engaged = False
-    max_step = 1.0
-    while iterations < max_iter:
-        start = value
-        if not engaged:
-            q, exponents, log_t, value = step.advance(log_t)
-            iterations += 1
-            trace.append(value)
-            plain_rho = 0.0
-        elif iterations + 3 > max_iter:
-            break
-        else:
-            chain = [exponents]
-            for _ in range(2):
-                q, exponents, log_t, value = step.advance(log_t)
-                chain.append(exponents)
-                trace.append(value)
-            iterations += 2
-            plain_rho = _ratio(trace[-1] - trace[-2], trace[-2] - start)
-            x, step_len = _squarem_exponents(*chain, q, ch.p_yr, max_step)
-            log_t_x = step.jump(x)
-            kept = False
-            if log_t_x is not None:
-                q_x, exponents_x, log_t_x, value_x = step.advance(log_t_x)
-                iterations += 1
-                tried += 1
-                kept = value_x >= value
-                if kept:
-                    accepted += 1
-                    q, exponents, log_t, value = q_x, exponents_x, log_t_x, value_x
-                    trace.append(value)
-            if step_len == max_step:
-                max_step = (max_step * SQUAREM_STEP_FACTOR if kept
-                            else max(max_step / SQUAREM_STEP_FACTOR, SQUAREM_STEP_FACTOR))
-        diff = value - start
-        if prev is not None:
-            rho = max(_ratio(diff, prev), plain_rho)
-            gap = _remaining_gap(diff, rho)
-            if _stopped(value, diff, gap, eps):
-                converged = True
-                break
-            if not engaged and iterations >= SQUAREM_MIN_STEPS and rho > SQUAREM_GATE_RATIO:
-                engaged, diff = True, None
-        prev = diff
+# Results that a batch ran ahead of the optimize() calls that return them,
+# keyed by those calls' arguments; see _SolvedAhead.  Threads that share a key
+# compute equal results, so one taking another's entry only costs a re-solve.
+_ahead: dict = {}
 
-    q_final = QuantizerPmf._renormalized(q)
-    return OptimizerResult(
-        q_final=q_final,
-        report=rate_report(ch, q_final),
-        lagrangian_trace=trace,
-        iterations=iterations,
-        converged=converged,
-        seed=int(seed),
-        extrapolations_tried=tried,
-        extrapolations_accepted=accepted,
-        gap_estimate=float(gap) if math.isfinite(gap) else None,
-    )
+
+def _ahead_key(ch: ChannelModel, num_levels, eps, max_iter, lam1, lam2, init, seed) -> tuple:
+    # The block that fills _ahead holds ch, so no other channel takes its id
+    # meanwhile.
+    return id(ch), num_levels, eps, max_iter, float(lam1), float(lam2), init, int(seed)
+
+
+class _SolvedAhead:
+    """A block within which optimize(ch, lam1, lam2, num_levels, init, eps,
+    max_iter, seed), for each (lam1, lam2, init, seed) of solves, returns
+    that solve's entry of results once instead of solving again.  Without
+    results the block solves them on entry, as lockstep batches
+    (_solve_batch), unless an enclosing block holds them all.
+
+    So every solve comes back through a call to optimize(), and every sweep
+    point through one to optimize_restarts(), however the solves were
+    batched: a wrapper around either sees each one."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, ch: ChannelModel, num_levels: int, solves: list, eps: float,
+                 max_iter: int, results: list | None = None):
+        keys = [_ahead_key(ch, num_levels, eps, max_iter, *solve) for solve in solves]
+        if results is None:
+            if all(key in _ahead for key in keys):
+                keys = ()  # the enclosing block hands them out and withdraws them
+            else:
+                results = _solve_batch(ch, num_levels, solves, eps, max_iter)
+        if keys:
+            _ahead.update(zip(keys, results))
+        self.keys = keys
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for key in self.keys:
+            _ahead.pop(key, None)
+
+
+@lru_cache(maxsize=4096)
+def _restart_seeds(seed: int, restarts: int) -> tuple:
+    """SeedSequence((seed, r)) for each restart r of optimize_restarts.  A
+    sweep derives them to batch its solves and again as each point comes
+    back through optimize_restarts; the cache spares the second derivation."""
+    return tuple(int(np.random.SeedSequence((seed, r)).generate_state(1)[0])
+                 for r in range(restarts))
+
+
+def _restart_solves(lam1: float, lam2: float, init: str, seed: int, restarts: int) -> list:
+    """The (lam1, lam2, init, seed) of each restart of optimize_restarts."""
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    return [(lam1, lam2, init, restart_seed) for restart_seed in _restart_seeds(seed, restarts)]
 
 
 def optimize_restarts(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
@@ -558,15 +859,16 @@ def optimize_restarts(ch: ChannelModel, lam1: float, lam2: float, num_levels: in
 
     Restart r runs with the seed derived from SeedSequence((seed, r)), and the
     winning result keeps that derived seed so the exact run can be replayed
-    with optimize() alone.
+    with optimize() alone.  The restarts advance together in one lockstep
+    batch (_SolvedAhead), and each comes back through optimize(); the first
+    of equal final Lagrangians wins.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    best = None
-    for r in range(restarts):
-        child = int(np.random.SeedSequence((seed, r)).generate_state(1)[0])
-        res = optimize(ch, lam1, lam2, num_levels, init=init, eps=eps,
-                       max_iter=max_iter, seed=child)
-        if best is None or res.lagrangian_trace[-1] > best.lagrangian_trace[-1]:
+    solves = _restart_solves(lam1, lam2, init, seed, restarts)
+    with _SolvedAhead(ch, num_levels, solves, eps, max_iter):
+        results = [optimize(ch, lam1, lam2, num_levels, init=init, eps=eps, max_iter=max_iter,
+                            seed=restart_seed) for _, _, _, restart_seed in solves]
+    best = results[0]
+    for res in results[1:]:
+        if res.lagrangian_trace[-1] > best.lagrangian_trace[-1]:
             best = res
     return best

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -201,6 +202,7 @@ class RateTable:
         rates /= LN2
         self.rates = _readonly(rates)
         self.j_bits, self.c1_bits, self.c2_bits = self.rates
+        self._last_constrained = (None, None)
 
     def __len__(self) -> int:
         return self.num_candidates
@@ -209,16 +211,28 @@ class RateTable:
         digits = np.unravel_index(int(index), self._shape)
         return QuantizerPmf(np.stack([self.columns[d] for d in digits], axis=1))
 
+    @cached_property
+    def j_max(self) -> float:
+        """The largest j over all candidates."""
+        return float(self.j_bits.max())
+
     def best_constrained(self, c1_max: float, c2_max: float):
-        """(max j, argmax index) over candidates meeting both rate targets."""
+        """(max j, argmax index) over candidates meeting both rate targets.
+
+        The table is immutable, so it keeps its last answer, which
+        check_boundary_optimality asks for again after its caller."""
         if not (c1_max >= 0 and c2_max >= 0):
             raise ValueError("rate targets must be nonnegative")
+        if self._last_constrained[0] == (c1_max, c2_max):
+            return self._last_constrained[1]
         feas = (self.c1_bits <= c1_max + 1e-12) & (self.c2_bits <= c2_max + 1e-12)
         if not feas.any():
             raise RuntimeError("no feasible candidate")
         masked = np.where(feas, self.j_bits, -np.inf)
         k = int(np.argmax(masked))
-        return float(self.j_bits[k]), k
+        answer = float(self.j_bits[k]), k
+        self._last_constrained = (c1_max, c2_max), answer
+        return answer
 
     def best_penalized(self, lam1: float, lam2: float):
         """(max j - lam1*c1 - lam2*c2, argmax index) over all candidates."""
@@ -244,7 +258,7 @@ def check_boundary_optimality(ch: ChannelModel, L: int, grid_step: float,
         raise ValueError("targets must be strictly below H(Yr|X1) and H(Yr|X2)")
     if table is None:
         table = RateTable(ch, L, grid_step)
-    if table.j_bits.max() <= 1e-12:
+    if table.j_max <= 1e-12:
         return True
     _, k = table.best_constrained(c1_max, c2_max)
     return table.c1_bits[k] >= c1_max - 0.05 or table.c2_bits[k] >= c2_max - 0.05

@@ -14,13 +14,15 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, islice
 from typing import NamedTuple
 
 import numpy as np
 
 from qfrelay.channel import ChannelModel, _readonly
 from qfrelay.infotheory import QuantizerPmf
-from qfrelay.optimizer import optimize_restarts
+from qfrelay.optimizer import (MAX_BATCH, _restart_solves, _solve_batch, _SolvedAhead,
+                               optimize_restarts)
 
 
 @dataclass(frozen=True)
@@ -86,22 +88,33 @@ class Surface:
     warnings: tuple = ()
 
 
-def _solve_point(ch, num_levels, restarts, init, eps, max_iter, lam1, lam2, point_seed):
-    res = optimize_restarts(ch, lam1, lam2, num_levels, restarts=restarts,
-                            init=init, eps=eps, max_iter=max_iter, seed=point_seed)
-    rep = res.report
-    return SurfacePoint(
-        lam1=float(lam1),
-        lam2=float(lam2),
-        c1=rep.c1_achieved,
-        c2=rep.c2_achieved,
-        i_rd=rep.j_value,
-        h_scalar=rep.h_yhat_given_y,
-        iterations=res.iterations,
-        converged=res.converged,
-        seed=res.seed,
-        q=res.q_final,
-    )
+def _surface_points(ch, num_levels, restarts, init, eps, max_iter, seeded, solves,
+                    batches) -> list:
+    """The SurfacePoint of each (lam1, lam2, seed) of seeded, whose restarts
+    are its entry of solves, from the results of batches, an iterable of
+    the lists that _solve_batch gives for those solves in order.  Each point
+    comes back through optimize_restarts and each restart through optimize
+    (optimizer._SolvedAhead)."""
+    results = chain.from_iterable(batches)
+    out = []
+    for (lam1, lam2, point_seed), mine in zip(seeded, solves):
+        with _SolvedAhead(ch, num_levels, mine, eps, max_iter, list(islice(results, restarts))):
+            res = optimize_restarts(ch, lam1, lam2, num_levels, restarts=restarts, init=init,
+                                    eps=eps, max_iter=max_iter, seed=point_seed)
+        rep = res.report
+        out.append(SurfacePoint(
+            lam1=float(lam1),
+            lam2=float(lam2),
+            c1=rep.c1_achieved,
+            c2=rep.c2_achieved,
+            i_rd=rep.j_value,
+            h_scalar=rep.h_yhat_given_y,
+            iterations=res.iterations,
+            converged=res.converged,
+            seed=res.seed,
+            q=res.q_final,
+        ))
+    return out
 
 
 def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None,
@@ -109,27 +122,37 @@ def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None
                max_iter: int = 5000, seed: int = 0, workers: int | None = None) -> Surface:
     """Solve every multiplier pair on the grid and collect the point cloud.
 
-    Per-point seeds derive deterministically from (seed, grid row, grid col),
-    so the surface is identical whether points run serially or across worker
-    processes.  Non-converged points are kept but flagged; if more than half
-    fail to converge the surface carries a quality warning.
+    Per-point seeds derive deterministically from (seed, grid row, grid col).
+    Every restart of every point, in grid order, is cut into lockstep batches
+    (optimizer._lockstep) of at most optimizer.MAX_BATCH solves, fewer when
+    needed to give each of the workers processes a batch.  A batch gives each
+    solve the result it gets alone, so the surface is identical whether the
+    batches run serially or across worker processes.  Non-converged points
+    are kept but flagged; if more than half fail to converge the surface
+    carries a quality warning.
     """
     if grid is None:
         grid = LambdaGrid.log_spaced()
-    axis1, axis2 = grid.axis1.tolist(), grid.axis2.tolist()
-    lam1s = [lam1 for lam1 in axis1 for _ in axis2]
-    lam2s = axis2 * len(axis1)
-    seeds = [int(np.random.SeedSequence((seed, gi, gj)).generate_state(1)[0])
-             for gi in range(len(axis1)) for gj in range(len(axis2))]
-    solve = partial(_solve_point, ch, num_levels, restarts, init, eps, max_iter)
-    if workers is not None and workers > 1:
+    seeded = [(lam1, lam2, int(np.random.SeedSequence((seed, gi, gj)).generate_state(1)[0]))
+              for gi, lam1 in enumerate(grid.axis1.tolist())
+              for gj, lam2 in enumerate(grid.axis2.tolist())]
+    solves = [_restart_solves(lam1, lam2, init, point_seed, restarts)
+              for lam1, lam2, point_seed in seeded]
+    flat = [solve for mine in solves for solve in mine]
+    pool = workers is not None and workers > 1
+    size = max(1, min(MAX_BATCH, -(-len(flat) // workers))) if pool else MAX_BATCH
+    batches = [flat[i:i + size] for i in range(0, len(flat), size)]
+    solve = partial(_solve_batch, ch, num_levels, eps=eps, max_iter=max_iter)
+    collect = partial(_surface_points, ch, num_levels, restarts, init, eps, max_iter, seeded,
+                      solves)
+    if pool:
         # imported here: it loads multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(solve, lam1s, lam2s, seeds))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            points = collect(executor.map(solve, batches))
     else:
-        points = list(map(solve, lam1s, lam2s, seeds))
+        points = collect(map(solve, batches))
 
     warnings = []
     bad = sum(1 for p in points if not p.converged)
@@ -162,11 +185,12 @@ def envelope_point(s: Surface, c1_target: float, c2_target: float) -> SurfacePoi
     maxima), or None when no point fits under them."""
     if not (c1_target >= 0 and c2_target >= 0):
         raise ValueError("rate targets must be nonnegative")
-    best = None
+    # Index reads (c1, c2, i_rd are fields 2, 3, 4): Python reads a NamedTuple
+    # field by name more slowly than by index.
+    best, top = None, -math.inf
     for p in s.points:
-        if p.c1 <= c1_target and p.c2 <= c2_target:
-            if best is None or p.i_rd > best.i_rd:
-                best = p
+        if p[2] <= c1_target and p[3] <= c2_target and p[4] > top:
+            best, top = p, p[4]
     return best
 
 

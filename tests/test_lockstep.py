@@ -1,0 +1,249 @@
+"""Lockstep batches (optimizer._lockstep) against optimize() alone.
+
+Every solve runs in a lockstep batch; optimize() is a batch of one.
+A batch must give each solve what that solve gives alone, bit for bit,
+whatever the other solves of the batch and however the solves are grouped.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from conftest import tiny_channels
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qfrelay import LambdaGrid, build_bpsk_mac, optimize, sweep_grid
+from qfrelay import optimizer
+from qfrelay.cli import DEFAULTS
+
+# The benchmark's solve sets (perfbench/workloads.py): fixture_timeshare's 16
+# grid rows of 16 points on the fixture at L=2, one restart and seed = row;
+# oracle_tables' spot check, 8 restarts at each of these pairs with seed 0;
+# fig4_sweep's 12 diagonal points of the default grid, one restart and
+# seed = index.
+FIXTURE_GRID = (1e-3, 10.0, 16)
+SPOT_PAIRS = ((0.05, 0.05), (0.1, 0.2), (0.2, 0.1), (0.3, 0.3), (0.15, 0.4))
+TRACE_SLACK = 1e-10
+
+
+def _fields(res):
+    """Every field of an OptimizerResult, the quantizer as its bytes."""
+    q = res.q_final.q
+    return (q.shape, q.tobytes(), res.report, list(res.lagrangian_trace), res.iterations,
+            res.converged, res.seed, res.extrapolations_tried, res.extrapolations_accepted,
+            res.gap_estimate)
+
+
+def _recorded_batches(monkeypatch):
+    """A list that collects (ch, num_levels, solves, eps, max_iter, results)
+    of every batch run while the patch holds."""
+    batches, lockstep = [], optimizer._lockstep
+
+    def recorded(ch, num_levels, solves, eps, max_iter):
+        results = lockstep(ch, num_levels, solves, eps, max_iter)
+        batches.append((ch, num_levels, solves, eps, max_iter, results))
+        return results
+
+    monkeypatch.setattr(optimizer, "_lockstep", recorded)
+    return batches
+
+
+def _run_workload(name, fx, bpsk):
+    if name == "fixture":
+        axis = LambdaGrid.log_spaced(*FIXTURE_GRID).axis1
+        for i in range(len(axis)):
+            sweep_grid(fx, 2, grid=LambdaGrid([axis[i]], axis), restarts=1, seed=i)
+    elif name == "oracle":
+        for lam1, lam2 in SPOT_PAIRS:
+            optimizer.optimize_restarts(fx, lam1, lam2, 2, restarts=8, seed=0)
+    else:
+        d = DEFAULTS
+        axis = LambdaGrid.log_spaced(d["lambda_min"], d["lambda_max"], d["lambda_count"]).axis1
+        for k, lam in enumerate(axis):
+            sweep_grid(bpsk, d["levels"], grid=LambdaGrid([lam], [lam]), restarts=1,
+                       eps=d["eps"], max_iter=d["max_iter"], seed=k)
+
+
+@pytest.mark.parametrize("workload, n_batches, n_solves",
+                         [("fixture", 16, 256), ("oracle", 5, 40), ("fig4", 12, 12)])
+def test_benchmark_solves_converge_climb_and_match_optimize(workload, n_batches, n_solves, fx,
+                                                            bpsk, monkeypatch):
+    """Each benchmark workload's solves, as its calls batch them: every one
+    converges, its trace never falls by more than TRACE_SLACK max(1, |L|),
+    and it is optimize() with its seed, bit for bit."""
+    recorded = _recorded_batches(monkeypatch)
+    _run_workload(workload, fx, bpsk)
+    monkeypatch.undo()
+    assert len(recorded) == n_batches
+    assert sum(len(b[2]) for b in recorded) == n_solves
+    for ch, num_levels, batch, eps, max_iter, results in recorded:
+        for (lam1, lam2, init, seed), res in zip(batch, results, strict=True):
+            assert res.converged
+            trace = res.lagrangian_trace
+            assert all(b - a + TRACE_SLACK * max(1.0, abs(a)) >= 0
+                       for a, b in zip(trace, trace[1:]))
+            alone = optimize(ch, lam1, lam2, num_levels, init=init, eps=eps,
+                             max_iter=max_iter, seed=seed)
+            assert _fields(res) == _fields(alone)
+
+
+def _rebind_everywhere(monkeypatch, fn, wrapper):
+    """Point every qfrelay module attribute bound to fn at wrapper, as a
+    tracer wrapping a public function from outside the package does."""
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "qfrelay" or name.startswith("qfrelay.")):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+
+
+@pytest.mark.parametrize("workload, n_points, n_solves",
+                         [("fixture", 256, 256), ("oracle", 5, 40), ("fig4", 12, 12)])
+def test_every_solve_comes_back_through_optimize(workload, n_points, n_solves, fx, bpsk,
+                                                 monkeypatch):
+    """However its solves were batched, each comes back, as the very result
+    its batch computed, from one call to optimize(), and each point from one
+    call to optimize_restarts(): wrappers of the public functions see them
+    all."""
+    recorded = _recorded_batches(monkeypatch)
+    seen = {"optimize": [], "optimize_restarts": []}
+    for fn in (optimizer.optimize, optimizer.optimize_restarts):
+        def logged(*args, fn=fn, **kwargs):
+            res = fn(*args, **kwargs)
+            seen[fn.__name__].append(res)
+            return res
+        _rebind_everywhere(monkeypatch, fn, logged)
+    _run_workload(workload, fx, bpsk)
+    batched = [res for batch in recorded for res in batch[5]]
+    assert len(seen["optimize"]) == len(batched) == n_solves
+    assert all(a is b for a, b in zip(seen["optimize"], batched))
+    assert len(seen["optimize_restarts"]) == n_points
+    assert not optimizer._ahead
+
+
+def test_a_block_withdraws_what_it_did_not_hand_out(fx):
+    """Results a block holds are handed out once, inside the block only; what
+    was not asked for leaves with the block, so a later call solves again."""
+    solves = [(0.3, 0.7, "perturbed-uniform", 1), (0.2, 0.1, "random", 2)]
+    results = optimizer._solve_batch(fx, 2, solves)
+    with optimizer._SolvedAhead(fx, 2, solves, 1e-8, 5000, list(results)):
+        assert optimize(fx, 0.3, 0.7, 2, seed=1) is results[0]
+        again = optimize(fx, 0.3, 0.7, 2, seed=1)
+        assert again is not results[0] and _fields(again) == _fields(results[0])
+    assert not optimizer._ahead
+    later = optimize(fx, 0.2, 0.1, 2, init="random", seed=2)
+    assert later is not results[1] and _fields(later) == _fields(results[1])
+
+
+@st.composite
+def batches(draw):
+    """(channel, levels, solves, eps, max_iter, cap) with 1-6 solves that mix
+    multipliers, seeds and inits; identity starts on fewer bins than levels
+    leave dead levels, and max_iter may stop solves before they converge."""
+    ch = draw(tiny_channels())
+    levels = draw(st.integers(1, 5))
+    inits = ["perturbed-uniform", "random"] + (["identity"] if levels >= ch.num_bins else [])
+    lams = st.floats(1e-3, 10.0)
+    solves = draw(st.lists(st.tuples(lams, lams, st.sampled_from(inits),
+                                     st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=6))
+    eps = draw(st.sampled_from([1e-8, 1e-12]))
+    max_iter = draw(st.sampled_from([1, 2, 3, 5, 8, 13, 21, 5000]))
+    cap = draw(st.sampled_from([1, 2, 3, optimizer.MAX_BATCH]))
+    return ch, levels, solves, eps, max_iter, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=batches())
+def test_batch_results_do_not_depend_on_the_batch(case):
+    """A solve in any batch, under any MAX_BATCH, is the solve alone: q,
+    trace, iterations, converged, extrapolations and gap estimate alike."""
+    ch, levels, solves, eps, max_iter, cap = case
+    saved = optimizer.MAX_BATCH
+    optimizer.MAX_BATCH = cap
+    try:
+        results = optimizer._solve_batch(ch, levels, solves, eps, max_iter)
+    finally:
+        optimizer.MAX_BATCH = saved
+    for (lam1, lam2, init, seed), res in zip(solves, results, strict=True):
+        alone = optimize(ch, lam1, lam2, levels, init=init, eps=eps, max_iter=max_iter,
+                         seed=seed)
+        assert _fields(res) == _fields(alone)
+
+
+def test_batch_mixes_converged_capped_and_dead_level_solves(fx):
+    """One batch whose solves end at different ticks, for different reasons:
+    one converges, one is stopped by max_iter, and one identity start keeps
+    its dead level."""
+    solves = [(0.3, 0.7, "perturbed-uniform", 1), (0.001, 0.001, "random", 2),
+              (0.5, 0.1, "identity", 0)]
+    results = optimizer._solve_batch(fx, 4, solves, 1e-12, 20)
+    assert len({res.iterations for res in results}) > 1
+    assert [res.converged for res in results] == [False, True, False]
+    assert results[0].extrapolations_tried > 0
+    assert results[2].q_final.q[3].max() < 1e-250
+    for (lam1, lam2, init, seed), res in zip(solves, results):
+        alone = optimize(fx, lam1, lam2, 4, init=init, eps=1e-12, max_iter=20, seed=seed)
+        assert _fields(res) == _fields(alone)
+
+
+def test_first_failing_solve_in_order_raises(fx):
+    """Multipliers near the smallest float give a non-finite K: the batch
+    raises the FloatingPointError of its first failing solve in order, as
+    that solve alone raises it, whatever the solves around it."""
+    ok, bad, worse = (0.3, 0.7), (1e-308, 1e-308), (5e-324, 5e-324)
+    messages = {}
+    for lams in (bad, worse):
+        with pytest.raises(FloatingPointError) as alone:
+            optimize(fx, *lams, 2, init="random", seed=1)
+        messages[lams] = str(alone.value)
+    assert messages[bad] != messages[worse]
+    for second, third in ((bad, ok), (bad, worse), (worse, bad)):
+        solves = [(*ok, "random", 0), (*second, "random", 1), (*third, "random", 2)]
+        with pytest.raises(FloatingPointError) as batch:
+            optimizer._solve_batch(fx, 2, solves)
+        assert str(batch.value) == messages[second]
+
+
+@pytest.mark.parametrize("refuse_all", [False, True])
+def test_refused_extrapolations_end_their_cycles_alone(refuse_all, monkeypatch):
+    """Where softmax refuses some slices of a batch's extrapolations, each
+    slice is jumped alone, and a refused one ends its cycle at q2 without a
+    map evaluation or a try: the batch still gives every solve its result
+    alone.  Slices are refused by their own values, so a solve meets the
+    same refusals in any batch.  Refusing them all makes every solve end at
+    a refused cycle, while others of its batch go on."""
+    squarem, advance = optimizer._squarem_exponents, optimizer._FusedStep.advance
+    extrapolated, refused, evaluated = [], [], []
+
+    def refusing(s0, s1, s2, q2, p_yr, caps):
+        x, lengths = squarem(s0, s1, s2, q2, p_yr, caps)
+        extrapolated.extend(caps)
+        # a batch of one passes its chain unstacked
+        stack, last = (x, s2) if x.ndim > 2 else (x[None], s2[None])
+        for k in range(len(stack)):
+            if refuse_all or math.floor(float(last[k].sum()) * 1e3) % 3 == 0:
+                stack[k, 0, 0] = np.nan
+                refused.append(k)
+        return x, lengths
+
+    def counted(self, log_t):
+        evaluated.append(len(log_t) if log_t.ndim > 2 else 1)
+        return advance(self, log_t)
+
+    monkeypatch.setattr(optimizer, "_squarem_exponents", refusing)
+    monkeypatch.setattr(optimizer._FusedStep, "advance", counted)
+    ch = build_bpsk_mac(1.5, 4.5, 32)
+    solves = [(0.0123, 0.0123, "perturbed-uniform", s) for s in range(3)]
+    solves += [(0.05, 0.2, "random", 7)]
+    results = optimizer._solve_batch(ch, 8, solves)
+    assert 0 < len(refused) <= len(extrapolated)
+    assert (len(refused) == len(extrapolated)) == refuse_all
+    for (lam1, lam2, init, seed), res in zip(solves, results):
+        for log in (extrapolated, refused, evaluated):
+            log.clear()
+        alone = optimize(ch, lam1, lam2, 8, init=init, seed=seed)
+        assert _fields(res) == _fields(alone)
+        assert sum(evaluated) == alone.iterations
+        assert alone.extrapolations_tried == len(extrapolated) - len(refused)

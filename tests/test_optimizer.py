@@ -213,9 +213,9 @@ def test_optimize_starts_at_initial_quantizer_and_returns_a_readonly_pmf(init, n
     lam1, lam2, seed = 0.1, 0.4, 3
     q0 = initial_quantizer(32, num_bins, init, rng=np.random.default_rng(seed)).q
     step = _FusedStep(ch, lam1, lam2)
-    log_t, value = step.evaluate(q0, float(ch.p_yr @ -xlogy(q0, q0).sum(axis=0)))
+    log_t, [value] = step.evaluate(q0, [float(ch.p_yr @ -xlogy(q0, q0).sum(axis=0))])
     res = optimize(ch, lam1, lam2, 32, init=init, max_iter=5, seed=seed)
-    assert res.lagrangian_trace[:2] == [value, step.advance(log_t)[3]]
+    assert res.lagrangian_trace[:2] == [value, *step.advance(log_t)[3]]
     q = res.q_final.q
     assert q.flags.c_contiguous and not q.flags.writeable
     assert np.max(np.abs(q.sum(axis=0) - 1.0)) <= 1e-15
@@ -343,18 +343,18 @@ def test_squarem_step_length_is_capped(bpsk):
     and a unit step gives the last iterate's exponents back."""
     step = _FusedStep(bpsk, 0.0123, 0.0123)
     q = initial_quantizer(32, bpsk.num_bins, rng=np.random.default_rng(3)).q
-    log_t, _ = step.evaluate(q, float(bpsk.p_yr @ -xlogy(q, q).sum(axis=0)))
+    log_t, _ = step.evaluate(q, [float(bpsk.p_yr @ -xlogy(q, q).sum(axis=0))])
     for _ in range(20):
         q, s, log_t, _ = step.advance(log_t)
     chain = [s]
     for _ in range(2):
         q, s, log_t, _ = step.advance(log_t)
         chain.append(s)
-    x_free, free = _squarem_exponents(*chain, q, bpsk.p_yr, math.inf)
+    x_free, [free] = _squarem_exponents(*chain, q, bpsk.p_yr, [math.inf])
     assert free > 4.0
-    x_capped, capped = _squarem_exponents(*chain, q, bpsk.p_yr, 4.0)
+    x_capped, [capped] = _squarem_exponents(*chain, q, bpsk.p_yr, [4.0])
     assert capped == 4.0 and not np.array_equal(x_capped, x_free)
-    x_unit, unit = _squarem_exponents(*chain, q, bpsk.p_yr, 1.0)
+    x_unit, [unit] = _squarem_exponents(*chain, q, bpsk.p_yr, [1.0])
     assert unit == 1.0
     assert np.max(np.abs(x_unit - chain[2])) < 1e-9
 
@@ -362,12 +362,12 @@ def test_squarem_step_length_is_capped(bpsk):
 def test_squarem_step_cap_sequence(bpsk, monkeypatch):
     """The cap on the step length is 1 for the first cycle, then a power of 4
     that is at least 4, and from cycle to cycle it stays or moves by one
-    factor of 4."""
+    factor of 4.  The solve is a batch of one, so each call passes one cap."""
     caps = []
     squarem = optimizer._squarem_exponents
 
     def recorded(*args):
-        caps.append(args[-1])
+        caps.extend(args[-1])
         return squarem(*args)
 
     monkeypatch.setattr(optimizer, "_squarem_exponents", recorded)
@@ -471,8 +471,8 @@ def _fused_step_errors(ch, qm, lam1, lam2):
     want_q = update_q(want_delta)
 
     step = _FusedStep(ch, lam1, lam2)
-    log_t, value = step.evaluate(q.q, float(ch.p_yr @ -xlogy(q.q, q.q).sum(axis=0)))
-    got_q, _, _, value_next = step.advance(log_t)
+    log_t, [value] = step.evaluate(q.q, [float(ch.p_yr @ -xlogy(q.q, q.q).sum(axis=0))])
+    got_q, _, _, [value_next] = step.advance(log_t)
 
     got_delta = log_t.T @ step.k
     return (np.max(np.abs(got_delta - want_delta)) / max(1.0, np.max(np.abs(want_delta))),
@@ -543,22 +543,22 @@ def _floored_exponents(delta):
 
 
 class _UnfusedStep:
-    """The step interface optimize() drives (evaluate, advance, jump),
-    spelled with the unfused induced_posteriors, delta_matrix, update_q and
-    lagrangian.  Its state in place of the fused log-posteriors is the
-    quantizer itself."""
+    """The step interface optimize() drives on its batch of one (evaluate,
+    advance, jump), spelled with the unfused induced_posteriors,
+    delta_matrix, update_q and lagrangian.  Its state in place of the fused
+    log-posteriors is the quantizer itself."""
 
     def __init__(self, ch, lam1, lam2):
         self.ch, self.lam1, self.lam2 = ch, lam1, lam2
 
     def evaluate(self, q, h_i_given_y):
         q = QuantizerPmf(q)
-        return q, lagrangian(self.ch, q, self.lam1, self.lam2)
+        return q, [lagrangian(self.ch, q, self.lam1, self.lam2)]
 
     def advance(self, q):
         delta = delta_matrix(self.ch, induced_posteriors(self.ch, q), self.lam1, self.lam2)
         q = update_q(delta)
-        return q.q, _floored_exponents(delta), q, lagrangian(self.ch, q, self.lam1, self.lam2)
+        return q.q, _floored_exponents(delta), q, [lagrangian(self.ch, q, self.lam1, self.lam2)]
 
     def jump(self, s):
         if not np.isfinite(s.max(axis=0)).all():
@@ -613,14 +613,14 @@ def test_fused_step_reuses_channel_matrices():
     ch = build_bpsk_mac(1.5, 4.5, 128)
     q = np.random.default_rng(5).dirichlet(np.ones(32), size=ch.num_bins).T
     first = _FusedStep(ch, 0.5, 0.2)
-    log_t, _ = first.evaluate(q, 0.3)
+    log_t, _ = first.evaluate(q, [0.3])
     first.advance(log_t)
     cached = _FusedStep(ch, 0.1, 0.4)
     fresh = _FusedStep(build_bpsk_mac(1.5, 4.5, 128), 0.1, 0.4)
     assert cached.num is first.num and cached.sums is first.sums
     assert fresh.num is not first.num
     assert np.array_equal(cached.k, fresh.k)
-    (log_c, value_c), (log_f, value_f) = cached.evaluate(q, 0.3), fresh.evaluate(q, 0.3)
+    (log_c, value_c), (log_f, value_f) = cached.evaluate(q, [0.3]), fresh.evaluate(q, [0.3])
     assert np.array_equal(log_c, log_f) and value_c == value_f
     # the whole step (q, exponents, log_t, Lagrangian), and the softmax
     # output (q, exponents, z) that its H(Yhat|Yr) comes from

@@ -175,6 +175,31 @@ def test_boundary_optimality_rejects_saturated_targets(fx, fx_table_l2_coarse):
                                   table=fx_table_l2_coarse)
 
 
+@pytest.mark.parametrize("levels, step", [(2, 0.02), (3, 0.1)])
+def test_boundary_check_after_its_caller_keeps_the_first_maximum(fx, levels, step):
+    """On the benchmark's two tables, best_constrained and then
+    check_boundary_optimality at the same targets, as the benchmark calls
+    them, give the first of the tied maxima and the verdict that index gives,
+    whatever was asked before."""
+    table = RateTable(fx, levels, step)
+    j, c1_bits, c2_bits = table.rates
+    assert table.j_max == j.max()
+    ents = yr_conditional_entropies(fx)
+    c_max = 0.9 * min(ents["h_yr_given_x1"], ents["h_yr_given_x2"])
+    targets = [(0.0, 0.0), (0.05, 0.3), (0.3, 0.05), (0.5, 0.5), (c_max, 0.2), (0.0, 0.0)]
+    most_ties = 0
+    for c1, c2 in targets:
+        feasible = np.flatnonzero((c1_bits <= c1 + 1e-12) & (c2_bits <= c2 + 1e-12))
+        ties = feasible[j[feasible] == j[feasible].max()]
+        most_ties = max(most_ties, len(ties))
+        want = (float(j[ties[0]]), int(ties[0]))
+        assert table.best_constrained(c1, c2) == want
+        verdict = c1_bits[ties[0]] >= c1 - 0.05 or c2_bits[ties[0]] >= c2 - 0.05
+        assert check_boundary_optimality(fx, levels, step, c1, c2, table=table) == verdict
+        assert table.best_constrained(c1, c2) == want
+    assert most_ties > 1
+
+
 def test_boundary_optimality_degenerate_channel_vacuous():
     # relay output independent of both inputs: objective identically zero
     w = np.broadcast_to(np.array([0.3, 0.7]), (2, 2, 2)).copy()

@@ -169,6 +169,20 @@ def test_envelope_point_consistency(fx_surface_dense):
     assert p.i_rd == query_lower_envelope(fx_surface_dense, 0.5, 0.5)
 
 
+def test_envelope_point_takes_the_first_of_equal_maxima():
+    """Among dominated points of equal i_rd the first in surface order wins;
+    points above either target never do, however large their i_rd."""
+    pts = [SurfacePoint(0.1, 0.1, c1, c2, i_rd, 0.0, 5, True, k)
+           for k, (c1, c2, i_rd) in enumerate([(0.6, 0.1, 2.0), (0.2, 0.3, 1.0), (0.1, 0.1, 1.5),
+                                               (0.3, 0.2, 1.5), (0.0, 0.0, 1.5), (0.1, 0.7, 3.0)])]
+    s = Surface(points=tuple(pts), channel_fingerprint="", num_levels=2)
+    assert envelope_point(s, 0.5, 0.5) is pts[2]
+    assert envelope_point(s, 0.05, 0.05) is pts[4]
+    assert envelope_point(s, 1.0, 1.0) is pts[5]
+    assert envelope_point(Surface(points=(pts[1], pts[2]), channel_fingerprint="",
+                                  num_levels=2), 0.0, 0.5) is None
+
+
 def test_scalar_diagnostic_sorted_and_consistent(fx, fx_surface_dense):
     pairs = scalar_diagnostic(fx_surface_dense)
     assert len(pairs) == len(fx_surface_dense.points)
@@ -356,3 +370,16 @@ def test_surface_file_round_trip_is_bitwise(tmp_path, write, read):
         return [(type(v), repr(v)) for v in tuple(p)]
 
     assert list(map(bits, read(path).points)) == list(map(bits, points))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_write_the_serial_surface_byte_for_byte(fx, tmp_path, workers):
+    """Worker processes get smaller lockstep batches than a serial sweep
+    (one per worker at least), yet write the serial CSV byte for byte."""
+    grid = LambdaGrid.log_spaced(0.01, 2.0, 3)
+    paths = []
+    for w in (None, workers):
+        path = tmp_path / f"surface-{w}.csv"
+        surface_to_csv(sweep_grid(fx, 3, grid=grid, restarts=2, seed=5, workers=w), path)
+        paths.append(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
