@@ -18,9 +18,10 @@ t1 and t2 (one row per input pair), t3 (per x1) and t4 (per x2).
 
 - num = N @ q.T gives every numerator (N stacks P, P, p(y|x1) and p(y|x2))
   and den = S @ num every denominator: S sums g over x1 in t1 rows and over
-  x2 in t2 rows, and is zero in t3/t4 rows.  One division
-  (num + mask/|X|) / (den + mask), mask = (den == 0), applies the uniform
-  placeholder where the conditioning event is empty and divides t3/t4 by 1.
+  x2 in t2 rows, and is zero in t3/t4 rows, which get 1 added.  One
+  division num / den gives every posterior; where a conditioning event is
+  empty, (num + mask/|X|) / (den + mask), mask = (den == 0), applies the
+  uniform placeholder instead.
 - One maximum and one log over the block give every floored log-posterior.
 - The rates of the Lagrangian are the same logs weighted by the joint,
   e.g. I(X1;Yhat|X2) = H(X1) + sum g log t1 and I(Yr;Yhat|X1) =
@@ -263,8 +264,12 @@ class _ChannelMatrices:
         w[0, :ab] = w[1, ab:2 * ab] = 1.0
         w[2, 2 * ab:2 * ab + a], w[3, 2 * ab + a:] = ch.p_x1, ch.p_x2
         self.fill = (w[0] / a + w[1] / b)[:, None]
+        # 1 in the t3/t4 rows, whose den is 0: added to den, they divide by 1
+        self.den_shift = np.zeros((len(self.num), 1))
+        self.den_shift[2 * ab:] = 1.0
         self.h_x1, self.h_x2 = _prior_entropies(ch)
-        for arr in (self.num, self.k_base, self.sums, self.weights, self.fill):
+        for arr in (self.num, self.k_base, self.sums, self.weights, self.fill,
+                    self.den_shift):
             arr.flags.writeable = False
 
 
@@ -299,6 +304,7 @@ class _FusedStep:
     def __init__(self, ch: ChannelModel, lam1, lam2):
         m = _channel_matrices(ch)
         self.num, self.sums, self.weights, self.fill = m.num, m.sums, m.weights, m.fill
+        self.den_shift = m.den_shift
         self.h_x1, self.h_x2, self.p_yr = m.h_x1, m.h_x2, ch.p_yr
         lam1, lam2 = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
         # Dead bins get a zero column of K, so the softmax leaves them uniform.
@@ -329,9 +335,13 @@ class _FusedStep:
         and floor rules of induced_posteriors and delta_matrix."""
         num = self.num @ q.mT
         den = self.sums @ num
-        mask = den == 0
-        t = num + mask * self.fill
-        t /= den + mask
+        den += self.den_shift
+        if np.count_nonzero(den) == den.size:
+            t = num / den
+        else:  # an empty conditioning event: the uniform placeholder
+            mask = den == 0
+            t = num + mask * self.fill
+            t /= den + mask
         return num, np.log(np.maximum(t, LOG_FLOOR, out=t), out=t)
 
     def evaluate(self, q: np.ndarray, h_i_given_y: list) -> tuple:
