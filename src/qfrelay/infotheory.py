@@ -156,8 +156,8 @@ def _rate_reports(ch: ChannelModel, q: np.ndarray) -> list:
 
 def lagrangian(ch: ChannelModel, q: QuantizerPmf, lam1: float, lam2: float) -> float:
     """Penalized objective J - lam1*C1 - lam2*C2 in bits."""
-    if lam1 < 0 or lam2 < 0:
-        raise ValueError(f"multipliers must be nonnegative, got ({lam1}, {lam2})")
+    if not (0 <= lam1 < math.inf and 0 <= lam2 < math.inf):
+        raise ValueError(f"multipliers must be finite and nonnegative, got ({lam1}, {lam2})")
     rep = rate_report(ch, q)
     return rep.j_value - lam1 * rep.c1_achieved - lam2 * rep.c2_achieved
 

@@ -46,9 +46,11 @@ solve.
 
 Every solve runs in a lockstep batch (_lockstep): the step's kernels take a
 leading batch axis and compute each slice as a batch of one would, so a
-solve's result does not depend on the solves batched with it.  optimize()
-is a batch of one, optimize_restarts() batches its restarts and sweep_grid
-all its solves, in batches of at most MAX_BATCH solves.  However they were
+solve's result does not depend on the solves batched with it.  The kernels
+also report a refused extrapolation or a non-finite delta per slice, so the
+batch never runs a slice alone to learn which one failed.  optimize() is a
+batch of one, optimize_restarts() batches its restarts and sweep_grid all
+its solves, in batches of at most MAX_BATCH solves.  However they were
 batched, every solve is returned by a call to optimize() (_SolvedAhead).
 
 induced_posteriors, delta_matrix, update_q and lagrangian are the unfused
@@ -299,6 +301,11 @@ class _FusedStep:
     rounding, q' is update_q(delta_matrix(ch, induced_posteriors(ch, q), lam1,
     lam2)) and the Lagrangians are lagrangian(ch, q, lam1, lam2) and
     lagrangian(ch, q', lam1, lam2).
+
+    The kernels report failures per slice and raise nothing: softmax and
+    jump list the slices they refuse, and advance gives each slice whose
+    delta is not finite with its FloatingPointError.  The other slices are
+    computed as if those were not there.
     """
 
     def __init__(self, ch: ChannelModel, lam1, lam2):
@@ -307,16 +314,16 @@ class _FusedStep:
         self.den_shift = m.den_shift
         self.h_x1, self.h_x2, self.p_yr = m.h_x1, m.h_x2, ch.p_yr
         lam1, lam2 = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
-        # Dead bins get a zero column of K, so the softmax leaves them uniform.
-        # Multipliers near the smallest float overflow 1/scale; advance then
-        # reports the non-finite delta instead of running the softmax.
-        scale = (lam1 + lam2)[..., None] * ch.p_yr
         coef = np.ones(lam1.shape + (len(m.k_base), 1))
         coef[..., m.lam_rows[0], 0], coef[..., m.lam_rows[1], 0] = lam1[..., None], lam2[..., None]
+        # Dead bins get a zero column of K, so the softmax leaves them uniform.
+        # Multipliers near the largest float overflow lam1 + lam2 and give a
+        # zero K; near the smallest they overflow 1/scale, and _lockstep fails
+        # a solve whose K is not finite before its first step.
         with np.errstate(over="ignore", invalid="ignore"):
+            scale = (lam1 + lam2)[..., None] * ch.p_yr
             inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
             self.k = m.k_base * coef * inv[..., None, :]
-        self.finite_k = bool(np.isfinite(self.k).all())
         self.lam1s, self.lam2s = lam1.ravel().tolist(), lam2.ravel().tolist()
 
     def take(self, idx) -> "_FusedStep":
@@ -324,7 +331,6 @@ class _FusedStep:
         for a list, the unbatched step of one pair for an int."""
         sub = copy.copy(self)
         sub.k = self.k[idx]
-        sub.finite_k = bool(np.isfinite(sub.k).all())
         idx = idx if type(idx) is list else [idx]
         sub.lam1s, sub.lam2s = [self.lam1s[i] for i in idx], [self.lam2s[i] for i in idx]
         return sub
@@ -362,58 +368,66 @@ class _FusedStep:
 
     def advance(self, log_t: np.ndarray) -> tuple:
         """One plain step from each iterate whose log-posteriors are log_t:
-        (q, its exponents, its log_t, its Lagrangian in bits), q the column
-        softmax of delta = log_t.T @ K.  A -inf left in delta gets
-        q = e**EXP_FLOOR / z > 0 and makes H(Yhat|Yr) infinite, so that
-        entropy is finite exactly when delta is; a non-finite delta in any
-        slice raises FloatingPointError naming the first non-finite entry of
-        the first such slice."""
-        if self.finite_k:
-            s = log_t.mT @ self.k
-            out = self.softmax(s)
-            if out is not None:
-                q, exponents, z = out
-                h_i_given_y = np.vecdot(self.p_yr, np.log(z) - np.einsum(
-                    "...ij,...ij->...j", q, s)).tolist()
-                if type(h_i_given_y) is float:  # an unbatched step
-                    h_i_given_y = [h_i_given_y]
-                # the sum is finite exactly when each entry is: the
-                # entropies are far below overflow
-                if math.isfinite(sum(h_i_given_y)):
-                    return (q, exponents, *self.evaluate(q, h_i_given_y))
-        # The softmax runs only on a finite K.  Finite deltas are <= 0 up to
-        # rounding (log t <= 0, K >= 0), so its shift cannot overflow.  The
-        # failure path recomputes the unshifted delta, quietly, to name its
-        # first non-finite entry.
-        with np.errstate(over="ignore", invalid="ignore"):
-            i, j = np.argwhere(~np.isfinite(log_t.mT @ self.k))[0][-2:]
-        raise FloatingPointError(f"delta has non-finite entry at ({i}, {j})")
+        (q, its exponents, its log_t, its Lagrangian in bits, failures), q the
+        column softmax of delta = log_t.T @ K.  failures maps each slice whose
+        delta is not finite to the FloatingPointError naming its first
+        non-finite entry (failure); the rest of such a slice's step means
+        nothing.  A -inf left in delta gets q = e**EXP_FLOOR / z > 0 and makes
+        H(Yhat|Yr) infinite, so that entropy is finite exactly when delta is,
+        in a slice softmax does not refuse."""
+        s = log_t.mT @ self.k
+        # Finite deltas are <= 0 up to rounding (log t <= 0, K >= 0), so the
+        # softmax's shift cannot overflow.
+        q, exponents, z, failed = self.softmax(s)
+        h_i_given_y = np.vecdot(self.p_yr, np.log(z) - np.einsum(
+            "...ij,...ij->...j", q, s)).tolist()
+        if type(h_i_given_y) is float:  # an unbatched step
+            h_i_given_y = [h_i_given_y]
+        # the sum is finite exactly when each entry is: the entropies are far
+        # below overflow
+        if not math.isfinite(sum(h_i_given_y)):
+            failed = [k for k, h in enumerate(h_i_given_y) if k in failed or not math.isfinite(h)]
+        failures = {k: self.failure(log_t, k) for k in failed} if failed else {}
+        return (q, exponents, *self.evaluate(q, h_i_given_y), failures)
 
-    def jump(self, s: np.ndarray):
-        """The log-posteriors of the floored column softmax of the exponents
-        s (overwritten), or None where softmax refuses s."""
-        out = self.softmax(s)
-        return None if out is None else self.log_posteriors(out[0])[1]
+    def failure(self, log_t: np.ndarray, k: int) -> FloatingPointError:
+        """The error of slice k of a step from log_t: it names the first
+        non-finite entry of that slice's delta = log_t.T @ K, recomputed
+        quietly, since the softmax shifts delta in place."""
+        log_t, k_slice = (log_t, self.k) if log_t.ndim == 2 else (log_t[k], self.k[k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            i, j = np.argwhere(~np.isfinite(log_t.T @ k_slice))[0]
+        return FloatingPointError(f"delta has non-finite entry at ({i}, {j})")
+
+    def jump(self, s: np.ndarray) -> tuple:
+        """(log_t, refused): the log-posteriors of the floored column softmax
+        of the exponents s (overwritten), and the slices softmax refuses."""
+        q, _, _, refused = self.softmax(s)
+        return self.log_posteriors(q)[1], refused
 
     @staticmethod
-    def softmax(s: np.ndarray):
-        """(q, exponents, z) of the column softmax of each slice of s:
-        exponents are s minus its column maxima (in place) raised to
-        EXP_FLOOR, and q = exp(exponents) / z.  None where a column maximum of
-        any slice is NaN or +-inf, as a non-finite delta or an overflowed
-        extrapolation gives."""
+    def softmax(s: np.ndarray) -> tuple:
+        """(q, exponents, z, refused) of the column softmax of each slice of
+        s: exponents are s minus its column maxima (in place) raised to
+        EXP_FLOOR, and q = exp(exponents) / z.  refused lists the slices with
+        a NaN or +-inf column maximum, as a non-finite delta or an overflowed
+        extrapolation gives, 0 for an unbatched s; they are zeroed first, so
+        their q is uniform and nothing warns."""
         m = s.max(axis=-2, keepdims=True)
+        refused = ()
         # m . m is finite only when every maximum is, so the exact check runs
         # only for a non-finite or overflowed sum of squares; the BLAS dot
         # raises no floating-point warning on either.
         if not math.isfinite(np.vdot(m, m)) and not np.isfinite(m).all():
-            return None
+            refused = np.flatnonzero(~np.isfinite(m.reshape(-1, m.shape[-1])).all(axis=1)).tolist()
+            for a in (s, m):  # indexed through a batch axis, also when unbatched
+                (a if a.ndim > 2 else a[None])[refused] = 0.0
         s -= m
         exponents = np.maximum(s, EXP_FLOOR)
         q = np.exp(exponents)
         z = q.sum(axis=-2)
         q /= z[..., None, :]
-        return q, exponents, z
+        return q, exponents, z, refused
 
 
 def _fisher_sq(x: np.ndarray, q: np.ndarray, w: np.ndarray, p_yr: np.ndarray) -> list:
@@ -557,22 +571,6 @@ def _stacked(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _finish(done: list, active: list, q: np.ndarray) -> list:
-    """Give each solve done of the batch its final quantizer, from q; the
-    batch indices of the others."""
-    for k in done:
-        active[k].q = QuantizerPmf._renormalized(q[k] if q.ndim > 2 else q)
-    return [k for k in range(len(active)) if k not in done]
-
-
-def _keep(keep: list, active: list, step: _FusedStep, arrays: tuple) -> tuple:
-    """The batch entries keep of active, of step and of each array (None
-    stays None); a single solve left goes on unbatched."""
-    idx = keep if len(keep) > 1 else keep[0]
-    return ([active[k] for k in keep], step.take(idx),
-            [None if a is None else a[idx] for a in arrays])
-
-
 def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
               max_iter: int) -> list:
     """The OptimizerResult of optimize() for each (lam1, lam2, init, seed) of
@@ -581,13 +579,18 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     Each solve keeps optimize()'s own state (_Run).  A tick takes every
     pending extrapolation with one _squarem_exponents and one jump, then
     every pending map evaluation, plain or from an extrapolated point, with
-    one advance.  Slice k of the batched arrays belongs to active[k]; a
-    finished solve leaves the batch, and a batch of one runs unbatched (see
-    _FusedStep).  Because the kernels compute each slice as a batch of one
-    would, every result is bit for bit that of optimize() alone.  A slice
-    that softmax refuses, or whose delta is non-finite, is found by running
-    each slice of that tick alone; a non-finite delta ends its solve, and
-    once the batch is done the first such solve in order raises its
+    one advance.  Slice k of the batched arrays belongs to active[k], and a
+    batch of one runs unbatched (see _FusedStep).  Because the kernels
+    compute each slice as a batch of one would, every result is bit for bit
+    that of optimize() alone.
+
+    The kernels report their failures per slice.  A refused extrapolation
+    ends its cycle at q2; a solve that this finishes is rolled back like a
+    rejected candidate, and a tick in which it finishes every solve skips
+    advance.  A slice whose delta is not finite records its error and ends
+    its solve, and so does one whose K is not finite, before its first step.
+    Finished solves leave the batch at the start of the next tick.  Once the
+    batch is done, the first failed solve in order raises its
     FloatingPointError, as serial calls would.
     """
     p_yr = ch.p_yr
@@ -603,83 +606,68 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     lt, values = step.evaluate(q, np.vecdot(p_yr, -_plogp(q).sum(axis=-2)).reshape(-1).tolist())
     runs = [_Run(v) for v in values]
     active = list(runs)
+    # a solve whose K is not finite fails with the error its first step meets
+    done = np.flatnonzero(~np.isfinite(step.k.reshape(len(runs), -1)).all(axis=1)).tolist()
+    for k in done:
+        runs[k].error = step.failure(lt, k)
     # the quantizers, exponents and log-posteriors of the iterates, and the
     # exponents of one and two ticks before, kept once a solve has engaged
     e = e1 = e2 = None
     cycling = False
     ext = []  # the active solves due to extrapolate
     while True:
+        if done:  # the finished solves take their final quantizers and leave
+            for k in done:
+                active[k].q = QuantizerPmf._renormalized(q[k] if q.ndim > 2 else q)
+            keep = [k for k in range(len(active)) if k not in done]
+            if not keep:
+                break
+            idx = keep if len(keep) > 1 else keep[0]  # a single solve left goes on unbatched
+            active, step = [active[k] for k in keep], step.take(idx)
+            q, e, lt, e1, e2 = [None if a is None else a[idx] for a in (q, e, lt, e1, e2)]
+            ext = [k for k, r in enumerate(active) if r.phase == 2]
+        done, rejected = [], []
         inp = lt
         if ext:
             every = len(ext) == len(active)
             chain = (e2, e1, e, q) if every else (e2[ext], e1[ext], e[ext], q[ext])
             x, lengths = _squarem_exponents(*chain, p_yr, [active[k].max_step for k in ext])
-            lt_x = step.jump(x)
-            if lt_x is not None:
-                for i, k in enumerate(ext):
-                    r = active[k]
-                    r.step_len, r.phase = lengths[i], 3
-                if every:
-                    inp = lt_x
-                else:
-                    inp = lt.copy()
-                    inp[ext] = lt_x
-            else:
-                # softmax refuses some slice: jump each alone; a refused
-                # extrapolation ends its cycle at q2
-                jumps = [step.jump(x[i:i + 1]) for i in range(len(ext))] if len(ext) > 1 else [None]
-                done = []
-                for i, k in enumerate(ext):
-                    r = active[k]
-                    r.step_len = lengths[i]
-                    if jumps[i] is not None:
-                        r.phase = 3
-                    elif r.end_cycle(False, eps, max_iter):
-                        done.append(k)
-                jumped = [j for j in jumps if j is not None]
-                lt_x = np.concatenate(jumped) if jumped else None
-                if done:
-                    keep = _finish(done, active, q)
-                    if not keep:
-                        break
-                    active, step, (q, e, lt, e1, e2) = _keep(keep, active, step, (q, e, lt, e1, e2))
-                    inp = lt
-                    if len(keep) == 1 and lt_x is not None:
-                        lt_x = lt_x[0]  # the one slice of the solve left, unbatched
-                if lt_x is not None:
-                    cand = [k for k, r in enumerate(active) if r.phase == 3]
-                    if len(cand) == len(active):
-                        inp = lt_x
-                    else:
-                        inp = lt.copy()
-                        inp[cand] = lt_x
+            lt_x, refused = step.jump(x)
+            for i, k in enumerate(ext):
+                r = active[k]
+                r.step_len = lengths[i]
+                if i not in refused:
+                    r.phase = 3
+                # a refused extrapolation ends its cycle at q2, and this
+                # tick's map evaluation is the next cycle's first plain step
+                elif r.end_cycle(False, eps, max_iter):
+                    done.append(k)
+                    rejected.append(k)
+            if refused:
+                jumped = [i for i in range(len(ext)) if i not in refused]
+                ext, lt_x = [ext[i] for i in jumped], lt_x[jumped]
+            if len(ext) == len(active):
+                inp = lt_x
+            elif ext:
+                inp = lt.copy()
+                inp[ext] = lt_x
             # the arrays of q2, where a rejected candidate leaves its solve
             before = q, e, lt
+        if done and len(done) == len(active):  # every solve ended at a refused extrapolation
+            continue
         # before any cycle, a plain step's arrays are freed for the next one
         if cycling:
             e2, e1 = e1, e
-        try:
-            q, e, lt, vals = step.advance(inp)
-        except FloatingPointError as err:
-            if len(active) == 1:
-                active[0].error = err
-                break
-            outs = []
-            for k, r in enumerate(active):
-                try:
-                    outs.append(step.take(k).advance(inp[k]))
-                except FloatingPointError as failure:
-                    r.error = failure
-            keep = [k for k, r in enumerate(active) if r.error is None]
-            if not keep:
-                break
-            active, step, (q, e, lt, e1, e2) = _keep(keep, active, step, (q, e, lt, e1, e2))
-            before = q, e, lt
-            q, e, lt = outs[0][:3] if len(outs) == 1 else (
-                np.stack([o[i] for o in outs]) for i in range(3))
-            vals = [o[3][0] for o in outs]
-        done, rejected, ext = [], [], []
-        for k, r in enumerate(active):
+        q, e, lt, vals, failures = step.advance(inp)
+        live = enumerate(active)
+        if done or failures:  # solves ended by a refused extrapolation, or failed now
+            for k, err in failures.items():
+                if k not in done:
+                    active[k].error = err
+                    done.append(k)
+            live = [(k, r) for k, r in enumerate(active) if k not in done]
+        ext = []
+        for k, r in live:
             v = vals[k]
             phase = r.phase
             if phase == 3:
@@ -709,18 +697,13 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
                 r.plain_rho = _ratio(v - r.trace[-2], r.trace[-2] - r.start)
                 r.phase = 2
                 ext.append(k)
-        # a rejected extrapolated point leaves its solve at q2
+        # a rejected candidate, and a refused extrapolation that ended its
+        # solve, leave the solve at q2
         if rejected:
             if len(rejected) == len(active):
                 q, e, lt = before
             else:
                 q[rejected], e[rejected], lt[rejected] = (a[rejected] for a in before)
-        if done:
-            keep = _finish(done, active, q)
-            if not keep:
-                break
-            active, step, (q, e, lt, e1, e2) = _keep(keep, active, step, (q, e, lt, e1, e2))
-            ext = [k for k, r in enumerate(active) if r.phase == 2]
 
     for r in runs:
         if r.error is not None:
@@ -739,8 +722,9 @@ def _solve_batch(ch: ChannelModel, num_levels: int, solves: list, eps: float = 1
     (lam1, lam2, init, seed) of solves, in order, as lockstep batches of at
     most MAX_BATCH solves (_lockstep)."""
     for lam1, lam2, _, _ in solves:
-        if not (lam1 > 0 and lam2 > 0):
-            raise ValueError(f"multipliers must be strictly positive, got ({lam1}, {lam2})")
+        if not (0 < lam1 < math.inf and 0 < lam2 < math.inf):
+            raise ValueError(
+                f"multipliers must be finite and strictly positive, got ({lam1}, {lam2})")
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if num_levels < 1:
@@ -759,9 +743,9 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     """Run the alternating update from one seeded start, accelerated by
     squared extrapolation once it slows down.
 
-    Both multipliers must be strictly positive; the unpenalized objective is
-    approached with small multipliers instead of zero ones because the update
-    divides by lam1 + lam2.
+    Both multipliers must be finite and strictly positive; the unpenalized
+    objective is approached with small multipliers instead of zero ones
+    because the update divides by lam1 + lam2.
 
     A plain step is one application of the map F (posteriors, then softmax).
     Plain steps that shrink fast need no help, so the squared extrapolation

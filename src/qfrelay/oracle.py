@@ -236,9 +236,11 @@ class RateTable:
 
     def best_penalized(self, lam1: float, lam2: float):
         """(max j - lam1*c1 - lam2*c2, argmax index) over all candidates."""
-        if lam1 < 0 or lam2 < 0:
-            raise ValueError("multipliers must be nonnegative")
-        vals = np.array([1.0, -lam1, -lam2]) @ self.rates
+        if not (0 <= lam1 < math.inf and 0 <= lam2 < math.inf):
+            raise ValueError("multipliers must be finite and nonnegative")
+        # multipliers near the largest float overflow a product to -inf
+        with np.errstate(over="ignore"):
+            vals = np.array([1.0, -lam1, -lam2]) @ self.rates
         k = int(np.argmax(vals))
         return float(vals[k]), k
 

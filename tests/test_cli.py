@@ -570,6 +570,20 @@ def test_solver_overflow_is_numeric_error(inline_cfg, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("command", [
+    ["optimize", "--bins", "16", "--levels", "4", "--lambda1", "1e308", "--lambda2", "1e308"],
+    ["oracle", "--fixture", "--step", "0.5", "--lambda1", "1e308", "--lambda2", "1e308"],
+], ids=["optimize", "oracle"])
+def test_huge_multipliers_run_quietly(command, capsys):
+    """Multipliers near the largest float overflow the solver's lam1 + lam2
+    and the oracle's penalties to inf, which the answers allow: both runs
+    succeed with no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(command) == EXIT_OK
+    assert [str(w.message) for w in caught] == []
+
+
 def test_writers_refuse_nonfinite_output(tmp_path):
     out = tmp_path / "out.json"
     with pytest.raises(FloatingPointError, match="non-finite value in payload"):

@@ -338,6 +338,16 @@ def test_optimize_max_iter_caps_map_evaluations(bpsk, monkeypatch):
     assert res.extrapolations_tried > 0
 
 
+def test_huge_multipliers_give_a_zero_k_quietly(fx):
+    """Multipliers near the largest float overflow lam1 + lam2, quietly: K is
+    zero, so the first step makes every column uniform and the solve stops
+    there."""
+    step = _FusedStep(fx, 1e308, 1e308)
+    assert not step.k.any()
+    res = optimize(fx, 1e308, 1e308, 2, seed=1)
+    assert res.converged and np.array_equal(res.q_final.q, np.full((2, 3), 0.5))
+
+
 def test_squarem_step_length_is_capped(bpsk):
     """The extrapolation's step length is |r|/|v| clipped to [1, max_step],
     and a unit step gives the last iterate's exponents back."""
@@ -345,10 +355,10 @@ def test_squarem_step_length_is_capped(bpsk):
     q = initial_quantizer(32, bpsk.num_bins, rng=np.random.default_rng(3)).q
     log_t, _ = step.evaluate(q, [float(bpsk.p_yr @ -xlogy(q, q).sum(axis=0))])
     for _ in range(20):
-        q, s, log_t, _ = step.advance(log_t)
+        q, s, log_t, _, _ = step.advance(log_t)
     chain = [s]
     for _ in range(2):
-        q, s, log_t, _ = step.advance(log_t)
+        q, s, log_t, _, _ = step.advance(log_t)
         chain.append(s)
     x_free, [free] = _squarem_exponents(*chain, q, bpsk.p_yr, [math.inf])
     assert free > 4.0
@@ -472,7 +482,8 @@ def _fused_step_errors(ch, qm, lam1, lam2):
 
     step = _FusedStep(ch, lam1, lam2)
     log_t, [value] = step.evaluate(q.q, [float(ch.p_yr @ -xlogy(q.q, q.q).sum(axis=0))])
-    got_q, _, _, [value_next] = step.advance(log_t)
+    got_q, _, _, [value_next], failures = step.advance(log_t)
+    assert failures == {}
 
     got_delta = log_t.T @ step.k
     return (np.max(np.abs(got_delta - want_delta)) / max(1.0, np.max(np.abs(want_delta))),
@@ -521,19 +532,28 @@ def test_fused_step_reports_nonfinite_delta(fx):
     for bad in (np.nan, np.inf, -np.inf):
         log_t = np.zeros((len(step.k), 2))
         log_t[1, 1] = bad
-        with pytest.raises(FloatingPointError, match=r"\(1, 0\)"):
-            step.advance(log_t)
+        failures = step.advance(log_t)[4]
+        assert list(failures) == [0] and type(failures[0]) is FloatingPointError
+        assert "(1, 0)" in str(failures[0])
 
 
 def test_softmax_refuses_nonfinite_column_maxima(fx):
     """softmax, and so jump, refuses exponents with a NaN, +inf or all -inf
-    column, quietly; -inf below a finite maximum only sits at the floor."""
+    column, quietly; -inf below a finite maximum only sits at the floor.  In
+    a batch, it lists the refused slices and gives the others their softmax
+    alone."""
     step = _FusedStep(fx, 0.5, 0.5)
+    good = np.array([[0.0, -1.0, -3.0], [-2.0, 0.0, 0.0]])
+    alone = step.softmax(good.copy())
     for column in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, -np.inf]):
-        s = np.array([[0.0, -1.0], [-2.0, 0.0]])
+        s = good.copy()
         s[:, 1] = column
-        assert step.softmax(s.copy()) is None and step.jump(s) is None
-    q, exponents, z = step.softmax(np.array([[0.0, -np.inf], [-np.inf, 0.0]]))
+        assert step.softmax(s.copy())[3] == [0] and step.jump(s.copy())[1] == [0]
+        q, exponents, z, refused = step.softmax(np.stack([s, good, s]))
+        assert refused == [0, 2]
+        assert all(np.array_equal(a[1], b) for a, b in zip((q, exponents, z), alone))
+    q, exponents, z, refused = step.softmax(np.array([[0.0, -np.inf], [-np.inf, 0.0]]))
+    assert not refused
     assert np.array_equal(exponents, [[0.0, EXP_FLOOR], [EXP_FLOOR, 0.0]])
 
 
@@ -543,10 +563,13 @@ def _floored_exponents(delta):
 
 
 class _UnfusedStep:
-    """The step interface optimize() drives on its batch of one (evaluate,
+    """The step interface optimize() drives on its batch of one (k, evaluate,
     advance, jump), spelled with the unfused induced_posteriors,
     delta_matrix, update_q and lagrangian.  Its state in place of the fused
-    log-posteriors is the quantizer itself."""
+    log-posteriors is the quantizer itself, and its k is only finite, so no
+    solve fails at the start."""
+
+    k = np.zeros((1, 1))
 
     def __init__(self, ch, lam1, lam2):
         self.ch, self.lam1, self.lam2 = ch, lam1, lam2
@@ -558,13 +581,14 @@ class _UnfusedStep:
     def advance(self, q):
         delta = delta_matrix(self.ch, induced_posteriors(self.ch, q), self.lam1, self.lam2)
         q = update_q(delta)
-        return q.q, _floored_exponents(delta), q, [lagrangian(self.ch, q, self.lam1, self.lam2)]
+        return (q.q, _floored_exponents(delta), q, [lagrangian(self.ch, q, self.lam1, self.lam2)],
+                {})
 
     def jump(self, s):
         if not np.isfinite(s.max(axis=0)).all():
-            return None
+            return None, [0]
         e = np.exp(_floored_exponents(s))
-        return QuantizerPmf(e / e.sum(axis=0))
+        return QuantizerPmf(e / e.sum(axis=0)), []
 
 
 @pytest.mark.parametrize("case", ["fixture-a", "fixture-b", "fixture-dead-level", "bpsk",

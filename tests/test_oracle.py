@@ -128,6 +128,15 @@ def test_brute_force_zero_targets(fx, fx_table_l2_coarse):
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
+def test_penalized_query_with_huge_multipliers(fx_table_l2_coarse):
+    """Multipliers near the largest float overflow the penalties of every
+    candidate with a positive rate to -inf, quietly; the answer is still the
+    first maximum of j - lam1 c1 - lam2 c2 taken in Python floats."""
+    table, lam = fx_table_l2_coarse, 1e308
+    want = [j - lam * c1 - lam * c2 for j, c1, c2 in zip(*table.rates.tolist())]
+    assert table.best_penalized(lam, lam) == (max(want), want.index(max(want)))
+
+
 def test_constrained_query_rejects_negative_targets(fx_table_l2_coarse):
     with pytest.raises(ValueError, match="nonnegative"):
         fx_table_l2_coarse.best_constrained(-0.5, 0.5)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qfrelay import (ChannelModel, LambdaGrid, QuantizerPmf, RateTable, Surface,
-                     from_pmfs, induced_posteriors, optimize, optimize_alpha,
+                     from_pmfs, induced_posteriors, lagrangian, optimize, optimize_alpha,
                      optimize_restarts)
 from qfrelay.cli import EXIT_CONFIG, ConfigError, main, run_repro
 from qfrelay.sweep import CSV_HEADER
@@ -45,7 +45,15 @@ LIBRARY_REFUSALS = [
     ("rate-table-levels", lambda fx: RateTable(fx, 0, grid_step=0.5),
      "num_levels must be at least 1"),
     ("penalized-negative", lambda fx: RateTable(fx, 2, grid_step=0.5).best_penalized(-0.1, 0.5),
-     "multipliers must be nonnegative"),
+     "multipliers must be finite and nonnegative"),
+    ("penalized-nan", lambda fx: RateTable(fx, 2, grid_step=0.5).best_penalized(np.nan, 0.1),
+     "multipliers must be finite and nonnegative"),
+    ("lagrangian-nan", lambda fx: lagrangian(fx, QuantizerPmf.uniform(2, 3), np.nan, 0.1),
+     "multipliers must be finite and nonnegative, got (nan, 0.1)"),
+    ("optimize-infinite-multiplier", lambda fx: optimize(fx, np.inf, 0.5, 2),
+     "multipliers must be finite and strictly positive, got (inf, 0.5)"),
+    ("restarts-nan-multiplier", lambda fx: optimize_restarts(fx, 0.5, np.nan, 2),
+     "multipliers must be finite and strictly positive, got (0.5, nan)"),
     ("grid-empty-axis", lambda fx: LambdaGrid(axis1=[], axis2=[1.0]),
      "lambda axes must be non-empty 1-D arrays"),
     ("grid-count-zero", lambda fx: LambdaGrid.log_spaced(count=0),
