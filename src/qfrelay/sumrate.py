@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -70,8 +71,7 @@ def sum_rate_at(s: Surface, i1: float, i2: float, alpha: float) -> float:
 
 def _rates(s: Surface):
     """The surface's (c1, c2, i_rd) columns as float arrays."""
-    rows = np.array([p[2:5] for p in s.points], dtype=float)
-    return rows.reshape(-1, 3).T
+    return np.array([*islice(zip(*s.points), 2, 5)], dtype=float).reshape(3, -1)
 
 
 def _fitting_alphas(c1, c2, i1: float, i2: float):

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -251,7 +251,8 @@ def _write_csv(path, header: str, rows, context: str):
     """A header line, then one line per row: booleans as true/false, the rest
     as str; NaN or infinity is refused before opening, naming `context`."""
     rows = list(rows)
-    if not all(math.isfinite(v) for row in rows for v in row):
+    if not all(all(map(math.isfinite, [v for v in col if type(v) is not int]))
+               for col in zip(*rows)):  # an int is finite, even one no float can hold
         raise FloatingPointError(f"non-finite value in {context}")
     lines = [header] + [",".join([("true" if v else "false") if type(v) is bool else str(v)
                                   for v in row]) for row in rows]
@@ -276,7 +277,15 @@ def _flag(v) -> bool:
 
 
 # What a solve can produce in each CSV_HEADER column, as a test of one value.
+# Each admits one type from a lower bound up, a float only when finite, so
+# _all_valid tests a column whole by its type, finiteness and least value.
 _VALID = (_multiplier, _multiplier, _rate, _rate, _rate, _rate, _count, _flag, _count)
+
+
+def _all_valid(col, valid) -> bool:
+    """Whether every value of a column passes `valid`, a rule of _VALID."""
+    return not col or ({*map(type, col)} == {type(col[0])} and valid(col[0]) and valid(min(col))
+                       and (type(col[0]) is not float or all(map(math.isfinite, col))))
 
 
 def _as_float(v):
@@ -285,26 +294,28 @@ def _as_float(v):
     return float(str(v)) if type(v) is int else v
 
 
-def _points(columns: list, where: str, qs=None) -> list:
+def _points(columns: list, where: str, qs=None) -> tuple:
     """The points of a surface file's rows, given as its columns in
     CSV_HEADER order with each value as JSON gives it, and qs the rows'
     quantizers (None: no quantizers).  Refuses what no solve produces:
     other than int or float in the numeric columns, non-finite numbers,
     multipliers <= 0, negative rates, iterations or seed that are not
     integers >= 0 and a non-boolean converged flag.  Each column is checked
-    whole; a refusal names the first row that breaks a rule, as
-    `{where} {k}`."""
+    whole; a refusal names the first row that breaks a rule, as `{where} {k}`."""
     raw = list(columns) or [()] * len(_COLUMNS)
-    columns = [col if {*map(type, col)} <= {float} else list(map(_as_float, col))
-               for col in raw[:6]] + raw[6:]
-    bad = [next(k for k, v in enumerate(col) if not valid(v))
-           for col, valid in zip(columns, _VALID) if not all(map(valid, col))]
+    columns, bad = list(raw), []
+    for j, valid in enumerate(_VALID):
+        if not _all_valid(columns[j], valid):
+            if j < 6:  # an int in a number column stands for its float
+                columns[j] = list(map(_as_float, columns[j]))
+            bad += [k for k, v in enumerate(columns[j]) if not valid(v)][:1]
     if bad:
         k = min(bad)
         raise ValueError(f"{where} {k}: multipliers must be finite numbers > 0, rates finite "
                          f"numbers >= 0, iterations and seed integers >= 0 and converged "
                          f"a boolean, got {dict(zip(_COLUMNS, (col[k] for col in raw)))}")
-    return list(map(SurfacePoint, *columns, qs or [None] * len(columns[0])))
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple(map(tuple.__new__, repeat(SurfacePoint), zip(*columns, qs or repeat(None))))
 
 
 def _csv_number(cell: str, parse=float):
@@ -313,6 +324,24 @@ def _csv_number(cell: str, parse=float):
         return parse(cell)
     except ValueError:
         return cell
+
+
+def _csv_column(col, parse=float) -> list:
+    """_csv_number of each cell of a CSV column, in one call unless a cell reads none."""
+    try:
+        return list(map(parse, col))
+    except ValueError:
+        return [_csv_number(c, parse) for c in col]
+
+
+def _csv_counts_or_flags(col) -> list:
+    """_csv_number(c, int) of each decimal cell c, else its _CSV_BOOLEANS value or c."""
+    decimal = {*map(str.isdecimal, col)}
+    if True not in decimal:
+        return list(map(_CSV_BOOLEANS.get, col, col))
+    if False not in decimal:
+        return _csv_column(col, int)
+    return [_csv_number(c, int) if c.isdecimal() else _CSV_BOOLEANS.get(c, c) for c in col]
 
 
 def surface_to_csv(s: Surface, path) -> None:
@@ -334,12 +363,8 @@ def surface_from_csv(path) -> Surface:
         k = next(k for k, cells in enumerate(rows) if len(cells) != len(_COLUMNS))
         raise ValueError(f"{path}: row {k}: malformed row {lines[k + 1]!r}")
     columns = list(zip(*rows))
-    # the JSON value each cell stands for, kept as text if none
-    numbers = [list(map(_csv_number, col)) for col in columns[:6]]
-    tail = [[_csv_number(c, int) if c.isdecimal() else _CSV_BOOLEANS.get(c, c) for c in col]
-            for col in columns[6:]]
-    return Surface(points=tuple(_points(numbers + tail, f"{path}: row")),
-                   channel_fingerprint="", num_levels=0)
+    cells = [*map(_csv_column, columns[:6]), *map(_csv_counts_or_flags, columns[6:])]
+    return Surface(points=_points(cells, f"{path}: row"), channel_fingerprint="", num_levels=0)
 
 
 def surface_to_json(s: Surface, path, include_q: bool = False) -> None:
@@ -386,5 +411,5 @@ def surface_from_json(path) -> Surface:
         if not valid(header[key]):
             raise ValueError(f"{path}: '{key}' must be {rule}, got {header[key]!r}")
     points = _points(list(zip(*rows)), f"{path}: point", qs)
-    return Surface(points=tuple(points), channel_fingerprint=header["channel_fingerprint"],
+    return Surface(points=points, channel_fingerprint=header["channel_fingerprint"],
                    num_levels=header["num_levels"], warnings=tuple(header["warnings"]))

@@ -15,7 +15,7 @@ from qfrelay import (
     unimodality_report,
     yr_conditional_entropies,
 )
-from qfrelay.sumrate import DEGENERATE_ALPHA, alpha_objective_curve
+from qfrelay.sumrate import DEGENERATE_ALPHA, _rates, alpha_objective_curve
 
 # Rates drawn from a few round values as well as from a range, so that zero
 # description rates, zero downlinks and tied objectives all come up.
@@ -163,6 +163,14 @@ def test_alpha_objective_curve_equals_sum_rate_at(fx_surface_dense, i1, i2):
         assert curve == [(a, sum_rate_at(s, i1, i2, a)) for a, _ in curve]
     empty = Surface(points=(), channel_fingerprint="", num_levels=2)
     assert [v for _, v in alpha_objective_curve(empty, i1, i2, num=5)] == [0.0] * 5
+
+
+def test_rates_are_the_points_c1_c2_i_rd(fx_surface_dense):
+    for s in (fx_surface_dense, Surface(points=(), channel_fingerprint="", num_levels=2)):
+        per_point = np.array([p[2:5] for p in s.points], dtype=float).reshape(-1, 3).T
+        rates = _rates(s)
+        assert rates.dtype == float and rates.shape == per_point.shape == (3, len(s.points))
+        assert rates.tobytes() == per_point.tobytes()
 
 
 def test_alpha_objective_curve_rejects_bad_arguments(fx_surface_dense):
