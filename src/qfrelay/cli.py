@@ -328,7 +328,7 @@ def _cmd_sumrate(args) -> int:
     else:
         i1, i2 = downlink_rate(cfg.dl_snr1_db), downlink_rate(cfg.dl_snr2_db)
 
-    load = surface_from_json if args.surface.endswith(".json") else surface_from_csv
+    load = surface_from_json if args.surface.lower().endswith(".json") else surface_from_csv
     surface = load(args.surface)
     res = optimize_alpha(surface, i1, i2)
     payload = {

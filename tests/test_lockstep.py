@@ -120,21 +120,29 @@ def test_every_solve_comes_back_through_optimize(workload, n_points, n_solves, f
     assert len(seen["optimize"]) == len(batched) == n_solves
     assert all(a is b for a, b in zip(seen["optimize"], batched))
     assert len(seen["optimize_restarts"]) == n_points
-    assert not optimizer._ahead
 
 
-def test_a_block_withdraws_what_it_did_not_hand_out(fx):
-    """Results a block holds are handed out once, inside the block only; what
-    was not asked for leaves with the block, so a later call solves again."""
-    solves = [(0.3, 0.7, "perturbed-uniform", 1), (0.2, 0.1, "random", 2)]
-    results = optimizer._solve_batch(fx, 2, solves)
-    with optimizer._SolvedAhead(fx, 2, solves, 1e-8, 5000, list(results)):
-        assert optimize(fx, 0.3, 0.7, 2, seed=1) is results[0]
-        again = optimize(fx, 0.3, 0.7, 2, seed=1)
-        assert again is not results[0] and _fields(again) == _fields(results[0])
-    assert not optimizer._ahead
-    later = optimize(fx, 0.2, 0.1, 2, init="random", seed=2)
-    assert later is not results[1] and _fields(later) == _fields(results[1])
+def test_handed_results_are_not_solved_again(fx, monkeypatch):
+    """A result passed as _solved is returned as it is, and optimize_restarts
+    returns each passed result through a call to optimize(), the first of
+    equal maxima winning, without running a batch."""
+    r0, r1 = optimizer._solve_batch(fx, 2, [(0.3, 0.7, "perturbed-uniform", 1)] * 2)
+    assert r0 is not r1 and r0.lagrangian_trace[-1] == r1.lagrangian_trace[-1]
+
+    def refused(*args):
+        raise AssertionError("a handed-out result was solved again")
+
+    monkeypatch.setattr(optimizer, "_lockstep", refused)
+    assert optimize(fx, 0.3, 0.7, 2, seed=1, _solved=r0) is r0
+    calls = []
+
+    def logged(*args, fn=optimizer.optimize, **kwargs):
+        calls.append(kwargs["_solved"])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "optimize", logged)
+    assert optimizer.optimize_restarts(fx, 0.3, 0.7, 2, restarts=2, _solved=[r0, r1]) is r0
+    assert len(calls) == 2 and calls[0] is r0 and calls[1] is r1
 
 
 @st.composite

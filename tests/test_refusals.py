@@ -8,7 +8,7 @@ import pytest
 
 from qfrelay import (ChannelModel, LambdaGrid, QuantizerPmf, RateTable, Surface,
                      from_pmfs, induced_posteriors, lagrangian, optimize, optimize_alpha,
-                     optimize_restarts)
+                     optimize_restarts, sweep_grid)
 from qfrelay.cli import EXIT_CONFIG, ConfigError, main, run_repro
 from qfrelay.sweep import CSV_HEADER
 
@@ -54,6 +54,8 @@ LIBRARY_REFUSALS = [
      "multipliers must be finite and strictly positive, got (inf, 0.5)"),
     ("restarts-nan-multiplier", lambda fx: optimize_restarts(fx, 0.5, np.nan, 2),
      "multipliers must be finite and strictly positive, got (0.5, nan)"),
+    ("sweep-workers-zero", lambda fx: sweep_grid(fx, 2, workers=0),
+     "workers must be at least 1, got 0"),
     ("grid-empty-axis", lambda fx: LambdaGrid(axis1=[], axis2=[1.0]),
      "lambda axes must be non-empty 1-D arrays"),
     ("grid-count-zero", lambda fx: LambdaGrid.log_spaced(count=0),
@@ -86,6 +88,8 @@ CLI_REFUSALS = [
      "optimize needs --lambda1 and --lambda2 (or solver.lambda1/lambda2)"),
     ("sumrate-without-surface", {}, ["sumrate", "--i1-bits", "0.5", "--i2-bits", "0.5"],
      "sumrate needs --surface pointing at a sweep output file"),
+    ("sweep-workers-negative", {}, ["sweep", "--bins", "8", "--levels", "2", "--workers", "-3"],
+     "workers must be at least 1, got -3"),
 ]
 
 
