@@ -285,15 +285,10 @@ class _FusedStep:
     """The fixed-point iteration on raw arrays for a channel and a batch of
     multiplier pairs.
 
-    Built from arrays lam1, lam2 of K pairs, a step takes and gives arrays
-    with a leading batch axis, one slice per pair: (K, L, |Yr|) quantizers
-    and exponents and (K, R, L) log-posteriors.  Built from two scalars, it
-    takes and gives those slices themselves, with no batch axis; _lockstep
-    runs a batch of one that way, which skips the batch axis's
-    broadcasting overhead.  Every kernel computes each slice in the same
-    order in either form, so a slice's result does not depend on the rest of
-    the batch (see _lockstep).  Entropies and Lagrangians go in and out as
-    lists, one entry per pair.
+    Built from lists lam1, lam2 of K pairs, K = 1 for a lone solve, a step
+    takes and gives (K, L, |Yr|) quantizers and exponents, (K, R, L)
+    log-posteriors and lists of K entropies and Lagrangians.  Each slice is
+    computed alone, so its result does not depend on the batch (_lockstep).
 
     evaluate(q, h) gives the floored log-posteriors of q, rows t1 | t2 | t3 |
     t4 with R = 2|X1||X2| + |X1| + |X2|, and the Lagrangians of q;
@@ -312,27 +307,24 @@ class _FusedStep:
     def __init__(self, ch: ChannelModel, lam1, lam2):
         m = _channel_matrices(ch)
         self.num, self.sums, self.weights, self.fill = m.num, m.sums, m.weights, m.fill
-        self.den_shift = m.den_shift
-        self.h_x1, self.h_x2, self.p_yr = m.h_x1, m.h_x2, ch.p_yr
+        self.den_shift, self.h_x1, self.h_x2, self.p_yr = m.den_shift, m.h_x1, m.h_x2, ch.p_yr
         lam1, lam2 = np.asarray(lam1, dtype=float), np.asarray(lam2, dtype=float)
-        coef = np.ones(lam1.shape + (len(m.k_base), 1))
-        coef[..., m.lam_rows[0], 0], coef[..., m.lam_rows[1], 0] = lam1[..., None], lam2[..., None]
+        coef = np.ones((len(lam1), len(m.k_base), 1))
+        coef[:, m.lam_rows[0], 0], coef[:, m.lam_rows[1], 0] = lam1[:, None], lam2[:, None]
         # Dead bins get a zero column of K, so the softmax leaves them uniform.
         # Multipliers near the largest float overflow lam1 + lam2 and give a
         # zero K; near the smallest they overflow 1/scale, and _lockstep fails
         # a solve whose K is not finite before its first step.
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = (lam1 + lam2)[..., None] * ch.p_yr
+            scale = (lam1 + lam2)[:, None] * ch.p_yr
             inv = np.divide(1.0, scale, out=np.zeros_like(scale), where=scale > 0)
-            self.k = m.k_base * coef * inv[..., None, :]
-        self.lam1s, self.lam2s = lam1.ravel().tolist(), lam2.ravel().tolist()
+            self.k = m.k_base * coef * inv[:, None, :]
+        self.lam1s, self.lam2s = lam1.tolist(), lam2.tolist()
 
-    def take(self, idx) -> "_FusedStep":
-        """The step of the pairs idx of this batch, in that order: a batch
-        for a list, the unbatched step of one pair for an int."""
+    def take(self, idx: list) -> "_FusedStep":
+        """The step of the pairs idx of this batch, in that order."""
         sub = copy.copy(self)
         sub.k = self.k[idx]
-        idx = idx if type(idx) is list else [idx]
         sub.lam1s, sub.lam2s = [self.lam1s[i] for i in idx], [self.lam2s[i] for i in idx]
         return sub
 
@@ -382,8 +374,6 @@ class _FusedStep:
         q, exponents, z, failed = self.softmax(s)
         h_i_given_y = np.vecdot(self.p_yr, np.log(z) - np.einsum(
             "...ij,...ij->...j", q, s)).tolist()
-        if type(h_i_given_y) is float:  # an unbatched step
-            h_i_given_y = [h_i_given_y]
         # the sum is finite exactly when each entry is: the entropies are far
         # below overflow
         if not math.isfinite(sum(h_i_given_y)):
@@ -395,9 +385,8 @@ class _FusedStep:
         """The error of slice k of a step from log_t: it names the first
         non-finite entry of that slice's delta = log_t.T @ K, recomputed
         quietly, since the softmax shifts delta in place."""
-        log_t, k_slice = (log_t, self.k) if log_t.ndim == 2 else (log_t[k], self.k[k])
         with np.errstate(over="ignore", invalid="ignore"):
-            i, j = np.argwhere(~np.isfinite(log_t.T @ k_slice))[0]
+            i, j = np.argwhere(~np.isfinite(log_t[k].T @ self.k[k]))[0]
         return FloatingPointError(f"delta has non-finite entry at ({i}, {j})")
 
     def jump(self, s: np.ndarray) -> tuple:
@@ -411,18 +400,16 @@ class _FusedStep:
         """(q, exponents, z, refused) of the column softmax of each slice of
         s: exponents are s minus its column maxima (in place) raised to
         EXP_FLOOR, and q = exp(exponents) / z.  refused lists the slices with
-        a NaN or +-inf column maximum, as a non-finite delta or an overflowed
-        extrapolation gives, 0 for an unbatched s; they are zeroed first, so
-        their q is uniform and nothing warns."""
+        a NaN or +-inf column maximum (a non-finite delta or an overflowed
+        extrapolation), zeroed first so that their q is uniform, quietly."""
         m = s.max(axis=-2, keepdims=True)
         refused = ()
         # m . m is finite only when every maximum is, so the exact check runs
         # only for a non-finite or overflowed sum of squares; the BLAS dot
         # raises no floating-point warning on either.
         if not math.isfinite(np.vdot(m, m)) and not np.isfinite(m).all():
-            refused = np.flatnonzero(~np.isfinite(m.reshape(-1, m.shape[-1])).all(axis=1)).tolist()
-            for a in (s, m):  # indexed through a batch axis, also when unbatched
-                (a if a.ndim > 2 else a[None])[refused] = 0.0
+            refused = np.flatnonzero(~np.isfinite(m[:, 0]).all(axis=1)).tolist()
+            s[refused] = m[refused] = 0.0
         s -= m
         exponents = np.maximum(s, EXP_FLOOR)
         q = np.exp(exponents)
@@ -435,17 +422,14 @@ def _fisher_sq(x: np.ndarray, q: np.ndarray, w: np.ndarray, p_yr: np.ndarray) ->
     """Per slice k, sum_j p(y_j) Var_{q[k, :, j]}(x[k, :, j]) = sum w x**2 -
     sum_j p(y_j) m_j**2, with w = q p(y) and m_j the q[k, :, j]-mean of
     x[k, :, j]: the squared length of the log-domain move x[k] in the Fisher
-    metric of the channel q(yhat|y) p(y), raised to 0 where rounding takes
-    it below.  Levels q leaves dead weigh nothing, and neither does a column
-    constant in x, which the softmax normalization absorbs.  A 2-D x is one
-    slice."""
-    m = np.einsum("...ij,...ij->...j", q, x)
-    if x.ndim == 2:
-        return [max(0.0, float(np.vdot(w * x, x) - p_yr @ (m * m)))]
+    metric of the channel q(yhat|y) p(y), which rounding can take below 0.
+    Levels q leaves dead weigh nothing, and neither does a column constant
+    in x, which the softmax normalization absorbs."""
     k = len(x)
-    return [max(0.0, a - b) for a, b in zip(
-        np.vecdot((w * x).reshape(k, -1), x.reshape(k, -1)).tolist(),
-        np.vecdot(p_yr, m * m).tolist())]
+    m = np.einsum("...ij,...ij->...j", q, x)
+    d = np.vecdot((w * x).reshape(k, -1), x.reshape(k, -1))
+    d -= np.vecdot(p_yr, m * m)
+    return d.tolist()
 
 
 def _squarem_exponents(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray,
@@ -456,9 +440,8 @@ def _squarem_exponents(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray,
     s2 (log q up to a column constant, raised to EXP_FLOOR), with
     r = s1 - s0, v = s2 - 2 s1 + s0 and the step length
     -alpha = |r|/|v| clipped to [1, max_step]; 1 where v = 0.  A unit step
-    gives s2 itself.  The chains come stacked, K of them (or one, unstacked,
-    as in _FusedStep), with a list of K caps, and the step lengths go out as
-    a list of K.
+    gives s2 itself.  The K chains come stacked, with a list of K caps, and
+    the step lengths go out as a list of K.
 
     The lengths are taken in the Fisher metric of q2 (_fisher_sq).  In plain
     Euclidean lengths, r and v are dominated by dying levels sinking through
@@ -473,10 +456,10 @@ def _squarem_exponents(s0: np.ndarray, s1: np.ndarray, s2: np.ndarray,
     v = s2 - s1
     v -= r
     w = q2 * p_yr
-    alphas = [max(min(-math.sqrt(rr / vv), -1.0) if vv > 0 else -1.0, -cap)
+    alphas = [max(min(-math.sqrt(max(0.0, rr) / vv), -1.0) if vv > 0 else -1.0, -cap)
               for rr, vv, cap in zip(_fisher_sq(r, q2, w, p_yr), _fisher_sq(v, q2, w, p_yr),
                                      max_step)]
-    alpha = alphas[0] if len(alphas) == 1 else np.array(alphas)[:, None, None]
+    alpha = np.array(alphas)[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         r *= -2.0 * alpha
         r += s0
@@ -567,11 +550,6 @@ class _Run:
         return self.end_step(eps, max_iter)
 
 
-def _stacked(arrays: list) -> np.ndarray:
-    """np.stack(arrays), as a view for one array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
               max_iter: int) -> list:
     """The OptimizerResult of optimize() for each (lam1, lam2, init, seed) of
@@ -580,10 +558,9 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     Each solve keeps optimize()'s own state (_Run).  A tick takes every
     pending extrapolation with one _squarem_exponents and one jump, then
     every pending map evaluation, plain or from an extrapolated point, with
-    one advance.  Slice k of the batched arrays belongs to active[k], and a
-    batch of one runs unbatched (see _FusedStep).  Because the kernels
-    compute each slice as a batch of one would, every result is bit for bit
-    that of optimize() alone.
+    one advance.  Slice k of the batched arrays belongs to active[k].
+    Because the kernels compute each slice as a batch of one would, every
+    result is bit for bit that of optimize() alone.
 
     The kernels report their failures per slice.  A refused extrapolation
     ends its cycle at q2; a solve that this finishes is rolled back like a
@@ -599,12 +576,9 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     # column sums round.
     starts = [QuantizerPmf._renormalized(_initial_draw(
         num_levels, ch.num_bins, init, np.random.default_rng(seed))).q for _, _, init, seed in solves]
-    if len(solves) == 1:
-        q, step = starts[0], _FusedStep(ch, solves[0][0], solves[0][1])
-    else:
-        q, step = np.stack(starts), _FusedStep(ch, [s[0] for s in solves], [s[1] for s in solves])
+    q, step = np.stack(starts), _FusedStep(ch, [s[0] for s in solves], [s[1] for s in solves])
     # The starts are not softmax outputs, so their H(Yhat|Yr) is computed directly.
-    lt, values = step.evaluate(q, np.vecdot(p_yr, -_plogp(q).sum(axis=-2)).reshape(-1).tolist())
+    lt, values = step.evaluate(q, np.vecdot(p_yr, -_plogp(q).sum(axis=-2)).tolist())
     runs = [_Run(v) for v in values]
     active = list(runs)
     # a solve whose K is not finite fails with the error its first step meets
@@ -619,19 +593,17 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     while True:
         if done:  # the finished solves take their final quantizers and leave
             for k in done:
-                active[k].q = QuantizerPmf._renormalized(q[k] if q.ndim > 2 else q)
+                active[k].q = QuantizerPmf._renormalized(q[k])
             keep = [k for k in range(len(active)) if k not in done]
             if not keep:
                 break
-            idx = keep if len(keep) > 1 else keep[0]  # a single solve left goes on unbatched
-            active, step = [active[k] for k in keep], step.take(idx)
-            q, e, lt, e1, e2 = [None if a is None else a[idx] for a in (q, e, lt, e1, e2)]
+            active, step = [active[k] for k in keep], step.take(keep)
+            q, e, lt, e1, e2 = [None if a is None else a[keep] for a in (q, e, lt, e1, e2)]
             ext = [k for k, r in enumerate(active) if r.phase == 2]
         done, rejected = [], []
         inp = lt
         if ext:
-            every = len(ext) == len(active)
-            chain = (e2, e1, e, q) if every else (e2[ext], e1[ext], e[ext], q[ext])
+            chain = [a if len(ext) == len(active) else a[ext] for a in (e2, e1, e, q)]
             x, lengths = _squarem_exponents(*chain, p_yr, [active[k].max_step for k in ext])
             lt_x, refused = step.jump(x)
             for i, k in enumerate(ext):
@@ -709,7 +681,7 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     for r in runs:
         if r.error is not None:
             raise r.error
-    reports = _rate_reports(ch, _stacked([r.q.q for r in runs]))
+    reports = _rate_reports(ch, np.stack([r.q.q for r in runs]))
     return [OptimizerResult(q_final=r.q, report=rep, lagrangian_trace=r.trace,
                             iterations=r.iterations, converged=r.converged, seed=int(seed),
                             extrapolations_tried=r.tried, extrapolations_accepted=r.accepted,
@@ -781,6 +753,7 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     """
     if _solved is not None:
         return _solved
+    _check_seed(seed)
     return _solve_batch(ch, num_levels, [(lam1, lam2, init, seed)], eps, max_iter)[0]
 
 
@@ -793,6 +766,12 @@ def _restart_seeds(seed: int, restarts: int) -> tuple:
     3 ms of that pass's roughly 100 ms."""
     return tuple(int(np.random.SeedSequence((seed, r)).generate_state(1)[0])
                  for r in range(restarts))
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed by name; numpy's seeding refuses it without."""
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
 
 
 def _restart_solves(lam1: float, lam2: float, init: str, seed: int, restarts: int) -> list:
@@ -816,6 +795,7 @@ def optimize_restarts(ch: ChannelModel, lam1: float, lam2: float, num_levels: in
     final Lagrangians wins.
     """
     if _solved is None:
+        _check_seed(seed)
         _solved = _solve_batch(ch, num_levels, _restart_solves(lam1, lam2, init, seed, restarts),
                                eps, max_iter)
     results = [optimize(ch, lam1, lam2, num_levels, init=init, eps=eps, max_iter=max_iter,

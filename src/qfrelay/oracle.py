@@ -39,6 +39,8 @@ def _grid_size(grid_step: float, num_levels: int, n_cols: int, max_cells: float)
     """
     if num_levels < 1:
         raise ValueError("num_levels must be at least 1")
+    if not max_cells >= 1:
+        raise ValueError(f"max_cells must be at least 1, got {max_cells}")
     if not (0 < grid_step <= 1):
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step!r}")
     n = round(1.0 / grid_step)

@@ -21,7 +21,8 @@ import numpy as np
 
 from qfrelay.channel import ChannelModel, _readonly
 from qfrelay.infotheory import QuantizerPmf
-from qfrelay.optimizer import MAX_BATCH, _restart_solves, _solve_batch, optimize_restarts
+from qfrelay.optimizer import (MAX_BATCH, _check_seed, _restart_solves, _solve_batch,
+                               optimize_restarts)
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,7 @@ def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_seed(seed)
     if grid is None:
         grid = LambdaGrid.log_spaced()
     seeded = [(lam1, lam2, int(np.random.SeedSequence((seed, gi, gj)).generate_state(1)[0]))
@@ -151,18 +153,11 @@ def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None
     else:
         points = collect(map(solve, batches))
 
-    warnings = []
     bad = sum(1 for p in points if not p.converged)
-    if bad > len(points) / 2:
-        warnings.append(
-            f"sweep quality: {bad} of {len(points)} grid points did not converge"
-        )
-    return Surface(
-        points=tuple(points),
-        channel_fingerprint=ch.fingerprint(),
-        num_levels=int(num_levels),
-        warnings=tuple(warnings),
-    )
+    warnings = ((f"sweep quality: {bad} of {len(points)} grid points did not converge",)
+                if bad > len(points) / 2 else ())
+    return Surface(points=tuple(points), channel_fingerprint=ch.fingerprint(),
+                   num_levels=int(num_levels), warnings=warnings)
 
 
 def query_lower_envelope(s: Surface, c1_target: float, c2_target: float) -> float:

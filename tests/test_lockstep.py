@@ -228,16 +228,14 @@ def test_refused_extrapolations_end_their_cycles_alone(refuse_all, monkeypatch):
     def refusing(s0, s1, s2, q2, p_yr, caps):
         x, lengths = squarem(s0, s1, s2, q2, p_yr, caps)
         extrapolated.extend(caps)
-        # a batch of one passes its chain unstacked
-        stack, last = (x, s2) if x.ndim > 2 else (x[None], s2[None])
-        for k in range(len(stack)):
-            if refuse_all or math.floor(float(last[k].sum()) * 1e3) % 3 == 0:
-                stack[k, 0, 0] = np.nan
+        for k in range(len(x)):
+            if refuse_all or math.floor(float(s2[k].sum()) * 1e3) % 3 == 0:
+                x[k, 0, 0] = np.nan
                 refused.append(k)
         return x, lengths
 
     def counted(self, log_t):
-        evaluated.append(len(log_t) if log_t.ndim > 2 else 1)
+        evaluated.append(len(log_t))
         return advance(self, log_t)
 
     monkeypatch.setattr(optimizer, "_squarem_exponents", refusing)

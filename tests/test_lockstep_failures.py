@@ -34,12 +34,11 @@ def test_a_delta_that_turns_nonfinite_mid_run_fails_its_solve_alone(monkeypatch)
 
     def poisoned(self, log_t):
         log_t = log_t.copy()
-        stack = log_t if log_t.ndim > 2 else log_t[None]
-        for k in range(len(stack)):
-            key = math.floor(float(stack[k].sum()) * 1e6)
+        for k in range(len(log_t)):
+            key = math.floor(float(log_t[k].sum()) * 1e6)
             if key % 97 == 0:
-                stack[k, 0, key // 97 % stack.shape[-1]] = np.nan
-        evaluations.append(len(stack))
+                log_t[k, 0, key // 97 % log_t.shape[-1]] = np.nan
+        evaluations.append(len(log_t))
         return advance(self, log_t)
 
     def counted(*args):

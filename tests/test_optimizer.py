@@ -212,8 +212,8 @@ def test_optimize_starts_at_initial_quantizer_and_returns_a_readonly_pmf(init, n
     ch = build_bpsk_mac(1.5, 4.5, num_bins)
     lam1, lam2, seed = 0.1, 0.4, 3
     q0 = initial_quantizer(32, num_bins, init, rng=np.random.default_rng(seed)).q
-    step = _FusedStep(ch, lam1, lam2)
-    log_t, [value] = step.evaluate(q0, [float(ch.p_yr @ -xlogy(q0, q0).sum(axis=0))])
+    step = _FusedStep(ch, [lam1], [lam2])
+    log_t, [value] = step.evaluate(q0[None], [float(ch.p_yr @ -xlogy(q0, q0).sum(axis=0))])
     res = optimize(ch, lam1, lam2, 32, init=init, max_iter=5, seed=seed)
     assert res.lagrangian_trace[:2] == [value, *step.advance(log_t)[3]]
     q = res.q_final.q
@@ -342,7 +342,7 @@ def test_huge_multipliers_give_a_zero_k_quietly(fx):
     """Multipliers near the largest float overflow lam1 + lam2, quietly: K is
     zero, so the first step makes every column uniform and the solve stops
     there."""
-    step = _FusedStep(fx, 1e308, 1e308)
+    step = _FusedStep(fx, [1e308], [1e308])
     assert not step.k.any()
     res = optimize(fx, 1e308, 1e308, 2, seed=1)
     assert res.converged and np.array_equal(res.q_final.q, np.full((2, 3), 0.5))
@@ -351,9 +351,9 @@ def test_huge_multipliers_give_a_zero_k_quietly(fx):
 def test_squarem_step_length_is_capped(bpsk):
     """The extrapolation's step length is |r|/|v| clipped to [1, max_step],
     and a unit step gives the last iterate's exponents back."""
-    step = _FusedStep(bpsk, 0.0123, 0.0123)
+    step = _FusedStep(bpsk, [0.0123], [0.0123])
     q = initial_quantizer(32, bpsk.num_bins, rng=np.random.default_rng(3)).q
-    log_t, _ = step.evaluate(q, [float(bpsk.p_yr @ -xlogy(q, q).sum(axis=0))])
+    log_t, _ = step.evaluate(q[None], [float(bpsk.p_yr @ -xlogy(q, q).sum(axis=0))])
     for _ in range(20):
         q, s, log_t, _, _ = step.advance(log_t)
     chain = [s]
@@ -480,12 +480,12 @@ def _fused_step_errors(ch, qm, lam1, lam2):
     want_delta = delta_matrix(ch, induced_posteriors(ch, q), lam1, lam2)
     want_q = update_q(want_delta)
 
-    step = _FusedStep(ch, lam1, lam2)
-    log_t, [value] = step.evaluate(q.q, [float(ch.p_yr @ -xlogy(q.q, q.q).sum(axis=0))])
-    got_q, _, _, [value_next], failures = step.advance(log_t)
+    step = _FusedStep(ch, [lam1], [lam2])
+    log_t, [value] = step.evaluate(q.q[None], [float(ch.p_yr @ -xlogy(q.q, q.q).sum(axis=0))])
+    [got_q], _, _, [value_next], failures = step.advance(log_t)
     assert failures == {}
 
-    got_delta = log_t.T @ step.k
+    got_delta = log_t[0].T @ step.k[0]
     return (np.max(np.abs(got_delta - want_delta)) / max(1.0, np.max(np.abs(want_delta))),
             abs(value - lagrangian(ch, q, lam1, lam2)),
             np.max(np.abs(got_q - want_q.q)),
@@ -526,12 +526,12 @@ def test_fused_step_matches_reference_random(case):
 
 
 def test_fused_step_reports_nonfinite_delta(fx):
-    step = _FusedStep(fx, 0.5, 0.5)
+    step = _FusedStep(fx, [0.5], [0.5])
     # Row 1 of delta = log_t.T @ K turns non-finite; the softmax's column
     # shift would spread it to row 0, so (1, 0) is the unshifted location.
     for bad in (np.nan, np.inf, -np.inf):
-        log_t = np.zeros((len(step.k), 2))
-        log_t[1, 1] = bad
+        log_t = np.zeros((1, step.k.shape[1], 2))
+        log_t[0, 1, 1] = bad
         failures = step.advance(log_t)[4]
         assert list(failures) == [0] and type(failures[0]) is FloatingPointError
         assert "(1, 0)" in str(failures[0])
@@ -542,19 +542,19 @@ def test_softmax_refuses_nonfinite_column_maxima(fx):
     column, quietly; -inf below a finite maximum only sits at the floor.  In
     a batch, it lists the refused slices and gives the others their softmax
     alone."""
-    step = _FusedStep(fx, 0.5, 0.5)
-    good = np.array([[0.0, -1.0, -3.0], [-2.0, 0.0, 0.0]])
+    step = _FusedStep(fx, [0.5], [0.5])
+    good = np.array([[[0.0, -1.0, -3.0], [-2.0, 0.0, 0.0]]])
     alone = step.softmax(good.copy())
     for column in ([np.nan, 0.0], [np.inf, 0.0], [-np.inf, -np.inf]):
         s = good.copy()
-        s[:, 1] = column
+        s[0, :, 1] = column
         assert step.softmax(s.copy())[3] == [0] and step.jump(s.copy())[1] == [0]
-        q, exponents, z, refused = step.softmax(np.stack([s, good, s]))
+        q, exponents, z, refused = step.softmax(np.concatenate([s, good, s]))
         assert refused == [0, 2]
-        assert all(np.array_equal(a[1], b) for a, b in zip((q, exponents, z), alone))
-    q, exponents, z, refused = step.softmax(np.array([[0.0, -np.inf], [-np.inf, 0.0]]))
+        assert all(np.array_equal(a[1:2], b) for a, b in zip((q, exponents, z), alone))
+    q, exponents, z, refused = step.softmax(np.array([[[0.0, -np.inf], [-np.inf, 0.0]]]))
     assert not refused
-    assert np.array_equal(exponents, [[0.0, EXP_FLOOR], [EXP_FLOOR, 0.0]])
+    assert np.array_equal(exponents, [[[0.0, EXP_FLOOR], [EXP_FLOOR, 0.0]]])
 
 
 def _floored_exponents(delta):
@@ -567,28 +567,29 @@ class _UnfusedStep:
     advance, jump), spelled with the unfused induced_posteriors,
     delta_matrix, update_q and lagrangian.  Its state in place of the fused
     log-posteriors is the quantizer itself, and its k is only finite, so no
-    solve fails at the start."""
+    solve fails at the start.  Arrays go in and out with a batch axis of
+    one, the quantizer as a list of one."""
 
-    k = np.zeros((1, 1))
+    k = np.zeros((1, 1, 1))
 
     def __init__(self, ch, lam1, lam2):
-        self.ch, self.lam1, self.lam2 = ch, lam1, lam2
+        self.ch, (self.lam1,), (self.lam2,) = ch, lam1, lam2
 
     def evaluate(self, q, h_i_given_y):
-        q = QuantizerPmf(q)
-        return q, [lagrangian(self.ch, q, self.lam1, self.lam2)]
+        q = QuantizerPmf(q[0])
+        return [q], [lagrangian(self.ch, q, self.lam1, self.lam2)]
 
-    def advance(self, q):
-        delta = delta_matrix(self.ch, induced_posteriors(self.ch, q), self.lam1, self.lam2)
+    def advance(self, state):
+        delta = delta_matrix(self.ch, induced_posteriors(self.ch, state[0]), self.lam1, self.lam2)
         q = update_q(delta)
-        return (q.q, _floored_exponents(delta), q, [lagrangian(self.ch, q, self.lam1, self.lam2)],
-                {})
+        return (q.q[None], _floored_exponents(delta)[None], [q],
+                [lagrangian(self.ch, q, self.lam1, self.lam2)], {})
 
     def jump(self, s):
-        if not np.isfinite(s.max(axis=0)).all():
+        if not np.isfinite(s.max(axis=-2)).all():
             return None, [0]
-        e = np.exp(_floored_exponents(s))
-        return QuantizerPmf(e / e.sum(axis=0)), []
+        e = np.exp(_floored_exponents(s[0]))
+        return [QuantizerPmf(e / e.sum(axis=0))], []
 
 
 @pytest.mark.parametrize("case", ["fixture-a", "fixture-b", "fixture-dead-level", "bpsk",
@@ -626,7 +627,7 @@ def test_optimize_trajectory_matches_reference(case, fx, bpsk, monkeypatch):
         assert np.count_nonzero((want.q_final.q > 0) & (want.q_final.q < tiny)) > 0
         assert np.count_nonzero(res.q_final.q < tiny) == 0
         # and its products with N, the left factor of num = N @ q.T, stay normal too
-        products = _FusedStep(ch, lam1, lam2).num[:, None, :] * res.q_final.q
+        products = _FusedStep(ch, [lam1], [lam2]).num[:, None, :] * res.q_final.q
         assert np.count_nonzero((products > 0) & (products < tiny)) == 0
 
 
@@ -635,12 +636,12 @@ def test_fused_step_reuses_channel_matrices():
     read from that cache computes bit for bit what a step on a fresh copy of
     the channel computes."""
     ch = build_bpsk_mac(1.5, 4.5, 128)
-    q = np.random.default_rng(5).dirichlet(np.ones(32), size=ch.num_bins).T
-    first = _FusedStep(ch, 0.5, 0.2)
+    q = np.random.default_rng(5).dirichlet(np.ones(32), size=ch.num_bins).T[None]
+    first = _FusedStep(ch, [0.5], [0.2])
     log_t, _ = first.evaluate(q, [0.3])
     first.advance(log_t)
-    cached = _FusedStep(ch, 0.1, 0.4)
-    fresh = _FusedStep(build_bpsk_mac(1.5, 4.5, 128), 0.1, 0.4)
+    cached = _FusedStep(ch, [0.1], [0.4])
+    fresh = _FusedStep(build_bpsk_mac(1.5, 4.5, 128), [0.1], [0.4])
     assert cached.num is first.num and cached.sums is first.sums
     assert fresh.num is not first.num
     assert np.array_equal(cached.k, fresh.k)
@@ -649,5 +650,5 @@ def test_fused_step_reuses_channel_matrices():
     # the whole step (q, exponents, log_t, Lagrangian), and the softmax
     # output (q, exponents, z) that its H(Yhat|Yr) comes from
     for got, want in [(cached.advance(log_c), fresh.advance(log_f)),
-                      (cached.softmax(log_c.T @ cached.k), fresh.softmax(log_f.T @ fresh.k))]:
+                      (cached.softmax(log_c.mT @ cached.k), fresh.softmax(log_f.mT @ fresh.k))]:
         assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))

@@ -42,8 +42,16 @@ LIBRARY_REFUSALS = [
      "max_iter must be at least 1, got 0"),
     ("optimize-restarts", lambda fx: optimize_restarts(fx, 0.5, 0.5, 2, restarts=0),
      "restarts must be at least 1, got 0"),
+    ("optimize-negative-seed", lambda fx: optimize(fx, 0.5, 0.5, 2, seed=-1),
+     "seed must be an integer >= 0, got -1"),
+    ("restarts-negative-seed", lambda fx: optimize_restarts(fx, 0.5, 0.5, 2, seed=-1),
+     "seed must be an integer >= 0, got -1"),
+    ("sweep-negative-seed", lambda fx: sweep_grid(fx, 2, seed=-1),
+     "seed must be an integer >= 0, got -1"),
     ("rate-table-levels", lambda fx: RateTable(fx, 0, grid_step=0.5),
      "num_levels must be at least 1"),
+    ("rate-table-budget-zero", lambda fx: RateTable(fx, 2, 0.5, max_cells=0),
+     "max_cells must be at least 1, got 0"),
     ("penalized-negative", lambda fx: RateTable(fx, 2, grid_step=0.5).best_penalized(-0.1, 0.5),
      "multipliers must be finite and nonnegative"),
     ("penalized-nan", lambda fx: RateTable(fx, 2, grid_step=0.5).best_penalized(np.nan, 0.1),
@@ -90,6 +98,10 @@ CLI_REFUSALS = [
      "sumrate needs --surface pointing at a sweep output file"),
     ("sweep-workers-negative", {}, ["sweep", "--bins", "8", "--levels", "2", "--workers", "-3"],
      "workers must be at least 1, got -3"),
+    ("optimize-negative-seed", {"quantizer": {"seed": -1}},
+     ["optimize", "--lambda1", "0.5", "--lambda2", "0.5"], "seed must be an integer >= 0, got -1"),
+    ("oracle-budget-zero", {}, ["oracle", "--fixture", "--max-cells", "0"],
+     "max_cells must be at least 1, got 0"),
 ]
 
 
