@@ -425,7 +425,6 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
     """
     if figure_id not in ("fig3", "fig4", "fig5"):
         raise ConfigError(f"unknown figure {figure_id!r}; choose fig3, fig4 or fig5")
-    os.makedirs(outdir, exist_ok=True)
     start = time.perf_counter()
     cfg = _resolve({}, {})
     params = {k: DEFAULTS[k] for k in ("snr1_db", "snr2_db", "num_bins", "span_sigmas",
@@ -434,6 +433,7 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
     written = []
 
     def path(name):
+        os.makedirs(outdir, exist_ok=True)
         return os.path.join(outdir, name)
 
     if figure_id == "fig3":

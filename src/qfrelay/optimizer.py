@@ -44,15 +44,17 @@ channel alone; they are built on a channel's first solve and kept on it
 (_channel_matrices).  Each batch of solves builds only K, one slice per
 solve.
 
-Every solve runs in a lockstep batch (_lockstep): the step's kernels take a
-leading batch axis and compute each slice as a batch of one would, so a
-solve's result does not depend on the solves batched with it.  The kernels
-also report a refused extrapolation or a non-finite delta per slice, so the
-batch never runs a slice alone to learn which one failed.  optimize() is a
-batch of one, optimize_restarts() batches its restarts and sweep_grid all
-its solves, in batches of at most MAX_BATCH solves.  However they were
-batched, the batch passes each result to a call to optimize() that returns
-it (its _solved argument), so a wrapper of optimize() sees every solve.
+optimize()'s loop is written once, as the generator _solve, which asks for
+plain steps and extrapolations.  Every solve runs in a lockstep batch
+(_lockstep) that serves these asks: the step's kernels take a leading batch
+axis and compute each slice as a batch of one would, so a solve's result
+does not depend on the solves batched with it.  The kernels also report a
+refused extrapolation or a non-finite delta per slice, so the batch never
+runs a slice alone to learn which one failed.  optimize() is a batch of
+one, optimize_restarts() batches its restarts and sweep_grid all its
+solves, in batches of at most MAX_BATCH solves.  However they were batched,
+the batch passes each result to a call to optimize() that returns it (its
+_solved argument), so a wrapper of optimize() sees every solve.
 
 induced_posteriors, delta_matrix, update_q and lagrangian are the unfused
 definitions of the same iteration.  The tests compare the fused step with
@@ -495,6 +497,67 @@ def _stopped(l_now: float, step: float, gap: float, eps: float) -> bool:
     return abs(step) < tol and gap < tol
 
 
+PLAIN, REVERT = "plain", "revert"  # what a solve asks besides an extrapolation (_solve)
+
+
+def _solve(value: float, eps: float, max_iter: int):
+    """optimize()'s loop for one solve from a start of Lagrangian value, as a
+    generator that its batch serves (_lockstep).  It yields PLAIN for a
+    plain map step and is sent that step's Lagrangian; it yields its step
+    length cap for an extrapolation from its last three iterates and is sent
+    (step_len, value_x), value_x the Lagrangian of the map step from the
+    extrapolated point or None where softmax refused it; after a rejected
+    candidate it yields REVERT once, for its q2 back.  It returns (trace,
+    iterations, converged, tried, accepted, gap).
+    """
+    trace = [value]
+    converged = engaged = False
+    iterations = tried = accepted = 0
+    prev = None  # L gain of the previous step: a plain step, or a cycle once engaged
+    gap, max_step = math.inf, 1.0
+    while iterations < max_iter:
+        start = value
+        if not engaged:
+            value = yield PLAIN
+            iterations += 1
+            trace.append(value)
+            plain_rho = 0.0
+        elif iterations + 3 > max_iter:
+            break
+        else:
+            for _ in range(2):
+                value = yield PLAIN
+                trace.append(value)
+            iterations += 2
+            plain_rho = _ratio(trace[-1] - trace[-2], trace[-2] - start)
+            step_len, value_x = yield max_step
+            kept = False
+            if value_x is not None:
+                iterations += 1
+                tried += 1
+                kept = value_x >= value
+                if kept:
+                    accepted += 1
+                    value = value_x
+                    trace.append(value)
+                else:
+                    yield REVERT
+            if step_len == max_step:
+                max_step = (max_step * SQUAREM_STEP_FACTOR if kept
+                            else max(max_step / SQUAREM_STEP_FACTOR, SQUAREM_STEP_FACTOR))
+        diff = value - start
+        if prev is not None:
+            rho = max(_ratio(diff, prev), plain_rho)
+            gap = _remaining_gap(diff, rho)
+            if _stopped(value, diff, gap, eps):
+                converged = True
+                break
+            if not engaged and iterations >= SQUAREM_MIN_STEPS and rho > SQUAREM_GATE_RATIO:
+                engaged, diff = True, None
+        prev = diff
+    return trace, iterations, converged, tried, accepted, gap
+
+
 # The most solves one lockstep batch advances together; longer lists run as
 # consecutive batches, so a batch's memory is bounded whatever the grid.  A
 # solve holds about fifteen (L, |Yr|) arrays at a peak.  On the default sweep
@@ -503,73 +566,26 @@ def _stopped(l_now: float, step: float, gap: float, eps: float) -> bool:
 MAX_BATCH = 16
 
 
-class _Run:
-    """One solve of a lockstep batch: optimize()'s loop state."""
-
-    __slots__ = ("trace", "value", "start", "iterations", "tried", "accepted", "prev", "gap",
-                 "engaged", "max_step", "step_len", "phase", "plain_rho", "converged",
-                 "error", "q")
-
-    def __init__(self, value: float):
-        self.trace = [value]
-        self.value = self.start = value
-        self.iterations = self.tried = self.accepted = 0
-        self.prev = None  # L gain of the previous step: a plain step, or a cycle once engaged
-        self.gap = math.inf
-        self.engaged = self.converged = False
-        self.max_step = 1.0
-        # Once engaged, the next map evaluation of the cycle: 0 and 1 its plain
-        # steps, 2 its extrapolation (no evaluation), 3 the extrapolated point.
-        self.phase = 0
-        self.plain_rho = 0.0
-        self.error = self.q = None
-
-    def end_step(self, eps: float, max_iter: int) -> bool:
-        """Close a step, a plain step before engagement and a whole cycle
-        after it: the stopping rule and the engagement gate.  True when the
-        solve is over: converged, or max_iter leaves no room for its next
-        step."""
-        value = self.value
-        diff = value - self.start
-        if self.prev is not None:
-            rho = max(_ratio(diff, self.prev), self.plain_rho)
-            self.gap = _remaining_gap(diff, rho)
-            if _stopped(value, diff, self.gap, eps):
-                self.converged = True
-                return True
-            if not self.engaged and self.iterations >= SQUAREM_MIN_STEPS and rho > SQUAREM_GATE_RATIO:
-                self.engaged, diff = True, None
-        self.prev, self.start, self.phase = diff, value, 0
-        return self.iterations + (3 if self.engaged else 1) > max_iter
-
-    def end_cycle(self, kept: bool, eps: float, max_iter: int) -> bool:
-        """end_step after the step length cap follows the cycle's outcome."""
-        if self.step_len == self.max_step:
-            self.max_step = (self.max_step * SQUAREM_STEP_FACTOR if kept
-                             else max(self.max_step / SQUAREM_STEP_FACTOR, SQUAREM_STEP_FACTOR))
-        return self.end_step(eps, max_iter)
-
-
 def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
               max_iter: int) -> list:
     """The OptimizerResult of optimize() for each (lam1, lam2, init, seed) of
     solves, advanced together tick by tick.
 
-    Each solve keeps optimize()'s own state (_Run).  A tick takes every
-    pending extrapolation with one _squarem_exponents and one jump, then
-    every pending map evaluation, plain or from an extrapolated point, with
-    one advance.  Slice k of the batched arrays belongs to active[k].
-    Because the kernels compute each slice as a batch of one would, every
-    result is bit for bit that of optimize() alone.
+    Each solve is a _solve generator; the batch holds the arrays, serves
+    the asks and keeps no rule of its own.  A tick takes every asked
+    extrapolation with one _squarem_exponents and one jump, then every map
+    evaluation with one advance.  Slice k of the arrays belongs to solve
+    active[k].  The kernels compute each slice as a batch of one would, so
+    every result is bit for bit that of optimize() alone.
 
-    The kernels report their failures per slice.  A refused extrapolation
-    ends its cycle at q2; a solve that this finishes is rolled back like a
-    rejected candidate, and a tick in which it finishes every solve skips
-    advance.  A slice whose delta is not finite records its error and ends
-    its solve, and so does one whose K is not finite, before its first step.
-    Finished solves leave the batch at the start of the next tick.  Once the
-    batch is done, the first failed solve in order raises its
-    FloatingPointError, as serial calls would.
+    The kernels report failures per slice.  A refused extrapolation is sent
+    to its solve before advance, so that tick's map evaluation is the
+    solve's next plain step; a solve that this ends stays at q2, and a tick
+    in which it ends every solve skips advance.  A slice whose delta, or
+    whose K before its first step, is not finite records its error and ends
+    its solve.  Finished solves leave the batch at the start of the next
+    tick.  Once the batch is done, the first failed solve in order raises
+    its FloatingPointError, as serial calls would.
     """
     p_yr = ch.p_yr
     # Each start is renormalized alone: a draw's memory order sets how its
@@ -579,46 +595,47 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     q, step = np.stack(starts), _FusedStep(ch, [s[0] for s in solves], [s[1] for s in solves])
     # The starts are not softmax outputs, so their H(Yhat|Yr) is computed directly.
     lt, values = step.evaluate(q, np.vecdot(p_yr, -_plogp(q).sum(axis=-2)).tolist())
-    runs = [_Run(v) for v in values]
-    active = list(runs)
+    runs = [_solve(v, eps, max_iter) for v in values]
+    asks = [next(run) for run in runs]
+    # each solve's _solve return value or error, and its final quantizer
+    ends, finals = [None] * len(runs), [None] * len(runs)
+    active = list(range(len(runs)))
     # a solve whose K is not finite fails with the error its first step meets
     done = np.flatnonzero(~np.isfinite(step.k.reshape(len(runs), -1)).all(axis=1)).tolist()
     for k in done:
-        runs[k].error = step.failure(lt, k)
+        ends[k] = step.failure(lt, k)
     # the quantizers, exponents and log-posteriors of the iterates, and the
-    # exponents of one and two ticks before, kept once a solve has engaged
+    # exponents of one and two ticks before
     e = e1 = e2 = None
-    cycling = False
-    ext = []  # the active solves due to extrapolate
+    ext = []  # the slices whose solves ask for an extrapolation; nxt, those of the next tick
     while True:
         if done:  # the finished solves take their final quantizers and leave
             for k in done:
-                active[k].q = QuantizerPmf._renormalized(q[k])
+                finals[active[k]] = QuantizerPmf._renormalized(q[k])
             keep = [k for k in range(len(active)) if k not in done]
             if not keep:
                 break
             active, step = [active[k] for k in keep], step.take(keep)
             q, e, lt, e1, e2 = [None if a is None else a[keep] for a in (q, e, lt, e1, e2)]
-            ext = [k for k, r in enumerate(active) if r.phase == 2]
-        done, rejected = [], []
+            ext = [k for k, i in enumerate(active) if asks[i] is not PLAIN]
+        done, rejected, nxt, lengths = [], [], [], []
         inp = lt
         if ext:
             chain = [a if len(ext) == len(active) else a[ext] for a in (e2, e1, e, q)]
-            x, lengths = _squarem_exponents(*chain, p_yr, [active[k].max_step for k in ext])
+            x, lengths = _squarem_exponents(*chain, p_yr, [asks[active[k]] for k in ext])
             lt_x, refused = step.jump(x)
-            for i, k in enumerate(ext):
-                r = active[k]
-                r.step_len = lengths[i]
-                if i not in refused:
-                    r.phase = 3
-                # a refused extrapolation ends its cycle at q2, and this
-                # tick's map evaluation is the next cycle's first plain step
-                elif r.end_cycle(False, eps, max_iter):
+            for j in refused:  # the solve asks for a plain step next, or ends at q2
+                k = ext[j]
+                try:
+                    asks[active[k]] = runs[active[k]].send((lengths[j], None))
+                except StopIteration as end:
+                    ends[active[k]] = end.value
                     done.append(k)
                     rejected.append(k)
             if refused:
-                jumped = [i for i in range(len(ext)) if i not in refused]
-                ext, lt_x = [ext[i] for i in jumped], lt_x[jumped]
+                jumped = [j for j in range(len(ext)) if j not in refused]
+                ext, lt_x = [ext[j] for j in jumped], lt_x[jumped]
+                lengths = [lengths[j] for j in jumped]
             if len(ext) == len(active):
                 inp = lt_x
             elif ext:
@@ -628,65 +645,45 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
             before = q, e, lt
         if done and len(done) == len(active):  # every solve ended at a refused extrapolation
             continue
-        # before any cycle, a plain step's arrays are freed for the next one
-        if cycling:
-            e2, e1 = e1, e
-        q, e, lt, vals, failures = step.advance(inp)
-        live = enumerate(active)
-        if done or failures:  # solves ended by a refused extrapolation, or failed now
-            for k, err in failures.items():
-                if k not in done:
-                    active[k].error = err
-                    done.append(k)
-            live = [(k, r) for k, r in enumerate(active) if k not in done]
-        ext = []
-        for k, r in live:
-            v = vals[k]
-            phase = r.phase
-            if phase == 3:
-                r.iterations += 1
-                r.tried += 1
-                kept = v >= r.value
-                if kept:
-                    r.accepted += 1
-                    r.value = v
-                    r.trace.append(v)
-                else:
-                    rejected.append(k)
-                if r.end_cycle(kept, eps, max_iter):
-                    done.append(k)
+        e2, e1 = e1, e
+        q, e, lt, sent, failures = step.advance(inp)
+        for k, err in failures.items():
+            if k not in done:
+                ends[active[k]] = err
+                done.append(k)
+        for k, step_len in zip(ext, lengths):
+            sent[k] = step_len, sent[k]
+        for k, i in enumerate(active):
+            if k in done:
                 continue
-            r.trace.append(v)
-            r.value = v
-            if not r.engaged:
-                r.iterations += 1
-                if r.end_step(eps, max_iter):
-                    done.append(k)
-                cycling = cycling or r.engaged
-            elif phase == 0:
-                r.phase = 1
-            else:
-                r.iterations += 2
-                r.plain_rho = _ratio(v - r.trace[-2], r.trace[-2] - r.start)
-                r.phase = 2
-                ext.append(k)
-        # a rejected candidate, and a refused extrapolation that ended its
-        # solve, leave the solve at q2
+            try:
+                ask = runs[i].send(sent[k])
+                if ask is REVERT:  # the slice goes back to q2 at the end of the tick
+                    rejected.append(k)
+                    ask = runs[i].send(None)
+                asks[i] = ask
+                if ask is not PLAIN:
+                    nxt.append(k)
+            except StopIteration as end:
+                ends[i] = end.value
+                done.append(k)
+        ext = nxt
         if rejected:
             if len(rejected) == len(active):
                 q, e, lt = before
             else:
                 q[rejected], e[rejected], lt[rejected] = (a[rejected] for a in before)
 
-    for r in runs:
-        if r.error is not None:
-            raise r.error
-    reports = _rate_reports(ch, np.stack([r.q.q for r in runs]))
-    return [OptimizerResult(q_final=r.q, report=rep, lagrangian_trace=r.trace,
-                            iterations=r.iterations, converged=r.converged, seed=int(seed),
-                            extrapolations_tried=r.tried, extrapolations_accepted=r.accepted,
-                            gap_estimate=float(r.gap) if math.isfinite(r.gap) else None)
-            for r, rep, (_, _, _, seed) in zip(runs, reports, solves)]
+    for end in ends:
+        if isinstance(end, FloatingPointError):
+            raise end
+    reports = _rate_reports(ch, np.stack([f.q for f in finals]))
+    return [OptimizerResult(q_final=f, report=rep, lagrangian_trace=trace, iterations=iterations,
+                            converged=converged, seed=int(seed), extrapolations_tried=tried,
+                            extrapolations_accepted=accepted,
+                            gap_estimate=float(gap) if math.isfinite(gap) else None)
+            for f, rep, (trace, iterations, converged, tried, accepted, gap), (_, _, _, seed)
+            in zip(finals, reports, ends, solves)]
 
 
 def _solve_batch(ch: ChannelModel, num_levels: int, solves: list, eps: float = 1e-8,

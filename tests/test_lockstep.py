@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from qfrelay import LambdaGrid, build_bpsk_mac, optimize, sweep_grid
 from qfrelay import optimizer
 from qfrelay.cli import DEFAULTS
+from qfrelay.infotheory import QuantizerPmf, _plogp, _rate_reports
+from qfrelay.optimizer import OptimizerResult
 
 # The benchmark's solve sets (perfbench/workloads.py): fixture_timeshare's 16
 # grid rows of 16 points on the fixture at L=2, one restart and seed = row;
@@ -253,3 +255,91 @@ def test_refused_extrapolations_end_their_cycles_alone(refuse_all, monkeypatch):
         assert _fields(res) == _fields(alone)
         assert sum(evaluated) == alone.iterations
         assert alone.extrapolations_tried == len(extrapolated) - len(refused)
+
+
+def _driven_alone(ch, levels, solve, eps, max_iter):
+    """(result, last message) of one solve under the plainest driver of
+    _solve: batch-of-one kernel calls, its own chain of the last three
+    exponents and its own q2 to go back to; no compaction, no subset gathers
+    and no reverts in place.  The last message is what the solve was sent
+    before it returned."""
+    lam1, lam2, init, seed = solve
+    q = QuantizerPmf._renormalized(optimizer._initial_draw(
+        levels, ch.num_bins, init, np.random.default_rng(seed))).q[None]
+    step = optimizer._FusedStep(ch, [lam1], [lam2])
+    lt, [value] = step.evaluate(q, np.vecdot(ch.p_yr, -_plogp(q).sum(axis=-2)).tolist())
+    run, chain = optimizer._solve(value, eps, max_iter), []
+    ask = next(run)
+    try:
+        while True:
+            if ask is optimizer.PLAIN:
+                q, e, lt, [msg], _ = step.advance(lt)
+                chain = chain[-2:] + [e]
+            elif ask is optimizer.REVERT:
+                q, chain[-1], lt = q2
+                msg = None
+            else:  # an extrapolation capped at ask
+                q2 = q, chain[-1], lt
+                x, [length] = optimizer._squarem_exponents(*chain, q, ch.p_yr, [ask])
+                lt_x, refused = step.jump(x)
+                msg = length, None
+                if not refused:
+                    q, e, lt, [value], _ = step.advance(lt_x)
+                    chain = chain[-2:] + [e]
+                    msg = length, value
+            ask = run.send(msg)
+    except StopIteration as end:
+        trace, iterations, converged, tried, accepted, gap = end.value
+    q_final = QuantizerPmf._renormalized(q[0])
+    return OptimizerResult(q_final, _rate_reports(ch, q_final.q[None])[0], trace, iterations,
+                           converged, seed, tried, accepted,
+                           float(gap) if math.isfinite(gap) else None), msg
+
+
+# One batch on the fixture at L=2 whose solves end at different ticks, for
+# different reasons.  At max_iter 5 and 13 most are capped and two converge.
+# At 5000 all converge: two right after a rejected candidate, and two after
+# more cycles from a rejected candidate's q2, the first while the last still
+# runs beside it.  Under test_batch_matches_the_plainest_driver's refusals,
+# some end at a refused extrapolation instead.
+MIXED = [(0.001, 0.001, "random", 1), (0.02, 0.02, "perturbed-uniform", 1),
+         (0.02, 0.02, "perturbed-uniform", 4), (0.05, 0.2, "perturbed-uniform", 4),
+         (0.05, 0.2, "random", 4), (0.01, 0.5, "perturbed-uniform", 1), (0.3, 0.7, "random", 1),
+         (0.2, 0.5, "perturbed-uniform", 1), (0.5, 0.2, "perturbed-uniform", 2)]
+
+
+@pytest.mark.parametrize("refuse", [False, True])
+def test_batch_matches_the_plainest_driver(refuse, fx, monkeypatch):
+    """_lockstep under MAX_BATCH 1 and 16 gives each solve of a mixed batch
+    what _driven_alone gives it, bit for bit: converged and capped solves,
+    rejected candidates, solves that end right after going back to q2, and
+    with refusals, extrapolations that softmax refuses."""
+    squarem, refused = optimizer._squarem_exponents, []
+
+    def refusing(s0, s1, s2, q2, p_yr, caps):
+        x, lengths = squarem(s0, s1, s2, q2, p_yr, caps)
+        for k in range(len(x)):
+            if math.floor(float(s2[k].sum()) * 1e3) % 3 == 0:
+                x[k, 0, 0] = np.nan
+                refused.append(k)
+        return x, lengths
+
+    if refuse:
+        monkeypatch.setattr(optimizer, "_squarem_exponents", refusing)
+    lasts, results = [], []
+    for max_iter in (5, 13, 5000):
+        alone = [_driven_alone(fx, 2, solve, 1e-8, max_iter) for solve in MIXED]
+        lasts += [last for _, last in alone]
+        results += [res for res, _ in alone]
+        for cap in (1, optimizer.MAX_BATCH):
+            monkeypatch.setattr(optimizer, "MAX_BATCH", cap)
+            batch = optimizer._solve_batch(fx, 2, MIXED, 1e-8, max_iter)
+            assert [_fields(res) for res in batch] == [_fields(res) for res, _ in alone]
+    assert {res.converged for res in results} == {True, False}
+    # solves that end where the batch must put their slice back at q2: right
+    # after a rejected candidate, or at a refused extrapolation
+    if refuse:
+        assert any(isinstance(msg, tuple) and msg[1] is None for msg in lasts)
+    else:
+        assert not refused and None in lasts
+        assert any(res.extrapolations_tried > res.extrapolations_accepted for res in results)

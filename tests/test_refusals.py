@@ -122,7 +122,13 @@ def test_cli_sumrate_on_header_only_csv(tmp_path, capsys):
     assert capsys.readouterr().err == "error: surface has no points\n"
 
 
-def test_run_repro_refuses_unknown_figure(tmp_path):
-    with pytest.raises(ConfigError, match=r"^unknown figure 'fig9'; choose fig3, fig4 or fig5$"):
-        run_repro("fig9", outdir=str(tmp_path))
-    assert list(tmp_path.iterdir()) == []
+@pytest.mark.parametrize("figure, seed, workers, error, message", [
+    ("fig9", 0, None, ConfigError, "unknown figure 'fig9'; choose fig3, fig4 or fig5"),
+    ("fig3", -1, None, ValueError, "seed must be an integer >= 0, got -1"),
+    ("fig4", 0, 0, ValueError, "workers must be at least 1, got 0"),
+], ids=["unknown-figure", "fig3-negative-seed", "fig4-zero-workers"])
+def test_run_repro_refuses_and_leaves_no_outdir(tmp_path, figure, seed, workers, error, message):
+    out = tmp_path / "out"
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        run_repro(figure, outdir=str(out), seed=seed, workers=workers)
+    assert not out.exists()
