@@ -72,12 +72,14 @@ class ChannelModel:
     p_x1x2_yr: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        x1 = _readonly(self.x1_alphabet)
-        x2 = _readonly(self.x2_alphabet)
+        # copies: freezing them must not freeze or alias the caller's arrays
+        # (_validated_pmf returns new pmfs)
+        x1 = _readonly(np.array(self.x1_alphabet, dtype=float))
+        x2 = _readonly(np.array(self.x2_alphabet, dtype=float))
         p1 = np.asarray(self.p_x1, dtype=float)
         p2 = np.asarray(self.p_x2, dtype=float)
         w = np.asarray(self.p_yr_given_x1x2, dtype=float)
-        centers = _readonly(self.bin_centers)
+        centers = _readonly(np.array(self.bin_centers, dtype=float))
 
         if x1.ndim != 1 or x2.ndim != 1:
             raise ValueError("alphabets must be 1-D")

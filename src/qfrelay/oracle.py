@@ -22,8 +22,9 @@ from qfrelay.channel import ChannelModel, _readonly, from_pmfs
 from qfrelay.infotheory import LN2, QuantizerPmf, _plogp, yr_conditional_entropies
 
 DEFAULT_MAX_CELLS = 2_000_000
-# Most rows or candidates per vectorized run of the table build; a run is never
-# shorter than one relay bin's grid values or columns, however many those are.
+# Most rows or candidates per vectorized run of the table build and each query;
+# a build run is never shorter than one relay bin's grid values or columns,
+# however many those are.
 RUN_CELLS = 1 << 14
 
 
@@ -167,7 +168,8 @@ class RateTable:
 
     `rates` is one read-only (3, N) block with rows j_bits, c1_bits and
     c2_bits.  The queries are array reductions over it, so one table serves
-    many targets and multiplier pairs.
+    many targets and multiplier pairs.  They stream it in runs of RUN_CELLS
+    candidates, so a table's memory is that block alone.
     """
 
     def __init__(self, ch: ChannelModel, num_levels: int, grid_step: float,
@@ -185,12 +187,17 @@ class RateTable:
         # codes[i, d]: which grid value column d puts at level i
         values, codes = np.unique(self.columns, return_inverse=True)
         codes = codes.reshape(self.columns.shape).T
+        # The table before its scratch row table.  Once glibc frees an mmapped
+        # block it raises its mmap threshold to that block's size, so from the
+        # second table on both come from the heap, where a live table above
+        # the freed row table would keep a hole under it that a larger next
+        # table cannot reuse.
+        rates = np.empty((3, total))
         rows = _row_table(ch.p_x1x2_yr, values)
 
         h_ab, h_aj, h_bj, h_a, h_b = _marginal_entropies_nats(ch.p_x1x2_yr)
         const = np.array([2 * h_ab - h_a - h_b, h_aj - h_a, h_bj - h_b])[:, None]
         tail = _tail_digits(m, n_cols)
-        rates = np.empty((3, total))
         runs = rates.reshape(3, -1, m ** tail)
         for r, lead in enumerate(np.ndindex(self._shape[:-tail])):
             out = runs[:, r]
@@ -227,12 +234,21 @@ class RateTable:
             raise ValueError("rate targets must be nonnegative")
         if self._last_constrained[0] == (c1_max, c2_max):
             return self._last_constrained[1]
-        feas = (self.c1_bits <= c1_max + 1e-12) & (self.c2_bits <= c2_max + 1e-12)
-        if not feas.any():
+        a, b = c1_max + 1e-12, c2_max + 1e-12
+        best, k = -np.inf, -1
+        for lo in range(0, self.num_candidates, RUN_CELLS):
+            j, c1, c2 = self.rates[:, lo:lo + RUN_CELLS]
+            feas = c1 <= a
+            feas &= c2 <= b
+            if not feas.any():
+                continue
+            masked = np.where(feas, j, -np.inf)
+            i = int(np.argmax(masked))
+            if masked[i] > best:  # a tie keeps the first maximum
+                best, k = masked[i], lo + i
+        if k < 0:
             raise RuntimeError("no feasible candidate")
-        masked = np.where(feas, self.j_bits, -np.inf)
-        k = int(np.argmax(masked))
-        answer = float(self.j_bits[k]), k
+        answer = float(best), k
         self._last_constrained = (c1_max, c2_max), answer
         return answer
 
@@ -240,11 +256,19 @@ class RateTable:
         """(max j - lam1*c1 - lam2*c2, argmax index) over all candidates."""
         if not (0 <= lam1 < math.inf and 0 <= lam2 < math.inf):
             raise ValueError("multipliers must be finite and nonnegative")
-        # multipliers near the largest float overflow a product to -inf
+        weights = np.array([1.0, -lam1, -lam2])
+        best, k = -np.inf, 0
+        # Runs start at multiples of RUN_CELLS, a power of two, so each value
+        # takes the BLAS kernel path it takes in one whole-table product; runs
+        # of other lengths can move values by an ulp.  Multipliers near the
+        # largest float overflow a product to -inf.
         with np.errstate(over="ignore"):
-            vals = np.array([1.0, -lam1, -lam2]) @ self.rates
-        k = int(np.argmax(vals))
-        return float(vals[k]), k
+            for lo in range(0, self.num_candidates, RUN_CELLS):
+                vals = weights @ self.rates[:, lo:lo + RUN_CELLS]
+                i = int(np.argmax(vals))
+                if vals[i] > best:  # a tie keeps the first maximum
+                    best, k = vals[i], lo + i
+        return float(best), k
 
 
 def check_boundary_optimality(ch: ChannelModel, L: int, grid_step: float,

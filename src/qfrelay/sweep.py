@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -33,8 +34,9 @@ class LambdaGrid:
     axis2: np.ndarray
 
     def __post_init__(self):
-        a1 = np.asarray(self.axis1, dtype=float)
-        a2 = np.asarray(self.axis2, dtype=float)
+        # copies: freezing them must not freeze or alias the caller's arrays
+        a1 = np.array(self.axis1, dtype=float)
+        a2 = np.array(self.axis2, dtype=float)
         if a1.ndim != 1 or a2.ndim != 1 or a1.size == 0 or a2.size == 0:
             raise ValueError("lambda axes must be non-empty 1-D arrays")
         if not (np.isfinite(a1).all() and np.isfinite(a2).all()
@@ -56,7 +58,7 @@ class LambdaGrid:
         if count < 1:
             raise ValueError("lambda grid count must be at least 1")
         axis = np.logspace(np.log10(lam_min), np.log10(lam_max), count)
-        return cls(axis1=axis, axis2=axis.copy())
+        return cls(axis1=axis, axis2=axis)
 
 
 class SurfacePoint(NamedTuple):
@@ -383,25 +385,40 @@ _JSON_HEADER = (
 )
 
 
+# A JSON point's CSV_HEADER columns, as one tuple.
+_JSON_ROW = itemgetter(*_COLUMNS)
+
+
+def _missing(row) -> list:
+    """The CSV_HEADER columns a JSON point lacks; all of them if it is no object."""
+    return [c for c in _COLUMNS if c not in row] if isinstance(row, dict) else _COLUMNS
+
+
 def surface_from_json(path) -> Surface:
     d = _read_json(path)
     if not isinstance(d, dict) or not isinstance(d.get("points"), list):
         raise ValueError(f"{path}: expected a JSON object with a 'points' list")
-    rows, qs = [], []
-    for k, row in enumerate(d["points"]):
-        missing = [c for c in _COLUMNS if c not in row] if isinstance(row, dict) else _COLUMNS
-        if missing:
-            raise ValueError(f"{path}: point {k} lacks the columns {missing}")
-        rows.append([row[c] for c in _COLUMNS])
-        try:
-            qs.append(QuantizerPmf(np.asarray(row["q"], dtype=float)) if "q" in row else None)
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}: point {k}: q is not a quantizer pmf ({e})") from None
+    rows = d["points"]
+    try:  # KeyError: a point lacks a column; TypeError: a point is no object
+        cells, whole = list(map(_JSON_ROW, rows)), len(rows)
+    except (KeyError, TypeError):
+        whole = next(k for k, row in enumerate(rows) if _missing(row))
+    # a bad q before the first point that lacks a column is refused first
+    qs = None
+    if any(map(dict.__contains__, rows[:whole], repeat("q"))):
+        qs = []
+        for k, row in enumerate(rows[:whole]):
+            try:
+                qs.append(QuantizerPmf(np.asarray(row["q"], dtype=float)) if "q" in row else None)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"{path}: point {k}: q is not a quantizer pmf ({e})") from None
+    if whole < len(rows):
+        raise ValueError(f"{path}: point {whole} lacks the columns {_missing(rows[whole])}")
     header = {}
     for key, default, rule, valid in _JSON_HEADER:
         header[key] = d.get(key, default)
         if not valid(header[key]):
             raise ValueError(f"{path}: '{key}' must be {rule}, got {header[key]!r}")
-    points = _points(list(zip(*rows)), f"{path}: point", qs)
+    points = _points(list(zip(*cells)), f"{path}: point", qs)
     return Surface(points=points, channel_fingerprint=header["channel_fingerprint"],
                    num_levels=header["num_levels"], warnings=tuple(header["warnings"]))

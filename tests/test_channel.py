@@ -6,6 +6,7 @@ import pytest
 from scipy.special import ndtr
 
 from qfrelay import (
+    ChannelModel,
     QuantizerPmf,
     build_bpsk_mac,
     from_pmfs,
@@ -139,6 +140,20 @@ def test_model_is_immutable_and_fingerprinted():
     assert f1 == f2
     other = build_bpsk_mac(1.5, 4.5, num_bins=8).fingerprint()
     assert f1 != other
+
+
+def test_model_copies_the_callers_arrays():
+    """Freezing the model leaves the caller's arrays writeable, and writing to
+    them afterwards changes neither the model nor its fingerprint."""
+    fx = fixture_channel()
+    x1, x2, centers = np.array([-1.0, 1.0]), np.array([-1.0, 1.0]), np.array([-2.0, 0.0, 2.0])
+    ch = ChannelModel(x1, x2, fx.p_x1, fx.p_x2, fx.p_yr_given_x1x2, centers)
+    before = ch.fingerprint()
+    for a, frozen in ((x1, ch.x1_alphabet), (x2, ch.x2_alphabet), (centers, ch.bin_centers)):
+        assert a.flags.writeable and a is not frozen and not frozen.flags.writeable
+        a[0] = 5.0
+    assert ch.fingerprint() == before
+    assert ch.x1_alphabet[0] == ch.x2_alphabet[0] == -1.0 and ch.bin_centers[0] == -2.0
 
 
 def test_to_dict_round_trips_tensors():

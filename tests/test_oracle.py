@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -272,3 +273,44 @@ def test_table_rates_are_read_only(fx_table_l2_coarse):
     for rates in (tab.rates, tab.j_bits, tab.c1_bits, tab.c2_bits):
         with pytest.raises(ValueError, match="read-only"):
             rates[0] = 1.0
+
+
+def test_queries_stream_the_table(fx_table_l3):
+    """Each query's scratch is a few runs of RUN_CELLS candidates, not the
+    (3, N) table: on the 1.73M-candidate table it stays under 1 MB."""
+    tab = fx_table_l3
+    # targets no other test asks, so the constrained query is not its memo
+    for query, args in ((tab.best_penalized, (0.3, 0.2)), (tab.best_constrained, (0.4321, 0.5432))):
+        tracemalloc.start()
+        try:
+            query(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"{query.__name__} peaked at {peak / 1e6:.2f} MB"
+
+
+def test_queries_agree_across_run_edges(fx, monkeypatch):
+    """With runs of 7 candidates, both queries give the whole table's maximum
+    and the first index that reaches it, also where tied maxima lie in
+    different runs."""
+    tab = RateTable(fx, 2, 0.2)  # built at the default run length, which its bits depend on
+    monkeypatch.setattr(oracle, "RUN_CELLS", 7)
+    j, c1, c2 = tab.rates
+    split_ties = []
+    for k in range(len(tab)):
+        feasible = np.flatnonzero((c1 <= c1[k] + 1e-12) & (c2 <= c2[k] + 1e-12))
+        ties = feasible[j[feasible] == j[feasible].max()]
+        split_ties.append(ties[0] // 7 != ties[-1] // 7)
+        assert tab.best_constrained(c1[k], c2[k]) == (float(j[ties[0]]), int(ties[0]))
+    assert sum(split_ties) > 1
+    # At most one nonzero multiplier, a power of two, leaves one rounding per
+    # value, so runs of 7 give the whole-table product's bits; any other pair
+    # can differ by an ulp where a BLAS kernel's tail falls differently.
+    split_ties = []
+    for lam1, lam2 in [(0.0, 0.0), (0.5, 0.0), (0.125, 0.0), (0.0, 1.0), (0.0, 2.0)]:
+        vals = np.array([1.0, -lam1, -lam2]) @ tab.rates
+        ties = np.flatnonzero(vals == vals.max())
+        split_ties.append(ties[0] // 7 != ties[-1] // 7)
+        assert tab.best_penalized(lam1, lam2) == (float(vals[ties[0]]), int(ties[0]))
+    assert sum(split_ties) > 1

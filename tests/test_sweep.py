@@ -53,6 +53,18 @@ def test_lambda_grid_rejects_nonfinite():
         LambdaGrid.log_spaced(1e-3, math.inf, 4)
 
 
+def test_lambda_grid_copies_the_callers_arrays():
+    """A grid freezes copies: the caller's array stays writeable, and writing
+    to it changes neither axis."""
+    a = np.array([0.1, 1.0])
+    g = LambdaGrid(a, a)
+    assert a.flags.writeable and g.axis1 is not a and g.axis2 is not a
+    a[0] = 7.0
+    assert g.axis1[0] == g.axis2[0] == 0.1
+    with pytest.raises(ValueError, match="read-only"):
+        g.axis1[0] = 7.0
+
+
 def test_sweep_heavy_penalty_degenerates(fx):
     g = LambdaGrid(np.array([10.0]), np.array([10.0]))
     s = sweep_grid(fx, 2, grid=g, restarts=2, seed=0)
