@@ -372,14 +372,18 @@ def _cmd_oracle(args) -> int:
     }
     if constrained:
         value, k = table.best_constrained(args.c1_max, args.c2_max)
+        ents = yr_conditional_entropies(ch)
+        verdict = None  # the boundary diagnostic needs targets that can bind
+        if args.c1_max < ents["h_yr_given_x1"] and args.c2_max < ents["h_yr_given_x2"]:
+            verdict = bool(check_boundary_optimality(
+                ch, cfg.levels, step, args.c1_max, args.c2_max, table=table))
         payload["constrained"] = {
             "c1_max_bits": args.c1_max,
             "c2_max_bits": args.c2_max,
             "i_rd_bits": value,
             "argmax_c1_bits": float(table.c1_bits[k]),
             "argmax_c2_bits": float(table.c2_bits[k]),
-            "boundary_optimal": bool(check_boundary_optimality(
-                ch, cfg.levels, step, args.c1_max, args.c2_max, table=table)),
+            "boundary_optimal": verdict,
         }
     if penalized:
         value, k = table.best_penalized(cfg.lam1, cfg.lam2)

@@ -119,6 +119,15 @@ def _tail_digits(radix: int, digits: int) -> int:
     return tail
 
 
+def _flat_rows(codes: np.ndarray, digits: int, n_vals: int) -> np.ndarray:
+    """Entry k is the flat row-table index, over `digits` axes of n_vals grid
+    values, of the k-th digit tuple in C order (digit d names codes[d])."""
+    out = np.zeros(1, dtype=np.intp)
+    for _ in range(digits):
+        out = (out[:, None] * n_vals + codes).reshape(-1)
+    return out
+
+
 def _row_table(p_abj: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Each possible quantizer row's share of the entropy differences, in
     nats, laid out (3, V, ..., V) with one axis of grid values per relay bin.
@@ -160,11 +169,13 @@ class RateTable:
     Candidate k gives relay bin j the grid column d_j, the j-th mixed-radix
     digit of k.  The joint's entries with yhat = i depend only on row i of Q,
     so the build tabulates each possible row's share of the entropies once
-    (_row_table), then gives each candidate the sum of its L rows' shares,
-    gathered axis by axis with np.take over its digits, plus the channel's
-    own entropies.  Every entropy is still a sum of p log p over entries of
-    the explicit joint, only grouped by level, each p log p taken by
-    infotheory._plogp.
+    (_row_table), then gives each candidate the channel's own entropies plus
+    its L rows' shares, adding one level at a time over the whole table.
+    Within a level, the candidates that share their leading digits form a
+    run, whose shares are one row-table row gathered over the trailing
+    digits; runs that put the same row at that level share one np.take.
+    Every entropy is still a sum of p log p over entries of the explicit
+    joint, only grouped by level, each p log p taken by infotheory._plogp.
 
     `rates` is one read-only (3, N) block with rows j_bits, c1_bits and
     c2_bits.  The queries are array reductions over it, so one table serves
@@ -197,16 +208,20 @@ class RateTable:
 
         h_ab, h_aj, h_bj, h_a, h_b = _marginal_entropies_nats(ch.p_x1x2_yr)
         const = np.array([2 * h_ab - h_a - h_b, h_aj - h_a, h_bj - h_b])[:, None]
-        tail = _tail_digits(m, n_cols)
+        tail, n_vals = _tail_digits(m, n_cols), len(values)
         runs = rates.reshape(3, -1, m ** tail)
-        for r, lead in enumerate(np.ndindex(self._shape[:-tail])):
-            out = runs[:, r]
-            out[:] = const
-            for c in codes:
-                g = rows[(slice(None), *c[list(lead)])]
-                for axis in range(1, tail + 1):
-                    g = g.take(c, axis=axis)
-                out += g.reshape(3, -1)
+        rows = rows.reshape(3, -1, n_vals ** tail)
+        rates[:] = const
+        for c in codes:
+            # runs by this level's row; np.unique here read 0.3 MB more peak RSS
+            groups = {}
+            for r, row in enumerate(_flat_rows(c, n_cols - tail, n_vals).tolist()):
+                groups.setdefault(row, []).append(r)
+            tail_rows = _flat_rows(c, tail, n_vals)
+            for row, leads in groups.items():
+                g = rows[:, row].take(tail_rows, axis=1)
+                for r in leads:
+                    runs[:, r] += g
         np.maximum(rates, 0.0, out=rates)
         rates /= LN2
         self.rates = _readonly(rates)

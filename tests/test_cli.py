@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfrelay import (LambdaGrid, cli, downlink_rate, fixture_channel, scalar_diagnostic,
-                     surface_from_csv, surface_to_csv, sweep_grid)
+from qfrelay import (LambdaGrid, RateTable, cli, downlink_rate, fixture_channel,
+                     scalar_diagnostic, surface_from_csv, surface_to_csv, sweep_grid,
+                     yr_conditional_entropies)
 from qfrelay.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -377,6 +378,22 @@ def test_oracle_subcommand_fixture(tmp_path):
         payload["penalized"]["argmax_j_bits"]
         - 0.3 * payload["penalized"]["argmax_c1_bits"]
         - 0.3 * payload["penalized"]["argmax_c2_bits"], abs=1e-12)
+
+
+@pytest.mark.parametrize("c1_max, c2_max", [
+    (5.0, 5.0), (5.0, 0.3), (0.3, yr_conditional_entropies(fixture_channel())["h_yr_given_x2"]),
+], ids=["both-slack", "c1-slack", "c2-at-entropy"])
+def test_oracle_answers_slack_targets_without_a_boundary_verdict(tmp_path, c1_max, c2_max):
+    """A target at or above its H(Yr|X) cannot bind: the constrained answer
+    is still given, with boundary_optimal null, and the run exits 0."""
+    out = tmp_path / "oracle.json"
+    code = main(["oracle", "--fixture", "--step", "0.1", "--levels", "3",
+                 "--c1-max", repr(c1_max), "--c2-max", repr(c2_max), "--out", str(out)])
+    assert code == EXIT_OK
+    constrained = json.loads(out.read_text())["constrained"]
+    assert constrained["boundary_optimal"] is None
+    table = RateTable(fixture_channel(), 3, 0.1)
+    assert constrained["i_rd_bits"] == table.best_constrained(c1_max, c2_max)[0]
 
 
 def test_oracle_requires_channel(capsys):

@@ -126,3 +126,71 @@ def test_sumrate_result_bytes(tmp_path):
   "i_rd_at_star_bits": 1.25
 }
 """
+
+
+ORACLE_L3_STEP_0_1 = """\
+{
+  "channel_fingerprint": "9f9e4eb375231d3a53a13b602b35d01e5103763f14fe68574fab893e546fb438",
+  "levels": 3,
+  "grid_step": 0.1,
+  "num_candidates": 287496,
+  "unconstrained_max_j_bits": 0.6096975225075824,
+  "uplink_sum_rate_bound_bits": 0.6096975225075827,
+  "constrained": {
+    "c1_max_bits": 0.4,
+    "c2_max_bits": 0.5,
+    "i_rd_bits": 0.253137002371822,
+    "argmax_c1_bits": 0.39914865904123004,
+    "argmax_c2_bits": 0.42010154304608277,
+    "boundary_optimal": true
+  },
+  "penalized": {
+    "lambda1": 0.3,
+    "lambda2": 0.2,
+    "value_bits": 0.05251472234416105,
+    "argmax_j_bits": 0.24727500290717952,
+    "argmax_c1_bits": 0.38102603592219636,
+    "argmax_c2_bits": 0.4022623489317978
+  }
+}
+"""
+ORACLE_L2_STEP_0_02 = """\
+{
+  "channel_fingerprint": "9f9e4eb375231d3a53a13b602b35d01e5103763f14fe68574fab893e546fb438",
+  "levels": 2,
+  "grid_step": 0.02,
+  "num_candidates": 132651,
+  "unconstrained_max_j_bits": 0.41921292156580703,
+  "uplink_sum_rate_bound_bits": 0.6096975225075827,
+  "constrained": {
+    "c1_max_bits": 0.4,
+    "c2_max_bits": 0.5,
+    "i_rd_bits": 0.2574716997363734,
+    "argmax_c1_bits": 0.39966684637346905,
+    "argmax_c2_bits": 0.42277982284741833,
+    "boundary_optimal": true
+  },
+  "penalized": {
+    "lambda1": 0.3,
+    "lambda2": 0.2,
+    "value_bits": 0.05544287520648457,
+    "argmax_j_bits": 0.29332651898700296,
+    "argmax_c1_bits": 0.4665156294411963,
+    "argmax_c2_bits": 0.4896447747407976
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("levels, step, expected", [
+    ("3", "0.1", ORACLE_L3_STEP_0_1),
+    ("2", "0.02", ORACLE_L2_STEP_0_02),
+], ids=["L3-step-0.1", "L2-step-0.02"])
+def test_oracle_result_bytes(tmp_path, levels, step, expected):
+    """The benchmark's two oracle tables, each with one constrained and one
+    penalized query: the JSON the oracle command writes for them."""
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle", "--fixture", "--levels", levels, "--step", step,
+                     "--c1-max", "0.4", "--c2-max", "0.5", "--lambda1", "0.3",
+                     "--lambda2", "0.2", "--out", str(out)]) == cli.EXIT_OK
+    assert out.read_bytes() == expected.encode()

@@ -55,6 +55,38 @@ def reference_rates(ch, qs):
             np.maximum(0.0, c2) / LN2)
 
 
+def lead_by_lead_rates(ch, levels, step):
+    """RateTable's rates built run by run: each run of candidates that share
+    their leading digits gets the channel's constant, then every level's row
+    shares, gathered axis by axis with np.take, in level order.  Same
+    operations per value as the level-by-level build, so the same bits."""
+    n, total = oracle._grid_size(step, levels, ch.num_bins, math.inf)
+    columns = oracle._simplex_columns(levels, n)
+    m, n_cols = columns.shape[0], ch.num_bins
+    values, codes = np.unique(columns, return_inverse=True)
+    codes = codes.reshape(columns.shape).T
+    rows = oracle._row_table(ch.p_x1x2_yr, values)
+    h_ab, h_aj, h_bj, h_a, h_b = oracle._marginal_entropies_nats(ch.p_x1x2_yr)
+    const = np.array([2 * h_ab - h_a - h_b, h_aj - h_a, h_bj - h_b])[:, None]
+    tail = oracle._tail_digits(m, n_cols)
+    rates = np.empty((3, total))
+    runs = rates.reshape(3, -1, m ** tail)
+    for r, lead in enumerate(np.ndindex((m,) * (n_cols - tail))):
+        out = runs[:, r]
+        out[:] = const
+        for c in codes:
+            g = rows[(slice(None), *c[list(lead)])]
+            for axis in range(1, tail + 1):
+                g = g.take(c, axis=axis)
+            out += g.reshape(3, -1)
+    np.maximum(rates, 0.0, out=rates)
+    return rates / LN2
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_enumerate_binary_single_column():
     mats = [q.q for q in enumerate_q(2, 1, 0.5)]
     assert len(mats) == 3
@@ -235,6 +267,7 @@ def test_table_matches_per_candidate_reference(ch, levels, n, run_cells):
         return
     with mock.patch.object(oracle, "RUN_CELLS", run_cells):
         tab = RateTable(ch, levels, 1.0 / n, max_cells=budget)
+        assert_same_bits(tab.rates, lead_by_lead_rates(ch, levels, 1.0 / n))
     mats = [q.q for q in enumerate_q(levels, ch.num_bins, 1.0 / n)]
     assert len(tab) == len(mats)
     for k, q in enumerate(mats):
@@ -246,8 +279,10 @@ def test_table_matches_per_candidate_reference(ch, levels, n, run_cells):
 
 
 def test_session_tables_match_per_candidate_reference(fx, fx_table_l2, fx_table_l3, rng):
-    # both tables take several runs at the default run length
+    # both tables take several runs at the default run length; at L=2 each run
+    # has its own row of the row table, at L=3 many runs share one
     for tab in (fx_table_l2, fx_table_l3):
+        assert_same_bits(tab.rates, lead_by_lead_rates(fx, tab.num_levels, tab.grid_step))
         ks = rng.integers(0, len(tab), size=300)
         j, c1, c2 = reference_rates(fx, np.stack([tab.quantizer_at(int(k)).q for k in ks]))
         np.testing.assert_allclose(tab.j_bits[ks], j, rtol=0, atol=1e-12)
