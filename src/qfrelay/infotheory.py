@@ -144,10 +144,11 @@ def _rate_reports(ch: ChannelModel, q: np.ndarray) -> list:
     reports = []
     for h_abi, h_ai, h_bi, h_iy in zip(h_abi.tolist(), h_ai.tolist(), h_bi.tolist(),
                                        h_i_given_y.tolist()):
-        r1 = max(0.0, h_ab + h_bi - h_b - h_abi)
-        r2 = max(0.0, h_ab + h_ai - h_a - h_abi)
-        c1 = max(0.0, (h_ai - h_a) - h_iy)
-        c2 = max(0.0, (h_bi - h_b) - h_iy)
+        # x if x > 0.0 else 0.0 is max(0.0, x), NaN and -0.0 included, without the call
+        r1 = x if (x := h_ab + h_bi - h_b - h_abi) > 0.0 else 0.0
+        r2 = x if (x := h_ab + h_ai - h_a - h_abi) > 0.0 else 0.0
+        c1 = x if (x := (h_ai - h_a) - h_iy) > 0.0 else 0.0
+        c2 = x if (x := (h_bi - h_b) - h_iy) > 0.0 else 0.0
         reports.append(RateReport(j_value=(r1 + r2) / LN2, c1_achieved=c1 / LN2,
                                   c2_achieved=c2 / LN2, h_yhat_given_y=h_iy / LN2,
                                   r1=r1 / LN2, r2=r2 / LN2))

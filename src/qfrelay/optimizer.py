@@ -63,7 +63,6 @@ them.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -323,13 +322,6 @@ class _FusedStep:
             self.k = m.k_base * coef * inv[:, None, :]
         self.lam1s, self.lam2s = lam1.tolist(), lam2.tolist()
 
-    def take(self, idx: list) -> "_FusedStep":
-        """The step of the pairs idx of this batch, in that order."""
-        sub = copy.copy(self)
-        sub.k = self.k[idx]
-        sub.lam1s, sub.lam2s = [self.lam1s[i] for i in idx], [self.lam2s[i] for i in idx]
-        return sub
-
     def log_posteriors(self, q: np.ndarray) -> tuple:
         """(num, log_t): the numerators N @ q.T and the (R, L) floored
         log-posteriors of each (L, |Yr|) quantizer of q, with the placeholder
@@ -354,10 +346,11 @@ class _FusedStep:
         h_x1, h_x2, values = self.h_x1, self.h_x2, []
         for (s1, s2, s3, s4), h, lam1, lam2 in zip(sums.reshape(-1, 4).tolist(), h_i_given_y,
                                                    self.lam1s, self.lam2s):
-            r1 = max(0.0, h_x1 + s1)
-            r2 = max(0.0, h_x2 + s2)
-            c1 = max(0.0, -s3 - h)
-            c2 = max(0.0, -s4 - h)
+            # x if x > 0.0 else 0.0 is max(0.0, x), NaN and -0.0 included, without the call
+            r1 = x if (x := h_x1 + s1) > 0.0 else 0.0
+            r2 = x if (x := h_x2 + s2) > 0.0 else 0.0
+            c1 = x if (x := -s3 - h) > 0.0 else 0.0
+            c2 = x if (x := -s4 - h) > 0.0 else 0.0
             values.append((r1 + r2) / LN2 - lam1 * (c1 / LN2) - lam2 * (c2 / LN2))
         return log_t, values
 
@@ -588,11 +581,13 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     its FloatingPointError, as serial calls would.
     """
     p_yr = ch.p_yr
-    # Each start is renormalized alone: a draw's memory order sets how its
-    # column sums round.
-    starts = [QuantizerPmf._renormalized(_initial_draw(
-        num_levels, ch.num_bins, init, np.random.default_rng(seed))).q for _, _, init, seed in solves]
-    q, step = np.stack(starts), _FusedStep(ch, [s[0] for s in solves], [s[1] for s in solves])
+    # Each start is renormalized alone, in its draw's memory order, which sets
+    # how its column sums round; np.array then copies them into one C-ordered
+    # stack, as every later q is (np.stack would keep each draw's order).
+    draws = [_initial_draw(num_levels, ch.num_bins, init, np.random.default_rng(seed))
+             for _, _, init, seed in solves]
+    q = np.array([d / d.sum(axis=0, keepdims=True) for d in draws])
+    step = _FusedStep(ch, [s[0] for s in solves], [s[1] for s in solves])
     # The starts are not softmax outputs, so their H(Yhat|Yr) is computed directly.
     lt, values = step.evaluate(q, np.vecdot(p_yr, -_plogp(q).sum(axis=-2)).tolist())
     runs = [_solve(v, eps, max_iter) for v in values]
@@ -615,7 +610,8 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
             keep = [k for k in range(len(active)) if k not in done]
             if not keep:
                 break
-            active, step = [active[k] for k in keep], step.take(keep)
+            active, step.k = [active[k] for k in keep], step.k[keep]
+            step.lam1s, step.lam2s = [step.lam1s[k] for k in keep], [step.lam2s[k] for k in keep]
             q, e, lt, e1, e2 = [None if a is None else a[keep] for a in (q, e, lt, e1, e2)]
             ext = [k for k, i in enumerate(active) if asks[i] is not PLAIN]
         done, rejected, nxt, lengths = [], [], [], []

@@ -151,7 +151,9 @@ def _row_table(p_abj: np.ndarray, values: np.ndarray) -> np.ndarray:
                         [x.shape[2] for x in flat], axis=1)
 
     tail = _tail_digits(n_vals, n_cols)
-    run_marg, run_sums = _digit_sums(marginals[-tail:]).T, _digit_sums(bin_sums[-tail:]).T
+    # in C order, so that each lead's adds below run along a run's candidates
+    run_marg, run_sums = (np.ascontiguousarray(_digit_sums(x[-tail:]).T)
+                          for x in (marginals, bin_sums))
     lead_marg, lead_sums = _digit_sums(marginals[:-tail]), _digit_sums(bin_sums[:-tail])
     run = run_marg.shape[1]
     rows = np.empty((3, n_vals ** n_cols))
@@ -295,12 +297,18 @@ def check_boundary_optimality(ch: ChannelModel, L: int, grid_step: float,
     Targets must be strictly below the unconstrained description rates
     H(Yr|X1) and H(Yr|X2) so the constraints can bind at all.  A channel whose
     objective is identically zero satisfies the claim vacuously.
+    A given table must be one built for ch, L and grid_step.
     """
     ents = yr_conditional_entropies(ch)
     if c1_max >= ents["h_yr_given_x1"] or c2_max >= ents["h_yr_given_x2"]:
         raise ValueError("targets must be strictly below H(Yr|X1) and H(Yr|X2)")
     if table is None:
         table = RateTable(ch, L, grid_step)
+    elif ((table.channel is not ch and table.channel.fingerprint() != ch.fingerprint())
+          or (table.num_levels, table.grid_step) != (L, grid_step)):
+        raise ValueError(f"table was built for channel {table.channel.fingerprint()[:12]}, "
+                         f"L={table.num_levels}, grid_step={table.grid_step!r}; asked for "
+                         f"channel {ch.fingerprint()[:12]}, L={L}, grid_step={grid_step!r}")
     if table.j_max <= 1e-12:
         return True
     _, k = table.best_constrained(c1_max, c2_max)

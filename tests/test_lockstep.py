@@ -308,12 +308,24 @@ MIXED = [(0.001, 0.001, "random", 1), (0.02, 0.02, "perturbed-uniform", 1),
          (0.2, 0.5, "perturbed-uniform", 1), (0.5, 0.2, "perturbed-uniform", 2)]
 
 
-@pytest.mark.parametrize("refuse", [False, True])
-def test_batch_matches_the_plainest_driver(refuse, fx, monkeypatch):
-    """_lockstep under MAX_BATCH 1 and 16 gives each solve of a mixed batch
-    what _driven_alone gives it, bit for bit: converged and capped solves,
-    rejected candidates, solves that end right after going back to q2, and
-    with refusals, extrapolations that softmax refuses."""
+# Three of fig4_sweep's diagonal solves: BPSK at L = 32 with the default eps
+# and max_iter.  numpy sums fewer than 8 entries in plain order whatever
+# their memory layout, but a contiguous run of 32 in eight interleaved
+# partial sums, so only a case of 8 levels or more shows the layout of the
+# batch's start stack in the bits.
+FIG4_DIAGONAL = (1, 5, 9)
+
+
+# ids False and True are the fixture's mixed batch, without or with refusals
+@pytest.mark.parametrize("case, refuse", [
+    pytest.param("fixture", False, id="False"), pytest.param("fixture", True, id="True"),
+    pytest.param("bpsk", False, id="bpsk-False"), pytest.param("bpsk", True, id="bpsk-True")])
+def test_batch_matches_the_plainest_driver(case, refuse, fx, bpsk, monkeypatch):
+    """_lockstep under MAX_BATCH 1 and 16 gives each solve of a batch what
+    _driven_alone gives it, bit for bit.  On the fixture's mixed batch:
+    converged and capped solves, rejected candidates, solves that end right
+    after going back to q2, and with refusals, extrapolations that softmax
+    refuses.  On BPSK: solves at 32 levels."""
     squarem, refused = optimizer._squarem_exponents, []
 
     def refusing(s0, s1, s2, q2, p_yr, caps):
@@ -326,15 +338,25 @@ def test_batch_matches_the_plainest_driver(refuse, fx, monkeypatch):
 
     if refuse:
         monkeypatch.setattr(optimizer, "_squarem_exponents", refusing)
+    if case == "fixture":
+        ch, levels, solves, runs = fx, 2, MIXED, [(1e-8, max_iter) for max_iter in (5, 13, 5000)]
+    else:
+        d = DEFAULTS
+        axis = LambdaGrid.log_spaced(d["lambda_min"], d["lambda_max"], d["lambda_count"]).axis1
+        ch, levels, runs = bpsk, d["levels"], [(d["eps"], d["max_iter"])]
+        solves = [(axis[k], axis[k], "perturbed-uniform", k) for k in FIG4_DIAGONAL]
     lasts, results = [], []
-    for max_iter in (5, 13, 5000):
-        alone = [_driven_alone(fx, 2, solve, 1e-8, max_iter) for solve in MIXED]
+    for eps, max_iter in runs:
+        alone = [_driven_alone(ch, levels, solve, eps, max_iter) for solve in solves]
         lasts += [last for _, last in alone]
         results += [res for res, _ in alone]
         for cap in (1, optimizer.MAX_BATCH):
             monkeypatch.setattr(optimizer, "MAX_BATCH", cap)
-            batch = optimizer._solve_batch(fx, 2, MIXED, 1e-8, max_iter)
+            batch = optimizer._solve_batch(ch, levels, solves, eps, max_iter)
             assert [_fields(res) for res in batch] == [_fields(res) for res, _ in alone]
+    if case == "bpsk":
+        assert all(res.converged for res in results) and bool(refused) == refuse
+        return
     assert {res.converged for res in results} == {True, False}
     # solves that end where the batch must put their slice back at q2: right
     # after a rejected candidate, or at a refused extrapolation

@@ -217,6 +217,27 @@ def test_boundary_optimality_rejects_saturated_targets(fx, fx_table_l2_coarse):
                                   table=fx_table_l2_coarse)
 
 
+@pytest.mark.parametrize("other", ["channel", "levels", "step"])
+def test_boundary_optimality_refuses_a_table_built_for_other_arguments(fx, fx_table_l2_coarse,
+                                                                        other):
+    """A table built for another channel, level count or grid step gives no
+    verdict: the refusal names what the table was built for and what was
+    asked.  An equal channel built anew is the same channel."""
+    assert check_boundary_optimality(oracle.fixture_channel(), 2, 0.05, 0.5, 0.5,
+                                     table=fx_table_l2_coarse)
+    ch, levels, step = fx, 2, 0.05
+    if other == "channel":
+        ch = from_pmfs([0.5, 0.5], [0.5, 0.5], fx.p_yr_given_x1x2)
+    elif other == "levels":
+        levels = 3
+    else:
+        step = 0.1
+    with pytest.raises(ValueError, match=(
+            rf"built for channel {fx.fingerprint()[:12]}, L=2, grid_step=0.05; asked for "
+            rf"channel {ch.fingerprint()[:12]}, L={levels}, grid_step={step}")):
+        check_boundary_optimality(ch, levels, step, 0.5, 0.5, table=fx_table_l2_coarse)
+
+
 @pytest.mark.parametrize("levels, step", [(2, 0.02), (3, 0.1)])
 def test_boundary_check_after_its_caller_keeps_the_first_maximum(fx, levels, step):
     """On the benchmark's two tables, best_constrained and then
