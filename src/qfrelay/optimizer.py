@@ -50,11 +50,11 @@ plain steps and extrapolations.  Every solve runs in a lockstep batch
 axis and compute each slice as a batch of one would, so a solve's result
 does not depend on the solves batched with it.  The kernels also report a
 refused extrapolation or a non-finite delta per slice, so the batch never
-runs a slice alone to learn which one failed.  optimize() is a batch of
-one, optimize_restarts() batches its restarts and sweep_grid all its
-solves, in batches of at most MAX_BATCH solves.  However they were batched,
-the batch passes each result to a call to optimize() that returns it (its
-_solved argument), so a wrapper of optimize() sees every solve.
+runs a slice alone to learn which one failed.  Only _solve_batch cuts solves
+into batches of at most MAX_BATCH and, given workers, starts a process pool.
+So that their wrappers see them all, every solve comes back through a call
+to optimize() (its _solved argument), and every sweep_grid point
+(_solve_points) through one to optimize_restarts().
 
 induced_posteriors, delta_matrix, update_q and lagrangian are the unfused
 definitions of the same iteration.  The tests compare the fused step with
@@ -66,6 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -683,10 +684,14 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
 
 
 def _solve_batch(ch: ChannelModel, num_levels: int, solves: list, eps: float = 1e-8,
-                 max_iter: int = 5000) -> list:
-    """optimize(ch, lam1, lam2, num_levels, init, eps, max_iter, seed) for each
-    (lam1, lam2, init, seed) of solves, in order, as lockstep batches of at
-    most MAX_BATCH solves (_lockstep)."""
+                 max_iter: int = 5000, workers: int | None = None):
+    """Yield optimize(ch, lam1, lam2, num_levels, init, eps, max_iter, seed) for
+    each (lam1, lam2, init, seed) of solves, in order, each lockstep batch's
+    (_lockstep) as it ends, so that a caller can drop them batch by batch.
+    Batches hold at most MAX_BATCH solves, fewer when needed to give each of
+    the workers processes one; the results do not depend on the batches."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     for lam1, lam2, _, _ in solves:
         if not (0 < lam1 < math.inf and 0 < lam2 < math.inf):
             raise ValueError(
@@ -697,10 +702,18 @@ def _solve_batch(ch: ChannelModel, num_levels: int, solves: list, eps: float = 1
         raise ValueError(f"num_levels must be at least 1, got {num_levels}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    results = []
-    for i in range(0, len(solves), MAX_BATCH):
-        results += _lockstep(ch, num_levels, solves[i:i + MAX_BATCH], eps, max_iter)
-    return results
+    workers = workers or 1
+    size = max(1, min(MAX_BATCH, -(-len(solves) // workers)))
+    batches = [solves[i:i + size] for i in range(0, len(solves), size)]
+    args = repeat(ch), repeat(num_levels), batches, repeat(eps), repeat(max_iter)
+    if workers == 1:
+        yield from chain.from_iterable(map(_lockstep, *args))
+        return
+    # imported here: it loads multiprocessing, which serial runs never use
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        yield from chain.from_iterable(executor.map(_lockstep, *args))
 
 
 def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
@@ -747,18 +760,16 @@ def optimize(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
     if _solved is not None:
         return _solved
     _check_seed(seed)
-    return _solve_batch(ch, num_levels, [(lam1, lam2, init, seed)], eps, max_iter)[0]
+    return next(_solve_batch(ch, num_levels, [(lam1, lam2, init, seed)], eps, max_iter))
 
 
 @lru_cache(maxsize=4096)
-def _restart_seeds(seed: int, restarts: int) -> tuple:
-    """SeedSequence((seed, r)) for each restart r of optimize_restarts.
-    Repeated sweeps of a grid ask for the same seed pairs again: the
-    benchmark's fixture_timeshare workload asks for the same 256 on every
-    pass.  One derivation costs about 13 us (one core of a 2-vCPU Xeon), some
-    3 ms of that pass's roughly 100 ms."""
-    return tuple(int(np.random.SeedSequence((seed, r)).generate_state(1)[0])
-                 for r in range(restarts))
+def _seed(*key) -> int:
+    """The first word of SeedSequence(key), key[0] a seed >= 0: _seed(s, r)
+    seeds restart r, _seed(s, i, j) sweep_grid point (i, j).  Each pass of the
+    benchmark's fixture_timeshare asks for the same 512, about 12 us each."""
+    _check_seed(key[0])
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
 def _check_seed(seed: int) -> None:
@@ -767,11 +778,12 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be an integer >= 0, got {seed}")
 
 
-def _restart_solves(lam1: float, lam2: float, init: str, seed: int, restarts: int) -> list:
-    """The (lam1, lam2, init, seed) of each restart of optimize_restarts."""
+def _restart_solves(seeded: list, init: str, restarts: int) -> list:
+    """The (lam1, lam2, init, seed) of each restart of each point of seeded."""
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
-    return [(lam1, lam2, init, restart_seed) for restart_seed in _restart_seeds(seed, restarts)]
+    return [(lam1, lam2, init, _seed(seed, r))
+            for lam1, lam2, seed in seeded for r in range(restarts)]
 
 
 def optimize_restarts(ch: ChannelModel, lam1: float, lam2: float, num_levels: int,
@@ -788,9 +800,21 @@ def optimize_restarts(ch: ChannelModel, lam1: float, lam2: float, num_levels: in
     final Lagrangians wins.
     """
     if _solved is None:
-        _check_seed(seed)
-        _solved = _solve_batch(ch, num_levels, _restart_solves(lam1, lam2, init, seed, restarts),
-                               eps, max_iter)
+        _solved = _solve_batch(ch, num_levels, _restart_solves([(lam1, lam2, seed)], init,
+                                                               restarts), eps, max_iter)
     results = [optimize(ch, lam1, lam2, num_levels, init=init, eps=eps, max_iter=max_iter,
                         seed=res.seed, _solved=res) for res in _solved]
     return max(results, key=lambda res: res.lagrangian_trace[-1])  # the first of equal maxima
+
+
+def _solve_points(ch: ChannelModel, num_levels: int, seeded: list, restarts: int, init: str,
+                  eps: float, max_iter: int, workers: int | None):
+    """Yield optimize_restarts(ch, lam1, lam2, num_levels, restarts, init, eps,
+    max_iter, seed) of each (lam1, lam2, seed) of seeded as its batch ends:
+    its restarts run in _solve_batch and come back through that call."""
+    results = _solve_batch(ch, num_levels, _restart_solves(seeded, init, restarts), eps,
+                           max_iter, workers)
+    for lam1, lam2, seed in seeded:
+        yield optimize_restarts(ch, lam1, lam2, num_levels, restarts=restarts, init=init,
+                                eps=eps, max_iter=max_iter, seed=seed,
+                                _solved=list(islice(results, restarts)))

@@ -13,8 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, islice, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -22,8 +21,7 @@ import numpy as np
 
 from qfrelay.channel import ChannelModel, _readonly
 from qfrelay.infotheory import QuantizerPmf
-from qfrelay.optimizer import (MAX_BATCH, _check_seed, _restart_solves, _solve_batch,
-                               optimize_restarts)
+from qfrelay.optimizer import _seed, _solve_points
 
 
 @dataclass(frozen=True)
@@ -90,19 +88,27 @@ class Surface:
     warnings: tuple = ()
 
 
-def _surface_points(ch, num_levels, restarts, init, eps, max_iter, seeded, batches) -> list:
-    """The SurfacePoint of each (lam1, lam2, seed) of seeded from the results
-    of batches, an iterable of the lists that _solve_batch gives for their
-    restarts in order.  Each point's results are passed to a call to
-    optimize_restarts, which returns each through a call to optimize."""
-    results = chain.from_iterable(batches)
-    out = []
-    for lam1, lam2, point_seed in seeded:
-        res = optimize_restarts(ch, lam1, lam2, num_levels, restarts=restarts, init=init,
-                                eps=eps, max_iter=max_iter, seed=point_seed,
-                                _solved=list(islice(results, restarts)))
+def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None,
+               restarts: int = 4, init: str = "perturbed-uniform", eps: float = 1e-8,
+               max_iter: int = 5000, seed: int = 0, workers: int | None = None) -> Surface:
+    """Solve every multiplier pair on the grid and collect the point cloud.
+
+    Per-point seeds derive deterministically from (seed, grid row, grid col).
+    optimizer._solve_points runs every restart of every point, serially
+    (workers None or 1) or across worker processes, with the same surface.
+    Non-converged points are kept but flagged; if more than half fail to
+    converge the surface carries a quality warning.
+    """
+    if grid is None:
+        grid = LambdaGrid.log_spaced()
+    seeded = [(lam1, lam2, _seed(seed, gi, gj))
+              for gi, lam1 in enumerate(grid.axis1.tolist())
+              for gj, lam2 in enumerate(grid.axis2.tolist())]
+    points = []
+    for (lam1, lam2, _), res in zip(seeded, _solve_points(ch, num_levels, seeded, restarts, init,
+                                                          eps, max_iter, workers)):
         rep = res.report
-        out.append(SurfacePoint(
+        points.append(SurfacePoint(
             lam1=float(lam1),
             lam2=float(lam2),
             c1=rep.c1_achieved,
@@ -114,46 +120,6 @@ def _surface_points(ch, num_levels, restarts, init, eps, max_iter, seeded, batch
             seed=res.seed,
             q=res.q_final,
         ))
-    return out
-
-
-def sweep_grid(ch: ChannelModel, num_levels: int, grid: LambdaGrid | None = None,
-               restarts: int = 4, init: str = "perturbed-uniform", eps: float = 1e-8,
-               max_iter: int = 5000, seed: int = 0, workers: int | None = None) -> Surface:
-    """Solve every multiplier pair on the grid and collect the point cloud.
-
-    Per-point seeds derive deterministically from (seed, grid row, grid col).
-    Every restart of every point, in grid order, is cut into lockstep batches
-    (optimizer._lockstep) of at most optimizer.MAX_BATCH solves, fewer when
-    needed to give each of the workers processes a batch.  A batch gives each
-    solve the result it gets alone, so the surface is identical whether the
-    batches run serially (workers None or 1) or across worker processes.
-    Non-converged points are kept but flagged; if more than half fail to
-    converge the surface carries a quality warning.
-    """
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    _check_seed(seed)
-    if grid is None:
-        grid = LambdaGrid.log_spaced()
-    seeded = [(lam1, lam2, int(np.random.SeedSequence((seed, gi, gj)).generate_state(1)[0]))
-              for gi, lam1 in enumerate(grid.axis1.tolist())
-              for gj, lam2 in enumerate(grid.axis2.tolist())]
-    flat = [solve for lam1, lam2, point_seed in seeded
-            for solve in _restart_solves(lam1, lam2, init, point_seed, restarts)]
-    pool = workers is not None and workers > 1
-    size = max(1, min(MAX_BATCH, -(-len(flat) // workers))) if pool else MAX_BATCH
-    batches = [flat[i:i + size] for i in range(0, len(flat), size)]
-    solve = partial(_solve_batch, ch, num_levels, eps=eps, max_iter=max_iter)
-    collect = partial(_surface_points, ch, num_levels, restarts, init, eps, max_iter, seeded)
-    if pool:
-        # imported here: it loads multiprocessing, which serial runs never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            points = collect(executor.map(solve, batches))
-    else:
-        points = collect(map(solve, batches))
 
     bad = sum(1 for p in points if not p.converged)
     warnings = ((f"sweep quality: {bad} of {len(points)} grid points did not converge",)

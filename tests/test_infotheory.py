@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from conftest import WEIGHTS, tiny_channels
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import xlogy
 
 from qfrelay import (
     QuantizerPmf,
+    build_bpsk_mac,
     entropy,
     fixture_channel,
+    from_pmfs,
     lagrangian,
     rate_report,
     uplink_sum_rate_bound,
@@ -174,6 +179,37 @@ def test_row_permutation_symmetry(fx, rng):
         rb = rate_report(fx, QuantizerPmf(q[perm]))
         for field in ("j_value", "c1_achieved", "c2_achieved", "h_yhat_given_y", "r1", "r2"):
             assert abs(getattr(ra, field) - getattr(rb, field)) <= 1e-12
+
+
+def _assert_users_swapped(ra, rb):
+    """rb is ra with the users swapped: r1, r2 and c1, c2 trade places, the
+    objective and H(Yhat|Yr) stay, all within 1e-12."""
+    pairs = [(ra.r1, rb.r2), (ra.r2, rb.r1), (ra.c1_achieved, rb.c2_achieved),
+             (ra.c2_achieved, rb.c1_achieved), (ra.j_value, rb.j_value),
+             (ra.h_yhat_given_y, rb.h_yhat_given_y)]
+    assert all(abs(a - b) <= 1e-12 for a, b in pairs), pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(ch=tiny_channels(), data=st.data())
+def test_user_swap_symmetry(ch, data):
+    """Swapping the users (their priors, and x1 with x2 in the law) swaps
+    r1 with r2 and c1 with c2 for any quantizer, exact zeros included."""
+    levels = data.draw(st.integers(1, 4))
+    w = np.array([data.draw(st.lists(WEIGHTS, min_size=levels, max_size=levels))
+                  for _ in range(ch.num_bins)], dtype=float).T
+    w[0] += 1.0
+    q = QuantizerPmf(w / w.sum(axis=0))
+    swapped = from_pmfs(ch.p_x2, ch.p_x1, ch.p_yr_given_x1x2.transpose(1, 0, 2))
+    _assert_users_swapped(rate_report(ch, q), rate_report(swapped, q))
+
+
+def test_bpsk_snr_swap_swaps_the_rates(rng):
+    """build_bpsk_mac with the SNRs swapped is the user-swapped channel."""
+    ch, sw = build_bpsk_mac(1.5, 4.5, 128, 4.0), build_bpsk_mac(4.5, 1.5, 128, 4.0)
+    for levels in (2, 8, 32):
+        q = QuantizerPmf(rng.dirichlet(np.ones(levels), size=ch.num_bins).T)
+        _assert_users_swapped(rate_report(ch, q), rate_report(sw, q))
 
 
 def test_plogp_is_zero_at_zero_and_within_two_ulp_of_xlogy():

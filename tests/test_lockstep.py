@@ -128,7 +128,7 @@ def test_handed_results_are_not_solved_again(fx, monkeypatch):
     """A result passed as _solved is returned as it is, and optimize_restarts
     returns each passed result through a call to optimize(), the first of
     equal maxima winning, without running a batch."""
-    r0, r1 = optimizer._solve_batch(fx, 2, [(0.3, 0.7, "perturbed-uniform", 1)] * 2)
+    r0, r1 = list(optimizer._solve_batch(fx, 2, [(0.3, 0.7, "perturbed-uniform", 1)] * 2))
     assert r0 is not r1 and r0.lagrangian_trace[-1] == r1.lagrangian_trace[-1]
 
     def refused(*args):
@@ -173,7 +173,7 @@ def test_batch_results_do_not_depend_on_the_batch(case):
     saved = optimizer.MAX_BATCH
     optimizer.MAX_BATCH = cap
     try:
-        results = optimizer._solve_batch(ch, levels, solves, eps, max_iter)
+        results = list(optimizer._solve_batch(ch, levels, solves, eps, max_iter))
     finally:
         optimizer.MAX_BATCH = saved
     for (lam1, lam2, init, seed), res in zip(solves, results, strict=True):
@@ -188,7 +188,7 @@ def test_batch_mixes_converged_capped_and_dead_level_solves(fx):
     its dead level."""
     solves = [(0.3, 0.7, "perturbed-uniform", 1), (0.001, 0.001, "random", 2),
               (0.5, 0.1, "identity", 0)]
-    results = optimizer._solve_batch(fx, 4, solves, 1e-12, 20)
+    results = list(optimizer._solve_batch(fx, 4, solves, 1e-12, 20))
     assert len({res.iterations for res in results}) > 1
     assert [res.converged for res in results] == [False, True, False]
     assert results[0].extrapolations_tried > 0
@@ -212,7 +212,7 @@ def test_first_failing_solve_in_order_raises(fx):
     for second, third in ((bad, ok), (bad, worse), (worse, bad)):
         solves = [(*ok, "random", 0), (*second, "random", 1), (*third, "random", 2)]
         with pytest.raises(FloatingPointError) as batch:
-            optimizer._solve_batch(fx, 2, solves)
+            list(optimizer._solve_batch(fx, 2, solves))
         assert str(batch.value) == messages[second]
 
 
@@ -245,7 +245,7 @@ def test_refused_extrapolations_end_their_cycles_alone(refuse_all, monkeypatch):
     ch = build_bpsk_mac(1.5, 4.5, 32)
     solves = [(0.0123, 0.0123, "perturbed-uniform", s) for s in range(3)]
     solves += [(0.05, 0.2, "random", 7)]
-    results = optimizer._solve_batch(ch, 8, solves)
+    results = list(optimizer._solve_batch(ch, 8, solves))
     assert 0 < len(refused) <= len(extrapolated)
     assert (len(refused) == len(extrapolated)) == refuse_all
     for (lam1, lam2, init, seed), res in zip(solves, results):
@@ -352,7 +352,7 @@ def test_batch_matches_the_plainest_driver(case, refuse, fx, bpsk, monkeypatch):
         results += [res for res, _ in alone]
         for cap in (1, optimizer.MAX_BATCH):
             monkeypatch.setattr(optimizer, "MAX_BATCH", cap)
-            batch = optimizer._solve_batch(ch, levels, solves, eps, max_iter)
+            batch = list(optimizer._solve_batch(ch, levels, solves, eps, max_iter))
             assert [_fields(res) for res in batch] == [_fields(res) for res, _ in alone]
     if case == "bpsk":
         assert all(res.converged for res in results) and bool(refused) == refuse

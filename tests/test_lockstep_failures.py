@@ -74,9 +74,9 @@ def test_a_delta_that_turns_nonfinite_mid_run_fails_its_solve_alone(monkeypatch)
         monkeypatch.setattr(optimizer, "MAX_BATCH", cap)
         for solves, first in ((SOLVES, 1), (SOLVES[2:], 3), (SOLVES[4:] + SOLVES[3:4], 4)):
             with pytest.raises(FloatingPointError) as batch:
-                optimizer._solve_batch(ch, 8, solves)
+                list(optimizer._solve_batch(ch, 8, solves))
             assert str(batch.value) == alone[first]
-        assert optimizer._solve_batch(ch, 8, SOLVES[0:3:2])
+        assert list(optimizer._solve_batch(ch, 8, SOLVES[0:3:2]))
     assert len(finished) >= 8
     for solve, res in finished:
         assert _fields(res) == _fields(alone[SOLVES.index(solve)])

@@ -11,6 +11,7 @@ from qfrelay import (
     Surface,
     SurfacePoint,
     envelope_point,
+    optimize,
     query_lower_envelope,
     rate_report,
     round_to_scalar,
@@ -119,6 +120,27 @@ def test_sweep_deterministic_per_seed(fx):
             pa.lam1 == pb.lam1 and pa.i_rd == pb.i_rd and pa.seed == pb.seed
             and np.array_equal(pa.q.q, pb.q.q)
         )
+
+
+def test_sweep_point_seeds_derive_from_the_grid_position(fx):
+    """Point (i, j) of a sweep of seed s runs its restarts from the word p of
+    SeedSequence((s, i, j)), as optimize_restarts(seed=p) would: its seed is
+    one of the words of SeedSequence((p, r)), and optimize() alone with that
+    seed gives its rates bit for bit."""
+    def word(key):
+        return int(np.random.SeedSequence(key).generate_state(1)[0])
+
+    grid = LambdaGrid([0.05, 0.5], [0.1, 0.4, 2.0])
+    surface = sweep_grid(fx, 2, grid=grid, restarts=3, seed=5)
+    positions = [(i, j) for i in range(2) for j in range(3)]
+    for (i, j), point in zip(positions, surface.points, strict=True):
+        assert (point.lam1, point.lam2) == (grid.axis1[i], grid.axis2[j])
+        p = word((5, i, j))
+        assert point.seed in [word((p, r)) for r in range(3)]
+        rep = optimize(fx, point.lam1, point.lam2, 2, seed=point.seed).report
+        assert (rep.c1_achieved, rep.c2_achieved, rep.j_value) == (point.c1, point.c2, point.i_rd)
+    again = sweep_grid(fx, 2, grid=grid, restarts=3, seed=5)
+    assert [p.seed for p in again.points] == [p.seed for p in surface.points]
 
 
 def test_sweep_serial_and_parallel_write_identical_csv(fx, tmp_path):
