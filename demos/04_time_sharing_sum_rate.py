@@ -17,9 +17,9 @@ from qfrelay import (
     fixture_channel,
     optimize_alpha,
     sweep_grid,
-    unimodality_report,
     LambdaGrid,
 )
+from qfrelay.sumrate import unimodality_report
 
 for snr in (-10.0, 0.0, 4.77, 10.0):
     print("downlink rate at %+6.2f dB: %.6f bits/use" % (snr, downlink_rate(snr)))

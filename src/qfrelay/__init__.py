@@ -13,20 +13,15 @@ from qfrelay.infotheory import (
     QuantizerPmf,
     RateReport,
     entropy,
-    lagrangian,
     rate_report,
     uplink_sum_rate_bound,
     yr_conditional_entropies,
 )
 from qfrelay.optimizer import (
     OptimizerResult,
-    Posteriors,
-    delta_matrix,
-    induced_posteriors,
     initial_quantizer,
     optimize,
     optimize_restarts,
-    update_q,
 )
 from qfrelay.oracle import (
     OracleBudgetError,
@@ -52,8 +47,6 @@ from qfrelay.sumrate import (
     alpha_objective_curve,
     downlink_rate,
     optimize_alpha,
-    sum_rate_at,
-    unimodality_report,
 )
 
 __all__ = [
@@ -61,7 +54,6 @@ __all__ = [
     "LambdaGrid",
     "OptimizerResult",
     "OracleBudgetError",
-    "Posteriors",
     "QuantizerPmf",
     "RateReport",
     "RateTable",
@@ -71,16 +63,13 @@ __all__ = [
     "alpha_objective_curve",
     "build_bpsk_mac",
     "check_boundary_optimality",
-    "delta_matrix",
     "downlink_rate",
     "entropy",
     "enumerate_q",
     "envelope_point",
     "fixture_channel",
     "from_pmfs",
-    "induced_posteriors",
     "initial_quantizer",
-    "lagrangian",
     "optimize",
     "optimize_alpha",
     "optimize_restarts",
@@ -88,12 +77,9 @@ __all__ = [
     "rate_report",
     "round_to_scalar",
     "scalar_diagnostic",
-    "sum_rate_at",
     "surface_from_csv",
     "surface_to_csv",
     "sweep_grid",
-    "unimodality_report",
-    "update_q",
     "uplink_sum_rate_bound",
     "yr_conditional_entropies",
 ]

@@ -304,6 +304,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
+    if cfg.dump_q and not cfg.json_out:
+        raise ConfigError("sweep --dump-q needs --json-out (output.json_out): "
+                          "the quantizers go only into the JSON surface")
     surface = sweep_grid(cfg.build_channel(), cfg.levels, grid=cfg.lambda_grid(),
                          restarts=cfg.restarts, init=cfg.init, eps=cfg.eps,
                          max_iter=cfg.max_iter, seed=cfg.seed, workers=cfg.workers)
@@ -401,18 +404,19 @@ def _cmd_oracle(args) -> int:
 
 @functools.cache
 def _git_describe() -> str:
-    """The checkout's `git describe`, or "unknown"; asked once per process."""
+    """The checkout's `git describe`, or "unknown"; asked once per process.
+    Only a work tree that tracks this file is described, not one that merely
+    holds an untracked copy of the package (a venv inside a repository)."""
+    here, name = os.path.split(os.path.abspath(__file__))
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
+        for cmd in (["ls-files", "--error-unmatch", name], ["describe", "--always", "--dirty"]):
+            out = subprocess.run(["git", *cmd], capture_output=True, text=True, timeout=10,
+                                 cwd=here)
+            if out.returncode != 0:
+                return "unknown"
+        return out.stdout.strip()
     except (OSError, subprocess.SubprocessError):
-        pass
-    return "unknown"
+        return "unknown"
 
 
 def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,

@@ -156,7 +156,8 @@ def _rate_reports(ch: ChannelModel, q: np.ndarray) -> list:
 
 
 def lagrangian(ch: ChannelModel, q: QuantizerPmf, lam1: float, lam2: float) -> float:
-    """Penalized objective J - lam1*C1 - lam2*C2 in bits."""
+    """Penalized objective J - lam1*C1 - lam2*C2 in bits; not exported, kept as
+    the tests' reference and while perfbench's tracer wraps it by name."""
     if not (0 <= lam1 < math.inf and 0 <= lam2 < math.inf):
         raise ValueError(f"multipliers must be finite and nonnegative, got ({lam1}, {lam2})")
     rep = rate_report(ch, q)

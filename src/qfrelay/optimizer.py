@@ -57,8 +57,9 @@ to optimize() (its _solved argument), and every sweep_grid point
 (_solve_points) through one to optimize_restarts().
 
 induced_posteriors, delta_matrix, update_q and lagrangian are the unfused
-definitions of the same iteration.  The tests compare the fused step with
-them.
+definitions of the same iteration, not exported and called by no solve: they
+stay as the tests' reference for the fused step, and while perfbench's tracer
+wraps each of them by name.
 """
 
 from __future__ import annotations

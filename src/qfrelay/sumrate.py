@@ -11,6 +11,10 @@ downlink budgets exactly when alpha <= alpha_p = min(I1/(c1_p+I1),
 I2/(c2_p+I2)), and alpha * i_rd_p grows with alpha, so the maximum over alpha
 of alpha * I_RD is the maximum over points of alpha_p * i_rd_p, with alpha
 kept inside the open interval (0, 1).
+
+sum_rate_at and unimodality_report are not exported and the package never
+calls them: they stay for the tests and demo 04, and while perfbench's tracer
+wraps each of them by name.
 """
 
 from __future__ import annotations

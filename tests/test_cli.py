@@ -1,8 +1,10 @@
 import argparse
 import ast
+import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -540,6 +542,42 @@ def test_optimize_boolean_dump_q_is_config_error(tmp_path, capsys, dump_q):
     assert "'output.dump_q' must be a path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_sweep_dump_q_without_json_out_is_config_error(tmp_path, capsys, monkeypatch, form):
+    """A sweep's quantizers go only into its JSON surface, so --dump-q (or
+    output.dump_q) without one is refused before any solve, and no CSV is
+    written."""
+    monkeypatch.setattr(cli, "sweep_grid", lambda *a, **k: pytest.fail("sweep ran"))
+    out = tmp_path / "s.csv"
+    if form == "flag":
+        argv = ["sweep", "--bins", "8", "--levels", "2", "--lambda-count", "2",
+                "--restarts", "1", "--dump-q", "--out", str(out)]
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "channel": {"num_bins": 8}, "quantizer": {"levels": 2, "restarts": 1},
+            "solver": {"lambda_grid": {"count": 2}},
+            "output": {"out": str(out), "dump_q": True},
+        }))
+        argv = ["sweep", "--config", str(path)]
+    assert main(argv) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: sweep --dump-q needs --json-out (output.json_out)")
+    assert not out.exists()
+
+
+def test_sweep_prints_its_quality_warning(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", "--bins", "8", "--levels", "2", "--lambda-count", "2",
+                 "--restarts", "1", "--max-iter", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: sweep quality: 4 of 4 grid points did not converge"]
+    with out.open(newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 4 and {row["converged"] for row in rows} == {"false"}
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--eps", "nan"), ("--eps", "inf"), ("--eps", "-inf"), ("--lambda-max", "inf")])
 def test_nonfinite_flag_is_config_error(inline_cfg, capsys, flag, value):
@@ -632,6 +670,32 @@ def test_repro_writes_manifest_when_git_hangs(tmp_path, monkeypatch):
         cli._git_describe.cache_clear()
     meta = json.loads((tmp_path / "fig3_manifest.json").read_text())
     assert meta["git_describe"] == "unknown"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_git_describe_skips_a_work_tree_that_does_not_track_the_package(tmp_path):
+    """A copy of the package in an ignored venv inside some other repository
+    records "unknown", not that repository's commit."""
+    def git(*cmd):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com",
+                        "-c", "commit.gpgsign=false", *cmd],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / ".gitignore").write_text("venv/\n")
+    git("add", ".gitignore")
+    git("commit", "-q", "-m", "init")
+    site = tmp_path / "venv" / "site"
+    shutil.copytree(Path(cli.__file__).parent, site / "qfrelay",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from qfrelay import cli; print(cli.__file__); print(cli._git_describe())"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(site)},
+        capture_output=True, text=True, check=True)
+    imported, described = out.stdout.splitlines()
+    assert Path(imported).is_relative_to(site)
+    assert described == "unknown"
 
 
 def test_repro_fig5_sweeps_despite_existing_surface(fx, tmp_path, monkeypatch):

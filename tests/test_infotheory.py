@@ -11,12 +11,11 @@ from qfrelay import (
     entropy,
     fixture_channel,
     from_pmfs,
-    lagrangian,
     rate_report,
     uplink_sum_rate_bound,
     yr_conditional_entropies,
 )
-from qfrelay.infotheory import _plogp
+from qfrelay.infotheory import _plogp, lagrangian
 
 # Reference values for the fixture channel with a fixed non-degenerate Q,
 # computed by an independent straight-from-definition enumeration of the

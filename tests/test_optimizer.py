@@ -10,16 +10,13 @@ from scipy.special import xlogy
 from qfrelay import (
     QuantizerPmf,
     build_bpsk_mac,
-    delta_matrix,
     from_pmfs,
-    induced_posteriors,
     initial_quantizer,
-    lagrangian,
     optimize,
     optimize_restarts,
-    update_q,
 )
 from qfrelay import optimizer
+from qfrelay.infotheory import lagrangian
 from qfrelay.optimizer import (
     EXP_FLOOR,
     _FusedStep,
@@ -27,6 +24,9 @@ from qfrelay.optimizer import (
     _remaining_gap,
     _squarem_exponents,
     _stopped,
+    delta_matrix,
+    induced_posteriors,
+    update_q,
 )
 
 FIXED_Q = np.array([[0.9, 0.3, 0.25], [0.1, 0.7, 0.75]])

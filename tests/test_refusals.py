@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from qfrelay import (ChannelModel, LambdaGrid, QuantizerPmf, RateTable, Surface,
-                     from_pmfs, induced_posteriors, lagrangian, optimize, optimize_alpha,
-                     optimize_restarts, sweep_grid)
+                     from_pmfs, optimize, optimize_alpha, optimize_restarts, sweep_grid)
 from qfrelay.cli import EXIT_CONFIG, ConfigError, main, run_repro
+from qfrelay.infotheory import lagrangian
+from qfrelay.optimizer import induced_posteriors
 from qfrelay.sweep import CSV_HEADER
 
 W = np.full((2, 2, 3), 1 / 3)

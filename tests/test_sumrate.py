@@ -11,11 +11,10 @@ from qfrelay import (
     downlink_rate,
     optimize_alpha,
     query_lower_envelope,
-    sum_rate_at,
-    unimodality_report,
     yr_conditional_entropies,
 )
-from qfrelay.sumrate import DEGENERATE_ALPHA, _rates, alpha_objective_curve
+from qfrelay.sumrate import (DEGENERATE_ALPHA, _rates, alpha_objective_curve, sum_rate_at,
+                             unimodality_report)
 
 # Rates drawn from a few round values as well as from a range, so that zero
 # description rates, zero downlinks and tied objectives all come up.
