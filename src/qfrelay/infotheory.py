@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,13 +54,13 @@ class QuantizerPmf:
         object.__setattr__(self, "q", _readonly(_validated_pmf(q, "q column", axis=0)))
 
     @classmethod
-    def _renormalized(cls, q: np.ndarray) -> "QuantizerPmf":
-        """The QuantizerPmf of a finite, nonnegative 2-D float q whose columns
-        already sum to 1 within 1e-9, as the solver builds them: the same
-        renormalization q / q.sum(axis=0) as the constructor, without its
-        input checks."""
+    def _adopted(cls, q: np.ndarray) -> "QuantizerPmf":
+        """The QuantizerPmf holding q itself, made read-only, without the
+        constructor's checks and renormalization: for a C-ordered float q of
+        its own memory whose columns the solver has already renormalized."""
         pmf = object.__new__(cls)
-        object.__setattr__(pmf, "q", _readonly(q / q.sum(axis=0, keepdims=True)))
+        q.flags.writeable = False
+        object.__setattr__(pmf, "q", q)
         return pmf
 
     @property
@@ -79,8 +80,7 @@ class QuantizerPmf:
         return cls(np.eye(num_bins))
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """All rate quantities induced by one (channel, quantizer) pair, in bits.
 
     j_value is the two-way objective r1 + r2 where r1 = I(X1;Yhat|X2) and

@@ -50,11 +50,20 @@ plain steps and extrapolations.  Every solve runs in a lockstep batch
 axis and compute each slice as a batch of one would, so a solve's result
 does not depend on the solves batched with it.  The kernels also report a
 refused extrapolation or a non-finite delta per slice, so the batch never
-runs a slice alone to learn which one failed.  Only _solve_batch cuts solves
-into batches of at most MAX_BATCH and, given workers, starts a process pool.
-So that their wrappers see them all, every solve comes back through a call
-to optimize() (its _solved argument), and every sweep_grid point
-(_solve_points) through one to optimize_restarts().
+runs a slice alone to learn which one failed.
+
+Every start comes from _initial_draw, one row per relay bin: Dirichlet(1)
+rows as Generator.dirichlet computes them, or np.eye(bins, L).  A batch
+renormalizes its draws as one stack; initial_quantizer is the transposed
+draw.  A batch finishes as one stack too: each final quantizer is copied out
+as its solve leaves, and the copies are renormalized together, take their
+RateReports from one _rate_reports call and go out as copies of their own.
+OptimizerResult and RateReport are NamedTuples, built as tuples.
+
+Only _solve_batch cuts solves into batches of at most MAX_BATCH and, given
+workers, starts a process pool.  So that their wrappers see them all, every
+solve comes back through a call to optimize() (its _solved argument), and
+every sweep_grid point (_solve_points) through one to optimize_restarts().
 
 induced_posteriors, delta_matrix, update_q and lagrangian are the unfused
 definitions of the same iteration, not exported and called by no solve: they
@@ -68,6 +77,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,8 +131,7 @@ class Posteriors:
     t2_placeholder: np.ndarray  # boolean (|X1|, L), true where p(x1, yhat) = 0
 
 
-@dataclass(frozen=True)
-class OptimizerResult:
+class OptimizerResult(NamedTuple):
     q_final: QuantizerPmf
     report: RateReport
     lagrangian_trace: list
@@ -221,30 +230,35 @@ def initial_quantizer(num_levels: int, num_bins: int, init: str = "perturbed-uni
     """Starting point for the iteration.
 
     Exact uniform Q is a stationary point of the update, so the default mixes
-    a small Dirichlet perturbation into each uniform column.
+    a small Dirichlet perturbation into each uniform column.  The matrix is
+    the transpose of the (num_bins, num_levels) draw a solve starts from
+    (_initial_draw), renormalized by QuantizerPmf's checked constructor in
+    that F-ordered layout, so its columns round as a solve's start does.
     """
     return QuantizerPmf(_initial_draw(num_levels, num_bins, init,
-                                      np.random.default_rng(0) if rng is None else rng))
+                                      np.random.default_rng(0) if rng is None else rng).T)
 
 
 def _initial_draw(num_levels: int, num_bins: int, init: str,
                   rng: np.random.Generator) -> np.ndarray:
-    """initial_quantizer's (num_levels, num_bins) matrix before its columns
-    are renormalized."""
-    if init == "perturbed-uniform":
-        q = 0.9 / num_levels + 0.1 * rng.dirichlet(np.ones(num_levels), size=num_bins).T
-    elif init == "random":
-        q = rng.dirichlet(np.ones(num_levels), size=num_bins).T
-    elif init == "identity":
+    """The (num_bins, num_levels) start of a solve, one row per relay bin,
+    before its rows are renormalized.
+
+    A Dirichlet(1) row is standard exponentials times the reciprocal of their
+    sum, accumulated in order: bit for bit Generator.dirichlet(np.ones(L),
+    size=num_bins), which draws the same exponentials, without its per-call
+    argument checks."""
+    if init == "identity":
         if num_levels < num_bins:
             raise ValueError(
                 f"identity init needs num_levels >= num_bins, got {num_levels} < {num_bins}"
             )
-        q = np.zeros((num_levels, num_bins))
-        q[:num_bins, :] = np.eye(num_bins)
-    else:
+        return np.eye(num_bins, num_levels)
+    if init not in INIT_STRATEGIES:
         raise ValueError(f"unknown init strategy {init!r}; choose from {INIT_STRATEGIES}")
-    return q
+    d = rng.standard_exponential((num_bins, num_levels))
+    d *= 1.0 / np.add.accumulate(d, axis=1)[:, -1:]
+    return 0.9 / num_levels + 0.1 * d if init == "perturbed-uniform" else d
 
 
 class _ChannelMatrices:
@@ -583,19 +597,22 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     its FloatingPointError, as serial calls would.
     """
     p_yr = ch.p_yr
-    # Each start is renormalized alone, in its draw's memory order, which sets
-    # how its column sums round; np.array then copies them into one C-ordered
-    # stack, as every later q is (np.stack would keep each draw's order).
-    draws = [_initial_draw(num_levels, ch.num_bins, init, np.random.default_rng(seed))
-             for _, _, init, seed in solves]
-    q = np.array([d / d.sum(axis=0, keepdims=True) for d in draws])
+    # The draws are renormalized as one stack, each row summed along its own
+    # contiguous run as initial_quantizer sums a column of its F-ordered
+    # transpose, which sets how the sums round; the transposed copy is the
+    # C-ordered stack every later q is.
+    x = np.array([_initial_draw(num_levels, ch.num_bins, init, np.random.default_rng(seed))
+                  for _, _, init, seed in solves])
+    x /= x.sum(axis=2, keepdims=True)
+    q = np.ascontiguousarray(x.transpose(0, 2, 1))
     step = _FusedStep(ch, [s[0] for s in solves], [s[1] for s in solves])
     # The starts are not softmax outputs, so their H(Yhat|Yr) is computed directly.
     lt, values = step.evaluate(q, np.vecdot(p_yr, -_plogp(q).sum(axis=-2)).tolist())
     runs = [_solve(v, eps, max_iter) for v in values]
     asks = [next(run) for run in runs]
-    # each solve's _solve return value or error, and its final quantizer
-    ends, finals = [None] * len(runs), [None] * len(runs)
+    # each solve's _solve return value or error, and a copy of its final
+    # quantizer taken as it leaves, renormalized with the others at the end
+    ends, fin = [None] * len(runs), np.empty_like(q)
     active = list(range(len(runs)))
     # a solve whose K is not finite fails with the error its first step meets
     done = np.flatnonzero(~np.isfinite(step.k.reshape(len(runs), -1)).all(axis=1)).tolist()
@@ -606,15 +623,16 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     e = e1 = e2 = None
     ext = []  # the slices whose solves ask for an extrapolation; nxt, those of the next tick
     while True:
-        if done:  # the finished solves take their final quantizers and leave
-            for k in done:
-                finals[active[k]] = QuantizerPmf._renormalized(q[k])
+        if done:  # the finished solves copy out their final quantizers and leave
+            fin[[active[k] for k in done]] = q[done]
             keep = [k for k in range(len(active)) if k not in done]
             if not keep:
                 break
-            active, step.k = [active[k] for k in keep], step.k[keep]
+            active = [active[k] for k in keep]
             step.lam1s, step.lam2s = [step.lam1s[k] for k in keep], [step.lam2s[k] for k in keep]
-            q, e, lt, e1, e2 = [None if a is None else a[keep] for a in (q, e, lt, e1, e2)]
+            keep = np.array(keep, dtype=np.intp)  # converted once for the six gathers
+            step.k, q, e, lt, e1, e2 = [None if a is None else a[keep]
+                                        for a in (step.k, q, e, lt, e1, e2)]
             ext = [k for k, i in enumerate(active) if asks[i] is not PLAIN]
         done, rejected, nxt, lengths = [], [], [], []
         inp = lt
@@ -675,13 +693,16 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     for end in ends:
         if isinstance(end, FloatingPointError):
             raise end
-    reports = _rate_reports(ch, np.stack([f.q for f in finals]))
-    return [OptimizerResult(q_final=f, report=rep, lagrangian_trace=trace, iterations=iterations,
-                            converged=converged, seed=int(seed), extrapolations_tried=tried,
-                            extrapolations_accepted=accepted,
-                            gap_estimate=float(gap) if math.isfinite(gap) else None)
+    # bit for bit each slice's own q / q.sum(axis=0): both add the rows in order
+    fin /= fin.sum(axis=1, keepdims=True)
+    reports = _rate_reports(ch, fin)
+    # Each result gets its own copy: a view would keep the whole batch's stack
+    # alive for as long as any one result is kept.
+    return [OptimizerResult(QuantizerPmf._adopted(f.copy()), rep, trace, iterations, converged,
+                            int(seed), tried, accepted,
+                            float(gap) if math.isfinite(gap) else None)
             for f, rep, (trace, iterations, converged, tried, accepted, gap), (_, _, _, seed)
-            in zip(finals, reports, ends, solves)]
+            in zip(fin, reports, ends, solves)]
 
 
 def _solve_batch(ch: ChannelModel, num_levels: int, solves: list, eps: float = 1e-8,

@@ -1,9 +1,12 @@
 """Shared fixtures. The expensive sweeps and oracle tables are session-scoped
 so the unit tests and the acceptance suite reuse the same objects."""
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import qfrelay
 from qfrelay import (
     LambdaGrid,
     RateTable,
@@ -12,6 +15,13 @@ from qfrelay import (
     from_pmfs,
     sweep_grid,
 )
+
+
+def pytest_report_header(config):
+    """Name the qfrelay under test: pyproject.toml's pythonpath puts this
+    checkout's src/ ahead of PYTHONPATH."""
+    return f"qfrelay under test: {os.path.dirname(qfrelay.__file__)}"
+
 
 # Small integer weights, so exact zeros come up in the priors and the law.
 WEIGHTS = st.integers(0, 3)

@@ -14,7 +14,7 @@ from conftest import tiny_channels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfrelay import LambdaGrid, build_bpsk_mac, optimize, sweep_grid
+from qfrelay import LambdaGrid, build_bpsk_mac, initial_quantizer, optimize, sweep_grid
 from qfrelay import optimizer
 from qfrelay.cli import DEFAULTS
 from qfrelay.infotheory import QuantizerPmf, _plogp, _rate_reports
@@ -264,8 +264,7 @@ def _driven_alone(ch, levels, solve, eps, max_iter):
     and no reverts in place.  The last message is what the solve was sent
     before it returned."""
     lam1, lam2, init, seed = solve
-    q = QuantizerPmf._renormalized(optimizer._initial_draw(
-        levels, ch.num_bins, init, np.random.default_rng(seed))).q[None]
+    q = initial_quantizer(levels, ch.num_bins, init, np.random.default_rng(seed)).q.copy()[None]
     step = optimizer._FusedStep(ch, [lam1], [lam2])
     lt, [value] = step.evaluate(q, np.vecdot(ch.p_yr, -_plogp(q).sum(axis=-2)).tolist())
     run, chain = optimizer._solve(value, eps, max_iter), []
@@ -290,10 +289,41 @@ def _driven_alone(ch, levels, solve, eps, max_iter):
             ask = run.send(msg)
     except StopIteration as end:
         trace, iterations, converged, tried, accepted, gap = end.value
-    q_final = QuantizerPmf._renormalized(q[0])
+    q_final = QuantizerPmf(q[0])
     return OptimizerResult(q_final, _rate_reports(ch, q_final.q[None])[0], trace, iterations,
                            converged, seed, tried, accepted,
                            float(gap) if math.isfinite(gap) else None), msg
+
+
+@pytest.mark.parametrize("case", ["fixture", "bpsk"])
+def test_batch_of_all_three_inits_matches_the_plainest_driver(case, fx):
+    """One _lockstep batch mixing perturbed-uniform, random and identity
+    starts (identity needs at least as many levels as bins) gives each solve
+    what _driven_alone gives it, field for field: on the fixture at L = 4,
+    with a dead level, and on 32-bin BPSK at L = 32."""
+    ch, levels = (fx, 4) if case == "fixture" else (build_bpsk_mac(1.5, 4.5, 32), 32)
+    solves = [(0.3, 0.7, "identity", 0), (0.05, 0.2, "random", 4),
+              (0.02, 0.02, "perturbed-uniform", 1), (0.5, 0.1, "identity", 3),
+              (0.01, 0.5, "random", 2), (0.2, 0.5, "perturbed-uniform", 5)]
+    batch = optimizer._lockstep(ch, levels, solves, 1e-8, 5000)
+    alone = [_driven_alone(ch, levels, solve, 1e-8, 5000)[0] for solve in solves]
+    assert [_fields(res) for res in batch] == [_fields(res) for res in alone]
+
+
+@pytest.mark.parametrize("case", ["fixture", "bpsk"])
+def test_batch_results_own_their_quantizers(case, fx, bpsk):
+    """Every q_final of a many-solve batch is an array of its own, not a view
+    that would keep the batch's stack alive: C-contiguous, read-only and
+    column-stochastic within 1e-15."""
+    ch, levels = (fx, 2) if case == "fixture" else (bpsk, 32)
+    solves = [(lam, 2 * lam, init, seed) for lam in (0.05, 0.3)
+              for init, seed in (("perturbed-uniform", 1), ("random", 2))]
+    results = list(optimizer._solve_batch(ch, levels, solves))
+    assert len(results) == 4
+    for res in results:
+        q = res.q_final.q
+        assert q.base is None and q.flags.c_contiguous and not q.flags.writeable
+        assert np.max(np.abs(q.sum(axis=0) - 1.0)) <= 1e-15
 
 
 # One batch on the fixture at L=2 whose solves end at different ticks, for

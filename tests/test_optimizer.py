@@ -202,6 +202,19 @@ def test_initial_quantizer_strategies():
         initial_quantizer(2, 3, "no-such-strategy")
 
 
+@pytest.mark.parametrize("num_levels, num_bins", [(2, 3), (4, 16), (9, 7), (32, 128)])
+def test_random_start_is_numpys_dirichlet_draw(num_levels, num_bins):
+    """A solve's random start is drawn as standard exponentials scaled by the
+    reciprocal of their row sum, which is what Generator.dirichlet does for
+    alpha = 1: the two agree byte for byte, so a numpy change to either
+    stream fails here rather than as a mismatch of solver results."""
+    for seed in range(60):
+        draw = optimizer._initial_draw(num_levels, num_bins, "random",
+                                       np.random.default_rng(seed))
+        ref = np.random.default_rng(seed).dirichlet(np.ones(num_levels), size=num_bins)
+        assert draw.shape == ref.shape and draw.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("init, num_bins", [("perturbed-uniform", 128), ("random", 128),
                                             ("identity", 32)])
 def test_optimize_starts_at_initial_quantizer_and_returns_a_readonly_pmf(init, num_bins):
