@@ -171,33 +171,25 @@ def db_to_power(snr_db: float) -> float:
     raise ValueError(f"SNR {snr_db!r} dB is not finite or overflows as a power")
 
 
-def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:
-    """The polynomial with these coefficients, highest degree first, at x.
-    Same operations as Cephes' polevl; with a leading 1.0 also as its p1evl,
-    since 1.0 * x is exact."""
-    acc = coefs[0]
-    for c in coefs[1:]:
-        acc = acc * x + c
-    return acc
-
-
 def _ndtr(a: np.ndarray) -> np.ndarray:
     """Standard normal CDF, elementwise, bit for bit Cephes' ndtr.
 
     Both rational branches are evaluated everywhere and selected after, with
     their arguments clipped to the ranges where they are used so that no
-    input overflows.  exp is libm's (math.exp) per element, as in Cephes;
+    input overflows.  np.polyval runs Cephes' multiply-add chain (polevl, and
+    p1evl with the leading 1.0); the 0 * x it starts from is exact on these
+    finite arguments.  exp is libm's (math.exp) per element, as in Cephes;
     numpy's exp rounds differently on some inputs.
     """
     x = a * SQRTH
     z = np.abs(x)
     t = np.clip(x, -1.0, 1.0)
     tt = t * t
-    erf = t * _horner(tt, _ERF_T) / _horner(tt, _ERF_U)
+    erf = t * np.polyval(_ERF_T, tt) / np.polyval(_ERF_U, tt)
     zc = np.clip(z, 1.0, _ERFC_ZMAX)
     e = np.fromiter(map(math.exp, (-zc * zc).ravel().tolist()), float, zc.size).reshape(zc.shape)
-    tail = np.where(zc < 8.0, e * _horner(zc, _ERFC_P) / _horner(zc, _ERFC_Q),
-                    e * _horner(zc, _ERFC_R) / _horner(zc, _ERFC_S))
+    tail = np.where(zc < 8.0, e * np.polyval(_ERFC_P, zc) / np.polyval(_ERFC_Q, zc),
+                    e * np.polyval(_ERFC_R, zc) / np.polyval(_ERFC_S, zc))
     # erfc(z) = 1 - erf(z) below 1, and erf(|x|) = |erf(x)| exactly
     erfc = np.where(z < 1.0, 1.0 - np.abs(erf), np.where(zc * zc > MAXLOG, 0.0, tail))
     half = 0.5 * erfc

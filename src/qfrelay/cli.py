@@ -205,6 +205,9 @@ def _resolve(cfg: dict, overrides: dict, defaults: dict | None = None) -> RunCon
     if values["init"] not in INIT_STRATEGIES:
         raise ConfigError(f"config key 'quantizer.init' must be one of "
                           f"{INIT_STRATEGIES}, got {values['init']!r}")
+    # refused as _solve_batch refuses it, but before any run or output starts
+    if values["workers"] is not None and values["workers"] < 1:
+        raise ValueError(f"workers must be at least 1, got {values['workers']}")
     return RunConfig(**values)
 
 
@@ -434,7 +437,7 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
     if figure_id not in ("fig3", "fig4", "fig5"):
         raise ConfigError(f"unknown figure {figure_id!r}; choose fig3, fig4 or fig5")
     start = time.perf_counter()
-    cfg = _resolve({}, {})
+    cfg = _resolve({}, {"workers": workers})
     params = {k: DEFAULTS[k] for k in ("snr1_db", "snr2_db", "num_bins", "span_sigmas",
                                       "levels", "eps", "max_iter")}
     params["seed"] = seed
@@ -458,7 +461,7 @@ def run_repro(figure_id: str, outdir: str = ".", seed: int = 0,
                                                 "lambda_count", "restarts")})
         surface = sweep_grid(cfg.build_channel(), cfg.levels, grid=cfg.lambda_grid(),
                              restarts=cfg.restarts, eps=cfg.eps, max_iter=cfg.max_iter,
-                             seed=seed, workers=workers)
+                             seed=seed, workers=cfg.workers)
         surface_to_csv(surface, path("fig4_surface.csv"))
         written.append(path("fig4_surface.csv"))
         extra = {"surface_source": "computed", "sweep_warnings": list(surface.warnings)}

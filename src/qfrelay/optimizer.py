@@ -50,7 +50,9 @@ plain steps and extrapolations.  Every solve runs in a lockstep batch
 axis and compute each slice as a batch of one would, so a solve's result
 does not depend on the solves batched with it.  The kernels also report a
 refused extrapolation or a non-finite delta per slice, so the batch never
-runs a slice alone to learn which one failed.
+runs a slice alone to learn which one failed.  The batch's state is indexed
+by slice alone and shrinks as solves leave; a solve's end and final
+quantizer are recorded in one place, as its slice leaves.
 
 Every start comes from _initial_draw, one row per relay bin: Dirichlet(1)
 rows as Generator.dirichlet computes them, or np.eye(bins, L).  A batch
@@ -581,20 +583,23 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     solves, advanced together tick by tick.
 
     Each solve is a _solve generator; the batch holds the arrays, serves
-    the asks and keeps no rule of its own.  A tick takes every asked
-    extrapolation with one _squarem_exponents and one jump, then every map
-    evaluation with one advance.  Slice k of the arrays belongs to solve
-    active[k].  The kernels compute each slice as a batch of one would, so
-    every result is bit for bit that of optimize() alone.
+    the asks and keeps no rule of its own.  Its state is indexed by slice:
+    the arrays, the generators, their asks and the step's multipliers shrink
+    together as solves leave.  A tick takes the extrapolations that asks
+    hold with one _squarem_exponents and one jump, then every map
+    evaluation with one advance.  The kernels compute each slice as a batch
+    of one would, so every result is bit for bit that of optimize() alone.
 
     The kernels report failures per slice.  A refused extrapolation is sent
     to its solve before advance, so that tick's map evaluation is the
     solve's next plain step; a solve that this ends stays at q2, and a tick
     in which it ends every solve skips advance.  A slice whose delta, or
-    whose K before its first step, is not finite records its error and ends
-    its solve.  Finished solves leave the batch at the start of the next
-    tick.  Once the batch is done, the first failed solve in order raises
-    its FloatingPointError, as serial calls would.
+    whose K before its first step, is not finite ends its solve with its
+    error.  A tick notes the solves it ends in ended; the next one records
+    their ends and final quantizers, in the one place that reads ids (the
+    solve of each slice), and drops their slices.  Once the batch is done,
+    the first failed solve in order raises its FloatingPointError, as
+    serial calls would.
     """
     p_yr = ch.p_yr
     # The draws are renormalized as one stack, each row summed along its own
@@ -611,84 +616,79 @@ def _lockstep(ch: ChannelModel, num_levels: int, solves: list, eps: float,
     runs = [_solve(v, eps, max_iter) for v in values]
     asks = [next(run) for run in runs]
     # each solve's _solve return value or error, and a copy of its final
-    # quantizer taken as it leaves, renormalized with the others at the end
-    ends, fin = [None] * len(runs), np.empty_like(q)
-    active = list(range(len(runs)))
+    # quantizer, renormalized with the others at the end
+    ends, fin, ids = [None] * len(runs), np.empty_like(q), list(range(len(runs)))
     # a solve whose K is not finite fails with the error its first step meets
-    done = np.flatnonzero(~np.isfinite(step.k.reshape(len(runs), -1)).all(axis=1)).tolist()
-    for k in done:
-        ends[k] = step.failure(lt, k)
+    ended = {k: step.failure(lt, k) for k in
+             np.flatnonzero(~np.isfinite(step.k.reshape(len(runs), -1)).all(axis=1)).tolist()}
     # the quantizers, exponents and log-posteriors of the iterates, and the
     # exponents of one and two ticks before
     e = e1 = e2 = None
-    ext = []  # the slices whose solves ask for an extrapolation; nxt, those of the next tick
     while True:
-        if done:  # the finished solves copy out their final quantizers and leave
-            fin[[active[k] for k in done]] = q[done]
-            keep = [k for k in range(len(active)) if k not in done]
+        if ended:  # the ended solves record their ends and final quantizers, and leave
+            for k, end in ended.items():
+                ends[ids[k]], fin[ids[k]] = end, q[k]
+            keep = [k for k in range(len(ids)) if k not in ended]
             if not keep:
                 break
-            active = [active[k] for k in keep]
-            step.lam1s, step.lam2s = [step.lam1s[k] for k in keep], [step.lam2s[k] for k in keep]
+            ids, runs, asks, step.lam1s, step.lam2s = (
+                [a[k] for k in keep] for a in (ids, runs, asks, step.lam1s, step.lam2s))
             keep = np.array(keep, dtype=np.intp)  # converted once for the six gathers
             step.k, q, e, lt, e1, e2 = [None if a is None else a[keep]
                                         for a in (step.k, q, e, lt, e1, e2)]
-            ext = [k for k, i in enumerate(active) if asks[i] is not PLAIN]
-        done, rejected, nxt, lengths = [], [], [], []
-        inp = lt
-        if ext:
-            chain = [a if len(ext) == len(active) else a[ext] for a in (e2, e1, e, q)]
-            x, lengths = _squarem_exponents(*chain, p_yr, [asks[active[k]] for k in ext])
+            ended = {}
+        # the slices whose solves ask for an extrapolation, and those that go
+        # back to q2 at the end of the tick
+        ext, lengths, rejected, inp = (), (), [], lt
+        if asks.count(PLAIN) < len(asks):  # some solves ask for an extrapolation
+            ext = [k for k, ask in enumerate(asks) if ask is not PLAIN]
+            # one index for the four gathers of the chains: every slice, or these
+            at = slice(None) if len(ext) == len(asks) else np.array(ext, dtype=np.intp)
+            x, lengths = _squarem_exponents(e2[at], e1[at], e[at], q[at], p_yr,
+                                            [asks[k] for k in ext])
             lt_x, refused = step.jump(x)
             for j in refused:  # the solve asks for a plain step next, or ends at q2
                 k = ext[j]
                 try:
-                    asks[active[k]] = runs[active[k]].send((lengths[j], None))
+                    asks[k] = runs[k].send((lengths[j], None))
                 except StopIteration as end:
-                    ends[active[k]] = end.value
-                    done.append(k)
+                    ended[k] = end.value
                     rejected.append(k)
             if refused:
                 jumped = [j for j in range(len(ext)) if j not in refused]
                 ext, lt_x = [ext[j] for j in jumped], lt_x[jumped]
                 lengths = [lengths[j] for j in jumped]
-            if len(ext) == len(active):
+            if len(ext) == len(asks):
                 inp = lt_x
             elif ext:
                 inp = lt.copy()
                 inp[ext] = lt_x
-            # the arrays of q2, where a rejected candidate leaves its solve
-            before = q, e, lt
-        if done and len(done) == len(active):  # every solve ended at a refused extrapolation
-            continue
+            before = q, e, lt  # the arrays of q2
+            if len(ended) == len(asks):  # every solve ended at a refused extrapolation
+                continue
         e2, e1 = e1, e
         q, e, lt, sent, failures = step.advance(inp)
-        for k, err in failures.items():
-            if k not in done:
-                ends[active[k]] = err
-                done.append(k)
+        if failures:  # an end at a refused extrapolation stands
+            ended = {**failures, **ended}
         for k, step_len in zip(ext, lengths):
             sent[k] = step_len, sent[k]
-        for k, i in enumerate(active):
-            if k in done:
+        for k, msg in enumerate(sent):
+            if k in ended:
                 continue
             try:
-                ask = runs[i].send(sent[k])
+                ask = runs[k].send(msg)
                 if ask is REVERT:  # the slice goes back to q2 at the end of the tick
                     rejected.append(k)
-                    ask = runs[i].send(None)
-                asks[i] = ask
-                if ask is not PLAIN:
-                    nxt.append(k)
+                    ask = runs[k].send(None)
+                asks[k] = ask
             except StopIteration as end:
-                ends[i] = end.value
-                done.append(k)
-        ext = nxt
+                ended[k] = end.value
         if rejected:
-            if len(rejected) == len(active):
+            if len(rejected) == len(asks):
                 q, e, lt = before
             else:
-                q[rejected], e[rejected], lt[rejected] = (a[rejected] for a in before)
+                at = np.array(rejected, dtype=np.intp)
+                q[at], e[at], lt[at] = (a[at] for a in before)
 
     for end in ends:
         if isinstance(end, FloatingPointError):

@@ -479,6 +479,30 @@ def test_repro_rejects_unknown_figure(capsys):
     assert "fig9" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("figure", ["fig3", "fig4", "fig5"])
+def test_repro_refuses_zero_workers_before_any_output(figure, tmp_path, capsys):
+    """Every figure refuses --workers 0 with the solver's own message, fig3,
+    which runs no sweep, included, before it makes its output directory."""
+    out = tmp_path / "out"
+    assert main(["repro", figure, "--workers", "0", "--outdir", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: workers must be at least 1, got 0\n"
+    assert not out.exists()
+
+
+def test_config_file_refuses_zero_workers(tmp_path, capsys):
+    """output.workers below 1 in a config file is refused as the flag is:
+    by parse_config, and by sweep before it writes anything."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"channel": {"num_bins": 8}, "quantizer": {"levels": 2},
+                                "output": {"workers": 0}}))
+    with pytest.raises(ValueError, match="^workers must be at least 1, got 0$"):
+        parse_config(str(path))
+    out = tmp_path / "surface.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: workers must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_oracle_takes_levels_and_multipliers_from_config(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({

@@ -257,6 +257,24 @@ def test_refused_extrapolations_end_their_cycles_alone(refuse_all, monkeypatch):
         assert alone.extrapolations_tried == len(extrapolated) - len(refused)
 
 
+def _refusing(refused):
+    """_squarem_exponents, except that each slice whose s2 sums to v with
+    floor(1e3 v) % 3 == 0 gets a NaN, which softmax refuses, and is logged in
+    refused.  Slices are refused by their own values, so a solve meets the
+    same refusals in any batch."""
+    squarem = optimizer._squarem_exponents
+
+    def refusing(s0, s1, s2, q2, p_yr, caps):
+        x, lengths = squarem(s0, s1, s2, q2, p_yr, caps)
+        for k in range(len(x)):
+            if math.floor(float(s2[k].sum()) * 1e3) % 3 == 0:
+                x[k, 0, 0] = np.nan
+                refused.append(k)
+        return x, lengths
+
+    return refusing
+
+
 def _driven_alone(ch, levels, solve, eps, max_iter):
     """(result, last message) of one solve under the plainest driver of
     _solve: batch-of-one kernel calls, its own chain of the last three
@@ -356,18 +374,9 @@ def test_batch_matches_the_plainest_driver(case, refuse, fx, bpsk, monkeypatch):
     converged and capped solves, rejected candidates, solves that end right
     after going back to q2, and with refusals, extrapolations that softmax
     refuses.  On BPSK: solves at 32 levels."""
-    squarem, refused = optimizer._squarem_exponents, []
-
-    def refusing(s0, s1, s2, q2, p_yr, caps):
-        x, lengths = squarem(s0, s1, s2, q2, p_yr, caps)
-        for k in range(len(x)):
-            if math.floor(float(s2[k].sum()) * 1e3) % 3 == 0:
-                x[k, 0, 0] = np.nan
-                refused.append(k)
-        return x, lengths
-
+    refused = []
     if refuse:
-        monkeypatch.setattr(optimizer, "_squarem_exponents", refusing)
+        monkeypatch.setattr(optimizer, "_squarem_exponents", _refusing(refused))
     if case == "fixture":
         ch, levels, solves, runs = fx, 2, MIXED, [(1e-8, max_iter) for max_iter in (5, 13, 5000)]
     else:
@@ -395,3 +404,55 @@ def test_batch_matches_the_plainest_driver(case, refuse, fx, bpsk, monkeypatch):
     else:
         assert not refused and None in lasts
         assert any(res.extrapolations_tried > res.extrapolations_accepted for res in results)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=batches())
+def test_batch_results_under_refusals_do_not_depend_on_the_batch(case):
+    """test_batch_results_do_not_depend_on_the_batch under _refusing's
+    extrapolations, the batch and every lone run alike: random batches meet
+    refusals beside compaction, rejected candidates and max_iter caps, and
+    each solve is still the solve alone, field for field.  Extrapolation
+    engages from the second plain step on: at the default gate, these tiny
+    channels converge before it engages in all but about 1 % of batches."""
+    ch, levels, solves, eps, max_iter, cap = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "SQUAREM_MIN_STEPS", 2)
+        mp.setattr(optimizer, "SQUAREM_GATE_RATIO", 0.0)
+        mp.setattr(optimizer, "_squarem_exponents", _refusing([]))
+        mp.setattr(optimizer, "MAX_BATCH", cap)
+        results = list(optimizer._solve_batch(ch, levels, solves, eps, max_iter))
+        alone = [optimize(ch, lam1, lam2, levels, init=init, eps=eps, max_iter=max_iter,
+                          seed=seed) for lam1, lam2, init, seed in solves]
+    assert [_fields(res) for res in results] == [_fields(res) for res in alone]
+
+
+@pytest.mark.parametrize("refuse", [False, True])
+def test_advance_rows_are_the_batch_map_evaluations(refuse, fx, monkeypatch):
+    """advance computes a row for each map evaluation of a batch's solves,
+    plus at most one for each solve that ends at a refused extrapolation
+    while others of its tick go on: that tick still advances the slice,
+    and only a tick in which every solve so ends skips advance.  On MIXED
+    under MAX_BATCH 1 and 16 at max_iter 5, 13 and 5000, the extra rows are
+    none but two, under refusals, at 16 and 5000: no map step is added."""
+    if refuse:
+        monkeypatch.setattr(optimizer, "_squarem_exponents", _refusing([]))
+    # how many solves of MIXED end at a refused extrapolation, per max_iter
+    at_refusal = {max_iter: sum(isinstance(msg, tuple) and msg[1] is None for _, msg in
+                                (_driven_alone(fx, 2, solve, 1e-8, max_iter) for solve in MIXED))
+                  for max_iter in (5, 13, 5000)}
+    advance, rows, extra = optimizer._FusedStep.advance, [], {}
+
+    def counted(self, log_t):
+        rows.append(len(log_t))
+        return advance(self, log_t)
+
+    monkeypatch.setattr(optimizer._FusedStep, "advance", counted)
+    for max_iter, cap in [(m, c) for m in at_refusal for c in (1, 16)]:
+        monkeypatch.setattr(optimizer, "MAX_BATCH", cap)
+        rows.clear()
+        results = list(optimizer._solve_batch(fx, 2, MIXED, 1e-8, max_iter))
+        extra[max_iter, cap] = sum(rows) - sum(res.iterations for res in results)
+        assert 0 <= extra[max_iter, cap] <= (at_refusal[max_iter] if cap > 1 else 0)
+    assert {key: n for key, n in extra.items() if n} == ({(5000, 16): 2} if refuse else {})
+    assert at_refusal[5000] >= 2 if refuse else not any(at_refusal.values())
